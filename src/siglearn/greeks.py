@@ -17,9 +17,9 @@ expected shortfall (the negated lower-tail mean).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import tensor_algebra as ta
 from .errors import DomainError, ShapeMismatchError
@@ -29,7 +29,7 @@ from .jumpdiff import (
     generate_ensemble,
 )
 from .kernelspace import NystromMap
-from .proxy_flow import GeneratorParams, ProxyTrajectory, _junction_feats
+from .proxy_flow import GeneratorParams, ProxyTrajectory, _junction_feats, integrate_flow
 
 __all__ = [
     "RiskConfig",
@@ -38,7 +38,6 @@ __all__ = [
     "grad_theta",
     "return_moments",
     "cvar",
-    "expected_shortfall",
     "shortfall_gradient_flat",
     "risk_rectified_advantage",
     "action_sensitivity",
@@ -72,12 +71,11 @@ def grad_proxy(traj: ProxyTrajectory, w_G: np.ndarray, s: float) -> np.ndarray:
     value along a raw tensor perturbation h of the terminal proxy is the dot
     product with flat(h).
     """
-    i = traj.index_of(s)
     c, k = traj.channels, traj.degree
-    inv_s = ta.inverse_flat(c, k, traj.flats[i])
-    left = ta.left_mult_matrix(c, k, inv_s)
+    inv_s = ta.inverse_flat(c, k, traj.flats[traj.index_of(s)])
     v1 = traj.nmap.matrix.T @ np.asarray(w_G, dtype=float)
-    return left.T @ v1
+    # row r is inv_s (x) e_r, the image of the r-th basis tensor
+    return ta.product_flat(c, k, inv_s, np.eye(ta.flat_size(c, k))) @ v1
 
 
 def grad_theta(
@@ -90,78 +88,46 @@ def grad_theta(
 ) -> tuple[np.ndarray, float]:
     """Value gradient in the generator weights by forward-mode accumulation.
 
-    Integrates the flow once, carrying the Jacobian of the proxy state with
-    respect to vec(weights) through every log-ODE step.  Returns the gradient
-    (same length as ``gen.theta()``) and the value at s.
+    Takes the states and tangents of one :func:`integrate_flow` run and
+    carries J = d(proxy)/d(theta), one row per weight, through every log-ODE
+    step phi (x) exp(x): J <- J (x) exp(x) + phi (x) dexp_x[dx].  With
+    d(g^-1) = -g^-1 (x) dg (x) g^-1, the derivative of the residual
+    inv(phi_s) (x) phi_T is inv(phi_s) (x) (J_T - J_s (x) residual_s).
+    Returns the gradient (same length as ``gen.theta()``) and the value at s.
     """
-    grid = np.asarray(grid, dtype=float)
     c, k = gen.channels, gen.degree
-    n_flat = ta.flat_size(c, k)
-    P = gen.n_params
-    out_dim, F = gen.out_dim, gen.n_features
-    p, q = gen.n_proxy_features, gen.phase_powers
-    t, T = grid[0], grid[-1]
-
-    jfeats = _junction_feats(gen, nmap, junction)
-    proxy_rows = nmap.matrix[:p]
-
-    state = ta.identity_flat(c, k)
-    J = np.zeros((n_flat, P))
-    states = [state.copy()]
-    jacobians = [J.copy()]
-    for j in range(grid.size - 1):
-        pfeats = proxy_rows @ state
-        u = (grid[j] - t) / (T - t)
-        f = np.empty(F)
-        f[:p] = pfeats
-        f[p : p + q] = u ** np.arange(1, q + 1)
-        f[p + q : 2 * p + q] = jfeats
-        f[-1] = 1.0
-
-        ell = gen.tangent_flat(f)
-        ds = grid[j + 1] - grid[j]
-        x = ds * ell
-
-        # dl/dtheta: direct dependence (row r reads theta block r) plus the
-        # feedback of the state through the proxy features
-        D = np.zeros((out_dim, P))
-        rows = np.arange(out_dim)
-        if gen.clock_rate is not None:
-            rows = rows[1:]  # pinned clock coordinate reads no weights
-        for r in rows:
-            D[r, r * F : (r + 1) * F] = f
-        feedback = gen.weights[:, :p] @ (proxy_rows @ J)
-        if gen.clock_rate is not None:
-            feedback[0, :] = 0.0
-        D += feedback
-
-        dx = np.zeros((n_flat, P))
-        dx[1 : 1 + out_dim] = ds * D
-
-        exp_x = ta.exp_flat(c, k, x)
-        dexp = ta.exp_jacobian(c, k, x)
-        J = (
-            ta.right_mult_matrix(c, k, exp_x) @ J
-            + ta.left_mult_matrix(c, k, state) @ (dexp @ dx)
-        )
-        state = ta.product_flat(c, k, state, exp_x)
-        states.append(state.copy())
-        jacobians.append(J.copy())
-
-    traj = ProxyTrajectory(
-        channels=c, degree=k, grid=grid, flats=np.array(states), nmap=nmap
-    )
+    p = gen.n_proxy_features
+    traj = integrate_flow(gen, nmap, junction, grid)
+    grid, flats = traj.grid, traj.flats
     i = traj.index_of(s)
-    phi_s = states[i]
-    phi_T = states[-1]
-    inv_s = ta.inverse_flat(c, k, phi_s)
-    v1 = nmap.matrix.T @ np.asarray(w_G, dtype=float)
-
-    value = float(v1 @ ta.product_flat(c, k, inv_s, phi_T))
-    grad = v1 @ (
-        ta.right_mult_matrix(c, k, phi_T) @ (ta.inverse_jacobian(c, k, phi_s) @ jacobians[i])
-        + ta.left_mult_matrix(c, k, inv_s) @ jacobians[-1]
+    ds = np.diff(grid)
+    x = ds[:, None] * traj.tangents
+    exp_x = ta.exp_flat(c, k, x)
+    proxy_rows = nmap.matrix[:p]
+    u = (grid[:-1] - grid[0]) / (grid[-1] - grid[0])
+    feats = gen.features(
+        flats[:-1] @ proxy_rows.T, u[:, None], _junction_feats(gen, nmap, junction)
     )
+    eye = np.eye(gen.out_dim)
+
+    J = J_s = np.zeros((gen.n_params, flats.shape[1]))
+    for j in range(grid.size - 1):
+        # weight r * n_features + f feeds tangent coordinate r with feature f,
+        # plus the feedback of the state through the proxy features
+        d_ell = np.kron(eye, feats[j][:, None]) + (J @ proxy_rows.T) @ gen.weights[:, :p].T
+        if gen.clock_rate is not None:
+            d_ell[:, 0] = 0.0  # pinned clock coordinate reads no weights
+        dx = np.zeros_like(J)
+        dx[:, 1 : 1 + gen.out_dim] = ds[j] * d_ell
+        J = ta.product_flat(c, k, J, exp_x[j]) + ta.product_flat(
+            c, k, flats[j], ta.exp_tangent_flat(c, k, x[j], dx)
+        )
+        if j + 1 == i:
+            J_s = J
+
+    res = traj.residual_flats()[i]
+    value = float((nmap.matrix.T @ np.asarray(w_G, dtype=float)) @ res)
+    grad = (J - ta.product_flat(c, k, J_s, res)) @ grad_proxy(traj, w_G, s)
     return grad, value
 
 
@@ -185,6 +151,12 @@ def return_moments(sig: ta.TruncTensor, reward_channel: int = -1) -> tuple[float
     return mean, second - mean * mean
 
 
+def _tail_density(alpha_tail: float) -> float:
+    """Standard normal density at the alpha_tail quantile."""
+    nd = NormalDist()
+    return nd.pdf(nd.inv_cdf(alpha_tail))
+
+
 def cvar(mean: float, variance: float, alpha_tail: float) -> float:
     """Gaussian lower-tail conditional mean: E[X | X <= q_alpha].
 
@@ -196,13 +168,7 @@ def cvar(mean: float, variance: float, alpha_tail: float) -> float:
     if variance < -1e-10:
         raise DomainError(f"variance {variance} is negative beyond tolerance")
     sigma = np.sqrt(max(variance, 0.0))
-    z = norm.ppf(alpha_tail)
-    return float(mean - sigma * norm.pdf(z) / alpha_tail)
-
-
-def expected_shortfall(mean: float, variance: float, alpha_tail: float) -> float:
-    """Positive-is-risky tail functional: the negated lower-tail mean."""
-    return -cvar(mean, variance, alpha_tail)
+    return float(mean - sigma * _tail_density(alpha_tail) / alpha_tail)
 
 
 def shortfall_gradient_flat(
@@ -216,9 +182,8 @@ def shortfall_gradient_flat(
     i1, i2 = _moment_indices(sig.channels, sig.degree, risk.reward_channel)
     mean, variance = return_moments(sig, risk.reward_channel)
     sigma = max(np.sqrt(max(variance, 0.0)), sigma_floor)
-    z = norm.ppf(risk.alpha_tail)
     d_mean = -1.0
-    d_var = norm.pdf(z) / risk.alpha_tail / (2.0 * sigma)
+    d_var = _tail_density(risk.alpha_tail) / risk.alpha_tail / (2.0 * sigma)
     grad = np.zeros(sig.data.size)
     grad[i1] = d_mean + d_var * (-2.0 * mean)
     grad[i2] = d_var * 2.0

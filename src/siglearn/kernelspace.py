@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-
 import numpy.typing as npt
 
 from . import tensor_algebra as ta
@@ -33,7 +31,6 @@ __all__ = [
     "fit_whitening",
     "fit_metric_family",
     "q_distance",
-    "tensor_q_norm",
     "nystrom_to_json",
     "nystrom_from_json",
 ]
@@ -113,7 +110,7 @@ def build_nystrom(
         raise DomainError("ridge must be positive")
 
     m = Z.shape[0]
-    evals, evecs = eigh(gram + ridge * np.eye(m))
+    evals, evecs = np.linalg.eigh(gram + ridge * np.eye(m))
     if evals[0] < 10.0 * ridge and m > 1:
         warnings.warn(
             "landmark Gram matrix is nearly singular beyond the ridge; "
@@ -185,7 +182,7 @@ def fit_whitening(features: np.ndarray, lam: float) -> WhitenedMetric:
     cov = np.cov(features, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
     m = cov.shape[0]
-    evals, evecs = eigh(cov + lam * np.eye(m))
+    evals, evecs = np.linalg.eigh(cov + lam * np.eye(m))
     precision = (evecs / np.sqrt(evals)) @ evecs.T
     return WhitenedMetric(precision=precision, ridge=float(lam))
 
@@ -205,12 +202,6 @@ def q_distance(metric: WhitenedMetric, u: np.ndarray, v: np.ndarray) -> float:
         )
     d = u - v
     return float(np.sqrt(max(d @ metric.precision @ d, 0.0)))
-
-
-def tensor_q_norm(nmap: NystromMap, metric: WhitenedMetric, t: ta.TruncTensor) -> float:
-    """Q-norm of a raw tensor through the compression."""
-    c = compress(nmap, t)
-    return q_distance(metric, c, np.zeros_like(c))
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,10 @@ class GeneratorParams:
     def with_theta(self, theta: np.ndarray) -> "GeneratorParams":
         return replace(self, weights=np.asarray(theta, dtype=float).reshape(self.weights.shape))
 
-    def features(self, proxy_feats: np.ndarray, u: float, junction_feats: np.ndarray) -> np.ndarray:
+    def features(
+        self, proxy_feats: np.ndarray, u: float | np.ndarray, junction_feats: np.ndarray
+    ) -> np.ndarray:
+        """Feature rows for proxy features (..., p); ``u`` is a phase or a column of them."""
         p, q = self.n_proxy_features, self.phase_powers
         out = np.empty(proxy_feats.shape[:-1] + (self.n_features,))
         out[..., :p] = proxy_feats[..., :p]
@@ -192,12 +195,16 @@ class ProxyTrajectory:
         return ta.TruncTensor(self.channels, self.degree, self.flats[-1].copy())
 
     def residual_flats(self) -> np.ndarray:
-        """Flat nested residuals inverse(proxy_s) (x) proxy_T for every s."""
+        """Flat nested residuals inverse(proxy_s) (x) proxy_T for every s.
+
+        The row at s = T is the identity exactly, so values there do not
+        depend on the flow at all, not even through rounding.
+        """
         if self._residual_cache is None:
             inv = ta.inverse_flat(self.channels, self.degree, self.flats)
-            self._residual_cache = ta.product_flat(
-                self.channels, self.degree, inv, self.flats[-1]
-            )
+            res = ta.product_flat(self.channels, self.degree, inv, self.flats[-1])
+            res[-1] = ta.identity_flat(self.channels, self.degree)
+            self._residual_cache = res
         return self._residual_cache
 
     def residual_features(self) -> np.ndarray:
@@ -252,7 +259,7 @@ def _integrate_batch(
             f"map has only {nmap.n_landmarks} landmarks"
         )
 
-    jfeats = np.tile(_junction_feats(gen, nmap, junction), (B, 1))
+    jfeats = _junction_feats(gen, nmap, junction)
     proxy_rows = nmap.matrix[: gen.n_proxy_features]
 
     flats = np.empty((grid.size, B, n_flat))
@@ -263,14 +270,7 @@ def _integrate_batch(
         observed = state
         if left_context is not None:
             observed = ta.product_flat(c, k, left_context[None, :], state)
-        pfeats = observed @ proxy_rows.T
-        u = (grid[j] - t) / (T - t)
-        feats = np.empty((B, gen.n_features))
-        p, q = gen.n_proxy_features, gen.phase_powers
-        feats[:, :p] = pfeats
-        feats[:, p : p + q] = u ** np.arange(1, q + 1)
-        feats[:, p + q : 2 * p + q] = jfeats
-        feats[:, -1] = 1.0
+        feats = gen.features(observed @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
         ell = gen.tangent_flat(feats, weight_rows=weight_rows)
         tangents[j] = ell
         ds = grid[j + 1] - grid[j]

@@ -49,10 +49,7 @@ __all__ = [
     "inner_flat",
     "project_flat",
     "identity_flat",
-    "left_mult_matrix",
-    "right_mult_matrix",
-    "exp_jacobian",
-    "inverse_jacobian",
+    "exp_tangent_flat",
     "tensor_to_csv_row",
     "tensor_from_csv_row",
 ]
@@ -167,6 +164,27 @@ def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def exp_tangent_flat(channels: int, degree: int, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Derivative of the truncated exponential at x along each row of dx.
+
+    Differentiates the series term by term: with t_i = x^i / i!, the
+    derivative d_i = (d_{i-1} (x) x + t_{i-1} (x) dx) / i sums to dexp_x[dx].
+    Scalar parts of x and dx are ignored.
+    """
+    x = np.array(x, dtype=float)
+    x[..., 0] = 0.0
+    dx = np.array(dx, dtype=float)
+    dx[..., 0] = 0.0
+    term, dterm, out = x, dx, dx
+    for i in range(2, degree + 1):
+        dterm = (
+            product_flat(channels, degree, dterm, x) + product_flat(channels, degree, term, dx)
+        ) / i
+        term = product_flat(channels, degree, term, x) / i
+        out = out + dterm
+    return out
+
+
 def log_flat(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
     """Truncated logarithm of a group-like flat array."""
     g = np.asarray(g, dtype=float)
@@ -209,81 +227,6 @@ def project_flat(channels: int, degree: int, a: np.ndarray, r: int) -> np.ndarra
         raise DomainError(f"projection degree r={r} outside [0, {degree}]")
     out = np.array(a, dtype=float, copy=True)
     out[..., level_offsets(channels, degree)[r + 1] :] = 0.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# multiplication operators and series Jacobians (flat matrices)
-
-
-def left_mult_matrix(channels: int, degree: int, a: np.ndarray) -> np.ndarray:
-    """Matrix L with L @ flat(h) = flat(a (x) h)."""
-    offs = level_offsets(channels, degree)
-    n_flat = offs[-1]
-    out = np.zeros((n_flat, n_flat))
-    for n in range(degree + 1):
-        for i in range(n + 1):
-            j = n - i
-            ai = np.asarray(a)[offs[i] : offs[i + 1]]
-            block = np.kron(ai.reshape(-1, 1), np.eye(channels**j))
-            out[offs[n] : offs[n + 1], offs[j] : offs[j + 1]] += block
-    return out
-
-
-def right_mult_matrix(channels: int, degree: int, b: np.ndarray) -> np.ndarray:
-    """Matrix R with R @ flat(h) = flat(h (x) b)."""
-    offs = level_offsets(channels, degree)
-    n_flat = offs[-1]
-    out = np.zeros((n_flat, n_flat))
-    for n in range(degree + 1):
-        for i in range(n + 1):
-            j = n - i
-            bj = np.asarray(b)[offs[j] : offs[j + 1]]
-            block = np.kron(np.eye(channels**i), bj.reshape(-1, 1))
-            out[offs[n] : offs[n + 1], offs[i] : offs[i + 1]] += block
-    return out
-
-
-def _tensor_powers(channels: int, degree: int, x: np.ndarray, top: int) -> list[np.ndarray]:
-    powers = [identity_flat(channels, degree)]
-    for _ in range(top):
-        powers.append(product_flat(channels, degree, powers[-1], x))
-    return powers
-
-
-def exp_jacobian(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
-    """Derivative of the truncated exponential at the Lie-like point x.
-
-    Returns the flat matrix D with D @ flat(h) equal to the directional
-    derivative of exp along h: sum_i (1/i!) sum_{a+b=i-1} x^a (x) h (x) x^b.
-    """
-    powers = _tensor_powers(channels, degree, x, degree - 1)
-    n_flat = flat_size(channels, degree)
-    out = np.zeros((n_flat, n_flat))
-    for i in range(1, degree + 1):
-        coeff = 1.0 / factorial(i)
-        for a in range(i):
-            b = i - 1 - a
-            out += coeff * left_mult_matrix(channels, degree, powers[a]) @ right_mult_matrix(
-                channels, degree, powers[b]
-            )
-    return out
-
-
-def inverse_jacobian(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
-    """Derivative of the group inverse at the group-like point g."""
-    u = -np.asarray(g, dtype=float)
-    u = u.copy()
-    u[0] = 0.0
-    powers = _tensor_powers(channels, degree, u, degree - 1)
-    n_flat = flat_size(channels, degree)
-    out = np.zeros((n_flat, n_flat))
-    for i in range(1, degree + 1):
-        for a in range(i):
-            b = i - 1 - a
-            out -= left_mult_matrix(channels, degree, powers[a]) @ right_mult_matrix(
-                channels, degree, powers[b]
-            )
     return out
 
 

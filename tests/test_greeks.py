@@ -130,6 +130,21 @@ class TestGradTheta:
         grad, value = greeks.grad_theta(gen, nmap, None, grid, w, 1.0)
         assert np.max(np.abs(grad)) < 1e-12
 
+    def test_horizon_value_bitwise_constant_in_theta(self):
+        # the finite-difference oracle at s = T must read exactly zero
+        rng, nmap, gen, grid, traj, w = make_setup(seed=5)
+        from siglearn.td_learning import value_at
+
+        theta0 = gen.theta()
+        for i in range(theta0.size):
+            up = theta0.copy()
+            up[i] += 1e-6
+            dn = theta0.copy()
+            dn[i] -= 1e-6
+            v_up = value_at(integrate_flow(gen.with_theta(up), nmap, None, grid), w, 1.0)
+            v_dn = value_at(integrate_flow(gen.with_theta(dn), nmap, None, grid), w, 1.0)
+            assert v_up == v_dn
+
     def test_masked_clock_row_has_zero_gradient(self):
         rng, nmap, gen, grid, traj, w = make_setup(seed=6, pinned=True)
         grad, _ = greeks.grad_theta(gen, nmap, None, grid, w, 0.5)

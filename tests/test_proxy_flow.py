@@ -149,6 +149,13 @@ class TestIntegrateFlow:
         at_T = nested_residual(traj, 1.0)
         assert np.max(np.abs(at_T.data - ta.identity_flat(C, K))) < 1e-12
 
+    def test_horizon_residual_is_exact_identity(self):
+        rng = np.random.default_rng(7)
+        nmap = make_map(rng)
+        gen = new_generator(C, K, n_proxy_features=4, seed=4, init_scale=0.5)
+        traj = integrate_flow(gen, nmap, None, np.linspace(0.0, 1.0, 9))
+        assert np.array_equal(traj.residual_flats()[-1], ta.identity_flat(C, K))
+
     def test_semigroup_composition(self):
         rng = np.random.default_rng(8)
         nmap = make_map(rng)

@@ -185,38 +185,26 @@ class TestProjection:
             assert np.max(np.abs(lhs.data - rhs.data)) < 1e-12
 
 
-class TestMultOperators:
-    def test_left_right_matrices_match_product(self):
-        rng = np.random.default_rng(10)
-        a = random_group_like(rng, 2, 3)
-        h = random_lie_like(rng, 2, 3)
-        L = ta.left_mult_matrix(2, 3, a.data)
-        R = ta.right_mult_matrix(2, 3, a.data)
-        assert np.allclose(L @ h.data, ta.trunc_product(a, h).data, atol=1e-13)
-        assert np.allclose(R @ h.data, ta.trunc_product(h, a).data, atol=1e-13)
-
-    def test_exp_jacobian_matches_fd(self):
+class TestExpTangent:
+    def test_exp_tangent_matches_fd(self):
         rng = np.random.default_rng(11)
         x = random_lie_like(rng, 2, 3, scale=0.3)
-        D = ta.exp_jacobian(2, 3, x.data)
         h = random_lie_like(rng, 2, 3, scale=1.0)
         eps = 1e-6
         fd = (
             ta.exp_flat(2, 3, x.data + eps * h.data)
             - ta.exp_flat(2, 3, x.data - eps * h.data)
         ) / (2 * eps)
-        assert np.max(np.abs(D @ h.data - fd)) < 1e-8
+        assert np.max(np.abs(ta.exp_tangent_flat(2, 3, x.data, h.data) - fd)) < 1e-8
 
-    def test_inverse_jacobian_matches_fd(self):
+    def test_batched_rows_match_single_rows(self):
         rng = np.random.default_rng(12)
-        g = random_group_like(rng, 2, 3, scale=0.3)
-        D = ta.inverse_jacobian(2, 3, g.data)
-        h = random_lie_like(rng, 2, 3, scale=1.0)
-        eps = 1e-6
-        gp = g.data + eps * h.data
-        gm = g.data - eps * h.data
-        fd = (ta.inverse_flat(2, 3, gp) - ta.inverse_flat(2, 3, gm)) / (2 * eps)
-        assert np.max(np.abs(D @ h.data - fd)) < 1e-8
+        x = random_lie_like(rng, 3, 4, scale=0.3)
+        dx = np.array([random_lie_like(rng, 3, 4).data for _ in range(5)])
+        batched = ta.exp_tangent_flat(3, 4, x.data, dx)
+        assert batched.shape == dx.shape
+        for row, h in zip(batched, dx):
+            assert np.array_equal(row, ta.exp_tangent_flat(3, 4, x.data, h))
 
 
 class TestBatchedEngine:
