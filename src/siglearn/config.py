@@ -78,7 +78,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "train": {
         "steps": ("int", _REQ),
         "lr": ("float", 0.05),
-        "fd_step": ("float", 1e-5),
         "eta_scf": ("float", 0.1),
         "contraction_reg": ("float", 0.0),
         "ensemble_size": ("int", _REQ),
@@ -161,7 +160,6 @@ init_scale = 0.01
 [train]
 steps = 40
 lr = 0.05
-fd_step = 1e-5
 eta_scf = 0.1
 contraction_reg = 0.0
 ensemble_size = 256

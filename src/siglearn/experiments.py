@@ -33,7 +33,6 @@ from .kernelspace import (
     build_nystrom,
     compress_flat,
     fit_metric_family,
-    q_distance,
 )
 from .proxy_flow import (
     GeneratorParams,
@@ -55,7 +54,6 @@ __all__ = [
     "sample_landmark_signatures",
     "memory_gain_matrix",
     "train_scf",
-    "scf_equilibrium_sweep",
     "realizable_td_experiment",
     "variance_experiment",
     "greeks_fd_report",
@@ -298,7 +296,6 @@ def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
     tc = TrainConfig(
         steps=int(train_cfg["steps"]),
         lr=float(train_cfg.get("lr", 0.05)),
-        fd_step=float(train_cfg.get("fd_step", 1e-5)),
         eta_scf=float(train_cfg.get("eta_scf", 0.1)),
         contraction_reg=float(train_cfg.get("contraction_reg", 0.0)),
     )
@@ -318,49 +315,6 @@ def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
     result = train_generator(gen0, ens, scenario.nmap, scenario.metrics, tc)
     after = diagnostics(result.params)
     return result, {"before": before, "after": after}
-
-
-def scf_equilibrium_sweep(
-    gen: GeneratorParams,
-    nmap: NystromMap,
-    metric: WhitenedMetric,
-    env: JumpDiffusionParams,
-    junction,
-    grid: np.ndarray,
-    sig_config: SignatureConfig,
-    seed: int,
-    n_values=(64, 256, 1024, 4096),
-    n_replicas: int = 8,
-) -> dict:
-    """Distance between empirical means and the flow endpoint versus n.
-
-    Fresh evaluation ensembles per (n, replica); reports the mean distance
-    per n and the fitted log-log slope (Monte Carlo convergence shows up as
-    a slope near -1/2 when the trained flow is unbiased).
-    """
-    traj = integrate_flow(gen, nmap, junction[2], grid)
-    target = compress_flat(nmap, traj.flats[-1])
-    distances = []
-    for n in n_values:
-        vals = []
-        for r in range(n_replicas):
-            ens = generate_ensemble(
-                env,
-                junction,
-                None,
-                grid,
-                int(n),
-                derive_seed(seed, f"scf-eval-{n}-{r}"),
-                sig_config,
-                nmap=nmap if env.has_memory else None,
-            )
-            sbar = empirical_mean_signature(ens, grid[0], grid[-1])
-            vals.append(q_distance(metric, compress_flat(nmap, sbar.data), target))
-        distances.append(float(np.mean(vals)))
-    slope = float(
-        np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(distances), 1)[0]
-    )
-    return {"n_values": list(n_values), "distances": distances, "slope": slope}
 
 
 def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
@@ -509,12 +463,27 @@ def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> lis
     rng = np.random.default_rng(derive_seed(scenario.seed, "greeks"))
     nmap = scenario.nmap
     grid = scenario.grid
-    traj = integrate_flow(gen, nmap, scenario.junction_proxy, grid)
+    junction = scenario.junction_proxy
+    traj = integrate_flow(gen, nmap, junction, grid)
     w = rng.normal(size=nmap.n_landmarks)
-    theta0 = gen.theta()
-    rows = []
     check_points = [grid[0], grid[len(grid) // 2], grid[-1]]
-    for s in check_points:
+
+    # theta oracle: each perturbed flow is integrated once and read at every
+    # check point (the flows do not depend on s)
+    def values(theta):
+        pert = integrate_flow(gen.with_theta(theta), nmap, junction, grid)
+        return np.array([td.value_at(pert, w, s) for s in check_points])
+
+    theta0 = gen.theta()
+    h_t = 1e-6 * max(1.0, np.max(np.abs(theta0)))
+    fd_theta = np.empty((theta0.size, len(check_points)))
+    for idx in range(theta0.size):
+        bump = np.zeros_like(theta0)
+        bump[idx] = h_t
+        fd_theta[idx] = (values(theta0 + bump) - values(theta0 - bump)) / (2 * h_t)
+
+    rows = []
+    for s, fd_t in zip(check_points, fd_theta.T):
         gw = grad_w(traj, s)
         # value is exactly linear in w: FD along random directions
         direction = rng.normal(size=w.size)
@@ -542,23 +511,7 @@ def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> lis
             fd = (up - dn) / (2 * eps)
             err_p = max(err_p, abs(cov @ h - fd) / max(abs(fd), 1e-12))
 
-        grad_t, _ = grad_theta(gen, nmap, scenario.junction_proxy, grid, w, s)
-        h_t = 1e-6 * max(1.0, np.max(np.abs(theta0)))
-        fd_t = np.empty_like(theta0)
-        for idx in range(theta0.size):
-            up_t = theta0.copy()
-            up_t[idx] += h_t
-            dn_t = theta0.copy()
-            dn_t[idx] -= h_t
-            v_up = td.value_at(
-                integrate_flow(gen.with_theta(up_t), nmap, scenario.junction_proxy, grid),
-                w, s,
-            )
-            v_dn = td.value_at(
-                integrate_flow(gen.with_theta(dn_t), nmap, scenario.junction_proxy, grid),
-                w, s,
-            )
-            fd_t[idx] = (v_up - v_dn) / (2 * h_t)
+        grad_t, _ = grad_theta(gen, nmap, junction, grid, w, s)
         scale = max(np.max(np.abs(grad_t)), np.max(np.abs(fd_t)), 1e-9)
         err_t = float(np.max(np.abs(grad_t - fd_t)) / scale)
         rows.append(

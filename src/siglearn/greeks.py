@@ -29,7 +29,7 @@ from .jumpdiff import (
     generate_ensemble,
 )
 from .kernelspace import NystromMap
-from .proxy_flow import GeneratorParams, ProxyTrajectory, _junction_feats, integrate_flow
+from .proxy_flow import GeneratorParams, ProxyTrajectory, _flow_tangents
 
 __all__ = [
     "RiskConfig",
@@ -88,46 +88,19 @@ def grad_theta(
 ) -> tuple[np.ndarray, float]:
     """Value gradient in the generator weights by forward-mode accumulation.
 
-    Takes the states and tangents of one :func:`integrate_flow` run and
-    carries J = d(proxy)/d(theta), one row per weight, through every log-ODE
-    step phi (x) exp(x): J <- J (x) exp(x) + phi (x) dexp_x[dx].  With
+    Reads J = d(proxy)/d(theta), one row per weight, from the tangent
+    recursion that training also uses (``proxy_flow._flow_tangents``).  With
     d(g^-1) = -g^-1 (x) dg (x) g^-1, the derivative of the residual
     inv(phi_s) (x) phi_T is inv(phi_s) (x) (J_T - J_s (x) residual_s).
     Returns the gradient (same length as ``gen.theta()``) and the value at s.
     """
-    c, k = gen.channels, gen.degree
-    p = gen.n_proxy_features
-    traj = integrate_flow(gen, nmap, junction, grid)
-    grid, flats = traj.grid, traj.flats
+    traj, J, _ = _flow_tangents(gen, nmap, junction, grid)
     i = traj.index_of(s)
-    ds = np.diff(grid)
-    x = ds[:, None] * traj.tangents
-    exp_x = ta.exp_flat(c, k, x)
-    proxy_rows = nmap.matrix[:p]
-    u = (grid[:-1] - grid[0]) / (grid[-1] - grid[0])
-    feats = gen.features(
-        flats[:-1] @ proxy_rows.T, u[:, None], _junction_feats(gen, nmap, junction)
-    )
-    eye = np.eye(gen.out_dim)
-
-    J = J_s = np.zeros((gen.n_params, flats.shape[1]))
-    for j in range(grid.size - 1):
-        # weight r * n_features + f feeds tangent coordinate r with feature f,
-        # plus the feedback of the state through the proxy features
-        d_ell = np.kron(eye, feats[j][:, None]) + (J @ proxy_rows.T) @ gen.weights[:, :p].T
-        if gen.clock_rate is not None:
-            d_ell[:, 0] = 0.0  # pinned clock coordinate reads no weights
-        dx = np.zeros_like(J)
-        dx[:, 1 : 1 + gen.out_dim] = ds[j] * d_ell
-        J = ta.product_flat(c, k, J, exp_x[j]) + ta.product_flat(
-            c, k, flats[j], ta.exp_tangent_flat(c, k, x[j], dx)
-        )
-        if j + 1 == i:
-            J_s = J
-
     res = traj.residual_flats()[i]
     value = float((nmap.matrix.T @ np.asarray(w_G, dtype=float)) @ res)
-    grad = (J - ta.product_flat(c, k, J_s, res)) @ grad_proxy(traj, w_G, s)
+    grad = (J[-1] - ta.product_flat(gen.channels, gen.degree, J[i], res)) @ grad_proxy(
+        traj, w_G, s
+    )
     return grad, value
 
 

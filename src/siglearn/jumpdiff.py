@@ -137,8 +137,13 @@ def path_streams(seed: int, path_id: int) -> tuple[np.random.Generator, ...]:
     return tuple(gens)
 
 
-def draw_path_noise(seed: int, path_id: int, n_steps: int, dim: int, lam_dt: float):
-    """Pre-draw the full noise block of one path in its documented layout."""
+def draw_path_noise(
+    seed: int, path_id: int, n_steps: int, dim: int, lam_dt: float | np.ndarray
+):
+    """Pre-draw the full noise block of one path in its documented layout.
+
+    ``lam_dt`` is the jump intensity times the step, one value or one per step.
+    """
     g_diff, g_count, g_jump = path_streams(seed, path_id)
     xi = g_diff.standard_normal((n_steps, dim))
     counts = g_count.poisson(lam_dt, size=n_steps)
@@ -302,10 +307,7 @@ def generate_ensemble(
     counts = np.empty((n_paths, n_steps), dtype=np.int64)
     eta = np.empty((n_paths, n_steps, d))
     for i in range(n_paths):
-        g_diff, g_count, g_jump = path_streams(seed, i)
-        xi[i] = g_diff.standard_normal((n_steps, d))
-        counts[i] = g_count.poisson(lam_dt_all)
-        eta[i] = g_jump.standard_normal((n_steps, d))
+        xi[i], counts[i], eta[i] = draw_path_noise(seed, i, n_steps, d, lam_dt_all)
 
     track_memory = params.has_memory
     if track_memory and nmap is None:

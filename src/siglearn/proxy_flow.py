@@ -11,8 +11,9 @@ channel always integrates the horizon exactly.
 Training matches the generator tangent to the expected infinitesimal
 signature increment of a stochastic ensemble (score matching) plus a terminal
 self-consistency penalty tying the flow endpoint to the ensemble's empirical
-mean signature.  Gradients are central finite differences over the (small)
-weight matrix, batched through the flow integrator.
+mean signature.  Gradients are exact: forward-mode tangents of the flow in
+the generator weights, one row per weight, carried through the integrator's
+own log-ODE steps.  The greeks read the same recursion.
 """
 
 from __future__ import annotations
@@ -105,15 +106,10 @@ class GeneratorParams:
         out[..., -1] = 1.0
         return out
 
-    def tangent_flat(self, feats: np.ndarray, weight_rows: np.ndarray | None = None) -> np.ndarray:
-        """Lie-like flat tangent(s); ``weight_rows`` (B, P) batches over weights."""
-        n_flat = ta.flat_size(self.channels, self.degree)
-        if weight_rows is None:
-            out = feats @ self.weights.T
-        else:
-            W = weight_rows.reshape(-1, self.out_dim, self.n_features)
-            out = np.einsum("bof,bf->bo", W, np.atleast_2d(feats))
-        flat = np.zeros(out.shape[:-1] + (n_flat,))
+    def tangent_flat(self, feats: np.ndarray) -> np.ndarray:
+        """Lie-like flat tangent(s) for feature rows (..., n_features)."""
+        out = feats @ self.weights.T
+        flat = np.zeros(out.shape[:-1] + (ta.flat_size(self.channels, self.degree),))
         flat[..., 1 : 1 + self.out_dim] = out
         if self.clock_rate is not None:
             flat[..., 1] = self.clock_rate
@@ -233,57 +229,6 @@ def _junction_feats(gen: GeneratorParams, nmap: NystromMap, junction) -> np.ndar
     return np.asarray(junction, dtype=float)[: gen.n_proxy_features]
 
 
-def _integrate_batch(
-    gen: GeneratorParams,
-    weight_rows: np.ndarray,
-    nmap: NystromMap,
-    junction,
-    grid: np.ndarray,
-    left_context: np.ndarray | None = None,
-    phase_span: tuple[float, float] | None = None,
-):
-    """Integrate B weight vectors in parallel; returns flats and tangents.
-
-    ``flats`` has shape (n_grid, B, flat); ``tangents`` (n_grid - 1, B, flat).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing with >= 2 points")
-    c, k = gen.channels, gen.degree
-    B = weight_rows.shape[0]
-    n_flat = ta.flat_size(c, k)
-    t, T = phase_span if phase_span is not None else (grid[0], grid[-1])
-    if gen.n_proxy_features > nmap.n_landmarks:
-        raise DomainError(
-            f"generator reads {gen.n_proxy_features} proxy features but the "
-            f"map has only {nmap.n_landmarks} landmarks"
-        )
-
-    jfeats = _junction_feats(gen, nmap, junction)
-    proxy_rows = nmap.matrix[: gen.n_proxy_features]
-
-    flats = np.empty((grid.size, B, n_flat))
-    tangents = np.empty((grid.size - 1, B, n_flat))
-    state = np.tile(ta.identity_flat(c, k), (B, 1))
-    flats[0] = state
-    for j in range(grid.size - 1):
-        observed = state
-        if left_context is not None:
-            observed = ta.product_flat(c, k, left_context[None, :], state)
-        feats = gen.features(observed @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
-        ell = gen.tangent_flat(feats, weight_rows=weight_rows)
-        tangents[j] = ell
-        ds = grid[j + 1] - grid[j]
-        state = ta.product_flat(c, k, state, ta.exp_flat(c, k, ds * ell))
-        if not np.all(np.isfinite(state)):
-            raise DivergenceError(
-                "flow state left the finite range",
-                context={"gridpoint": j + 1, "time": float(grid[j + 1])},
-            )
-        flats[j + 1] = state
-    return flats, tangents
-
-
 def integrate_flow(
     gen: GeneratorParams,
     nmap: NystromMap,
@@ -300,19 +245,76 @@ def integrate_flow(
     (with ``phase_span`` kept from the original run) composes exactly with
     the segment it continues.
     """
-    ctx = None if left_context is None else left_context.data
-    flats, tangents = _integrate_batch(
-        gen, gen.theta()[None, :], nmap, junction, grid,
-        left_context=ctx, phase_span=phase_span,
-    )
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise DomainError("grid must be strictly increasing with >= 2 points")
+    if gen.n_proxy_features > nmap.n_landmarks:
+        raise DomainError(
+            f"generator reads {gen.n_proxy_features} proxy features but the "
+            f"map has only {nmap.n_landmarks} landmarks"
+        )
+    c, k = gen.channels, gen.degree
+    t, T = phase_span if phase_span is not None else (grid[0], grid[-1])
+    jfeats = _junction_feats(gen, nmap, junction)
+    proxy_rows = nmap.matrix[: gen.n_proxy_features]
+
+    flats = np.empty((grid.size, ta.flat_size(c, k)))
+    tangents = np.empty((grid.size - 1, flats.shape[1]))
+    flats[0] = ta.identity_flat(c, k)
+    for j in range(grid.size - 1):
+        observed = flats[j]
+        if left_context is not None:
+            observed = ta.product_flat(c, k, left_context.data, observed)
+        feats = gen.features(observed @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
+        tangents[j] = gen.tangent_flat(feats)
+        ds = grid[j + 1] - grid[j]
+        flats[j + 1] = ta.product_flat(c, k, flats[j], ta.exp_flat(c, k, ds * tangents[j]))
+        if not np.all(np.isfinite(flats[j + 1])):
+            raise DivergenceError(
+                "flow state left the finite range",
+                context={"gridpoint": j + 1, "time": float(grid[j + 1])},
+            )
     return ProxyTrajectory(
-        channels=gen.channels,
-        degree=gen.degree,
-        grid=np.asarray(grid, dtype=float),
-        flats=flats[:, 0],
-        nmap=nmap,
-        tangents=tangents[:, 0],
+        channels=c, degree=k, grid=grid, flats=flats, nmap=nmap, tangents=tangents
     )
+
+
+def _flow_tangents(gen: GeneratorParams, nmap: NystromMap, junction, grid: np.ndarray):
+    """One flow plus its exact derivatives in the generator weights.
+
+    Returns the trajectory, J with J[j] = d(proxy_j)/d(theta) of shape
+    (n_grid, P, flat), and d_ell with d_ell[j] = d(generator output_j)/d(theta)
+    of shape (n_grid - 1, P, out_dim).  J is carried through every log-ODE
+    step phi (x) exp(x) as J <- J (x) exp(x) + phi (x) dexp_x[dx].
+    """
+    c, k = gen.channels, gen.degree
+    p = gen.n_proxy_features
+    traj = integrate_flow(gen, nmap, junction, grid)
+    grid, flats = traj.grid, traj.flats
+    ds = np.diff(grid)
+    x = ds[:, None] * traj.tangents
+    exp_x = ta.exp_flat(c, k, x)
+    proxy_rows = nmap.matrix[:p]
+    u = (grid[:-1] - grid[0]) / (grid[-1] - grid[0])
+    feats = gen.features(
+        flats[:-1] @ proxy_rows.T, u[:, None], _junction_feats(gen, nmap, junction)
+    )
+    eye = np.eye(gen.out_dim)
+
+    J = np.zeros((grid.size, gen.n_params, flats.shape[1]))
+    d_ell = np.empty((grid.size - 1, gen.n_params, gen.out_dim))
+    for j in range(grid.size - 1):
+        # weight r * n_features + f feeds output coordinate r with feature f,
+        # plus the feedback of the state through the proxy features
+        d_ell[j] = np.kron(eye, feats[j][:, None]) + (J[j] @ proxy_rows.T) @ gen.weights[:, :p].T
+        if gen.clock_rate is not None:
+            d_ell[j, :, 0] = 0.0  # pinned clock coordinate reads no weights
+        dx = np.zeros_like(J[j])
+        dx[:, 1 : 1 + gen.out_dim] = ds[j] * d_ell[j]
+        J[j + 1] = ta.product_flat(c, k, J[j], exp_x[j]) + ta.product_flat(
+            c, k, flats[j], ta.exp_tangent_flat(c, k, x[j], dx)
+        )
+    return traj, J, d_ell
 
 
 def nested_residual(traj: ProxyTrajectory, s: float) -> ta.TruncTensor:
@@ -415,14 +417,15 @@ def _ens_junction(ens: PathEnsemble):
 class TrainConfig:
     steps: int = 120
     lr: float = 0.05
-    fd_step: float = 1e-5
     eta_scf: float = 0.1
     contraction_reg: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    # deadband: below this gradient norm the point counts as stationary and
-    # no step is taken (Adam would otherwise rescale noise up to lr size)
+    # deadband: below this gradient size the point counts as stationary and
+    # no step is taken.  At an exact optimum the gradient is roundoff
+    # (1.3e-17 on a matched generator), and Adam's normalisation would turn
+    # it into steps of 6.6e-11, then 3.5e-4, then 3.2e-2.
     grad_tol: float = 1e-9
 
 
@@ -446,33 +449,47 @@ def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
     }
 
 
-def _loss_rows(gen, weight_rows, nmap, metrics, cache, cfg: TrainConfig):
-    """Total loss per weight row, plus the components of row 0."""
-    flats, tangents = _integrate_batch(
-        gen, weight_rows, nmap, cache["junction"], cache["grid"]
-    )
-    n_steps = tangents.shape[0]
-    score = np.zeros(weight_rows.shape[0])
-    for j in range(n_steps):
-        diff = compress_flat(nmap, tangents[j] - cache["targets"][j][None, :])
-        score += _sq_qnorm(_metric_at(metrics, j), diff)
-    score /= n_steps
+def _objective(gen, nmap, metrics, caches, cfg: TrainConfig):
+    """Loss components averaged over the ensembles, and the exact gradient.
 
-    term_metric = _metric_at(metrics, n_steps)
-    diff_T = compress_flat(nmap, flats[-1]) - cache["prefix_feats"][-1][None, :]
-    scf = cfg.eta_scf * _sq_qnorm(term_metric, diff_T)
+    Every term is a Q-norm d^T Q d of a compressed difference that is linear
+    in the generator output or in the flow, so its gradient is
+    2 (dd/dtheta)^T Q d, with Q d shared by loss and gradient.
+    """
+    parts = {"score": 0.0, "scf": 0.0, "reg": 0.0}
+    grad = np.zeros(gen.n_params)
+    C = nmap.matrix
+    C_ell = C[:, 1 : 1 + gen.out_dim]
+    w_ens = 1.0 / len(caches)
+    for cache in caches:
+        traj, J, d_ell = _flow_tangents(gen, nmap, cache["junction"], cache["grid"])
+        n_steps = d_ell.shape[0]
+        wt = w_ens / n_steps
+        for j in range(n_steps):
+            d = compress_flat(nmap, traj.tangents[j] - cache["targets"][j])
+            Qd = _metric_at(metrics, j).precision @ d
+            parts["score"] += wt * (d @ Qd)
+            grad += 2.0 * wt * (d_ell[j] @ (C_ell.T @ Qd))
 
-    reg = np.zeros(weight_rows.shape[0])
-    if cfg.contraction_reg > 0.0:
-        # late-horizon tracking penalty: pulls the flow back onto the
-        # ensemble law as the horizon closes, damping accumulated drift
-        u = (cache["grid"] - cache["grid"][0]) / (cache["grid"][-1] - cache["grid"][0])
-        for j in range(1, n_steps + 1):
-            w = u[j] ** 2
-            diff = compress_flat(nmap, flats[j]) - cache["prefix_feats"][j][None, :]
-            reg += w * _sq_qnorm(_metric_at(metrics, j), diff)
-        reg *= cfg.contraction_reg / n_steps
-    return score + scf + reg, {"score": score[0], "scf": scf[0], "reg": reg[0]}
+        # tracking terms: Q-distance of the flow at gridpoint j from the
+        # ensemble mean there
+        tracked = [("scf", n_steps, cfg.eta_scf)]
+        if cfg.contraction_reg > 0.0:
+            # late-horizon tracking penalty: pulls the flow back onto the
+            # ensemble law as the horizon closes, damping accumulated drift
+            grid = cache["grid"]
+            u = (grid - grid[0]) / (grid[-1] - grid[0])
+            tracked += [
+                ("reg", j, cfg.contraction_reg * u[j] ** 2 / n_steps)
+                for j in range(1, n_steps + 1)
+            ]
+        for key, j, weight in tracked:
+            e = compress_flat(nmap, traj.flats[j]) - cache["prefix_feats"][j]
+            Qe = _metric_at(metrics, j).precision @ e
+            wt = w_ens * weight
+            parts[key] += wt * (e @ Qe)
+            grad += 2.0 * wt * (J[j] @ (C.T @ Qe))
+    return parts, grad
 
 
 def train_generator(
@@ -482,11 +499,11 @@ def train_generator(
     metrics,
     cfg: TrainConfig | None = None,
 ) -> TrainResult:
-    """Adam descent on score matching + self-consistency, FD gradients.
+    """Adam descent on score matching + self-consistency, exact gradients.
 
-    ``ensembles`` is one PathEnsemble or a sequence; losses are averaged.
-    The gradient of every loss evaluation is a central finite difference over
-    the generator weights, batched through the flow integrator.
+    ``ensembles`` is one PathEnsemble or a sequence; losses and gradients are
+    averaged.  Each ensemble costs one flow and its forward-mode tangents
+    per step.
     """
     cfg = cfg or TrainConfig()
     if isinstance(ensembles, PathEnsemble):
@@ -501,26 +518,13 @@ def train_generator(
     v = np.zeros(P)
     trace: list[dict] = []
     for step in range(1, cfg.steps + 1):
-        rows = np.tile(theta, (2 * P + 1, 1))
-        for i in range(P):
-            rows[1 + 2 * i, i] += cfg.fd_step
-            rows[2 + 2 * i, i] -= cfg.fd_step
-        total = np.zeros(2 * P + 1)
-        parts = {"score": 0.0, "scf": 0.0, "reg": 0.0}
-        for cache in caches:
-            t_rows, p0 = _loss_rows(gen, rows, nmap, metrics, cache, cfg)
-            total += t_rows
-            for key in parts:
-                parts[key] += p0[key]
-        total /= len(caches)
-        for key in parts:
-            parts[key] /= len(caches)
-        if not np.all(np.isfinite(total)):
+        parts, grad = _objective(gen.with_theta(theta), nmap, metrics, caches, cfg)
+        total = parts["score"] + parts["scf"] + parts["reg"]
+        if not (np.isfinite(total) and np.all(np.isfinite(grad))):
             raise DivergenceError(
                 "training loss left the finite range",
                 context={"step": step, "trace": trace},
             )
-        grad = (total[1::2] - total[2::2]) / (2 * cfg.fd_step)
 
         if np.max(np.abs(grad)) < cfg.grad_tol:
             update = np.zeros(P)
@@ -531,10 +535,15 @@ def train_generator(
             vhat = v / (1 - cfg.beta2**step)
             update = cfg.lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
             theta = theta - update
+            if not np.all(np.isfinite(theta)):
+                raise DivergenceError(
+                    "generator weights left the finite range",
+                    context={"step": step, "trace": trace},
+                )
         trace.append(
             {
                 "step": step,
-                "total": float(total[0]),
+                "total": float(total),
                 "score": float(parts["score"]),
                 "scf": float(parts["scf"]),
                 "reg": float(parts["reg"]),

@@ -119,6 +119,16 @@ class TestCliExitCodes:
         assert code == 2
         assert "td.gamma" in capsys.readouterr().err
 
+    def test_retired_fd_step_key_exits_2(self, tmp_path, capsys, monkeypatch):
+        # training gradients are exact, so the finite-difference step is gone
+        path = tmp_path / "fd.ini"
+        path.write_text(default_config_text().replace("[train]\n", "[train]\nfd_step = 1e-5\n"))
+        assert main(["run-scf", "--config", str(path), "--out-dir", str(tmp_path / "a")]) == 2
+        assert "train.fd_step" in capsys.readouterr().err
+        monkeypatch.setenv(f"{ENV_PREFIX}TRAIN__FD_STEP", "1e-5")
+        assert main(["run-scf", "--out-dir", str(tmp_path / "b")]) == 2
+        assert "train.fd_step" in capsys.readouterr().err
+
     def test_bad_threads_exits_2(self, tmp_path):
         assert main(["run-td", "--threads", "0", "--out-dir", str(tmp_path)]) == 2
 

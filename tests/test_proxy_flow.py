@@ -3,10 +3,12 @@ import pytest
 
 from siglearn import tensor_algebra as ta
 from siglearn.errors import DivergenceError, DomainError
-from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
-from siglearn.kernelspace import WhitenedMetric, build_nystrom, compress_flat
+from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble, prefix_mean_signatures
+from siglearn.kernelspace import WhitenedMetric, build_nystrom, compress_flat, fit_metric_family
 from siglearn.proxy_flow import (
     TrainConfig,
+    _ensemble_cache,
+    _objective,
     empirical_trajectory,
     flow_step,
     integrate_flow,
@@ -254,6 +256,19 @@ class TestTraining:
         res = train_generator(gen, ens, nmap, eye_metric(nmap.n_landmarks), cfg)
         assert all(row["update_max"] < 1e-6 for row in res.trace)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_raises_divergence(self):
+        # a gradient above 1.8 makes lr * grad overflow in the first Adam step
+        rng = np.random.default_rng(13)
+        nmap = make_map(rng)
+        grid = np.linspace(0.0, 1.0, 9)
+        ens = generate_ensemble(drift_env(5.0, vol=0.1), (0.0, np.zeros(1), None),
+                                None, grid, 8, 2, linear_cfg())
+        gen = new_generator(C, K, n_proxy_features=4, seed=9, init_scale=0.3)
+        with pytest.raises(DivergenceError):
+            train_generator(gen, ens, nmap, eye_metric(nmap.n_landmarks),
+                            TrainConfig(steps=3, lr=1e308))
+
     def test_targets_shape(self):
         grid = np.linspace(0.0, 1.0, 9)
         ens = generate_ensemble(drift_env(0.3, vol=0.2), (0.0, np.zeros(1), None),
@@ -261,6 +276,81 @@ class TestTraining:
         t = step_targets(ens)
         assert t.shape == (8, ta.flat_size(C, K))
         assert np.allclose(t[:, 0], 0.0, atol=0)
+
+
+def reference_loss(gen, refs, nmap, metrics, cfg):
+    """Training loss restated from its definition: score + scf + reg, averaged.
+
+    ``refs`` holds (grid, step targets, compressed prefix means) per ensemble.
+    """
+
+    def qn(j, d):
+        m = metrics if isinstance(metrics, WhitenedMetric) else metrics[j]
+        return d @ m.precision @ d
+
+    total = 0.0
+    for grid, targets, means in refs:
+        traj = integrate_flow(gen, nmap, None, grid)
+        n = targets.shape[0]
+        u = (grid - grid[0]) / (grid[-1] - grid[0])
+        loss = sum(qn(j, compress_flat(nmap, traj.tangents[j] - targets[j])) for j in range(n)) / n
+        for j in range(1, n + 1):
+            weight = cfg.eta_scf * (j == n) + cfg.contraction_reg * u[j] ** 2 / n
+            loss += weight * qn(j, compress_flat(nmap, traj.flats[j]) - means[j])
+        total += loss / len(refs)
+    return total
+
+
+class TestExactGradient:
+    # (metric family, eta_scf, contraction_reg, clock_rate, ensembles)
+    CASES = [
+        (False, 0.1, 0.0, None, 1),
+        (True, 0.1, 0.0, None, 1),
+        (True, 0.0, 0.0, 1.0, 1),
+        (False, 0.1, 40.0, 1.0, 2),
+        (True, 0.0, 40.0, None, 2),
+        (True, 0.1, 40.0, 1.0, 1),
+    ]
+
+    @pytest.mark.parametrize("family,eta,reg,clock,n_ens", CASES)
+    def test_matches_central_difference(self, family, eta, reg, clock, n_ens):
+        rng = np.random.default_rng(16)
+        nmap = make_map(rng)
+        grid = np.linspace(0.0, 1.0, 9)
+        ensembles = [
+            generate_ensemble(drift_env(0.25, vol=0.2, lam=1.0, jump_scale=np.full(1, 0.1)),
+                              (0.0, np.zeros(1), None), None, grid, 16, seed, linear_cfg())
+            for seed in range(n_ens)
+        ]
+        if family:
+            _, full = prefix_mean_signatures(ensembles[0], keep_paths=True)
+            metrics = fit_metric_family(compress_flat(nmap, full), 1e-2)
+        else:
+            metrics = eye_metric(nmap.n_landmarks)
+        gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
+                            clock_rate=clock, seed=10, init_scale=0.3)
+        cfg = TrainConfig(eta_scf=eta, contraction_reg=reg)
+        caches = [_ensemble_cache(e, nmap) for e in ensembles]
+        refs = [
+            (e.times, step_targets(e), compress_flat(nmap, prefix_mean_signatures(e)))
+            for e in ensembles
+        ]
+
+        parts, grad = _objective(gen, nmap, metrics, caches, cfg)
+        loss = reference_loss(gen, refs, nmap, metrics, cfg)
+        assert sum(parts.values()) == pytest.approx(loss, rel=1e-12)
+        assert (parts["reg"] == 0.0) == (reg == 0.0)
+
+        theta, h = gen.theta(), 1e-6
+        fd = np.empty_like(theta)
+        for i in range(theta.size):
+            bump = np.zeros_like(theta)
+            bump[i] = h
+            fd[i] = (
+                reference_loss(gen.with_theta(theta + bump), refs, nmap, metrics, cfg)
+                - reference_loss(gen.with_theta(theta - bump), refs, nmap, metrics, cfg)
+            ) / (2 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 class TestEmpiricalTrajectory:
