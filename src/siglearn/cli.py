@@ -25,7 +25,7 @@ from .analysis import (
     whitened_norm_stress,
 )
 from .config import config_hash, default_config_text, load_config
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, SiglearnError
 from .experiments import (
     Scenario,
     build_scenario,
@@ -394,6 +394,10 @@ def main(argv=None) -> int:
         _write_json(trace_path, runner.meta(), {"error": str(exc), "context": exc.context})
         print(f"numeric divergence: {exc} (trace in {trace_path})", file=sys.stderr)
         return 3
+    except SiglearnError as exc:
+        # raised on a value the config parser accepted but the run cannot use
+        print(f"invalid configuration: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

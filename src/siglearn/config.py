@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 
 from .errors import ConfigError
@@ -196,29 +197,37 @@ def default_config_text() -> str:
 def _parse_value(raw: str, kind: str, where: str):
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "floatlist":
-            return [float(v) for v in raw.replace(",", " ").split()]
-        return raw
+        value = _convert(raw, kind)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind}") from exc
+    numbers = {"float": [value], "floatlist": value}.get(kind, [])
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{where} = {raw!r} is not finite")
+    return value
+
+
+def _convert(raw: str, kind: str):
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        return float(raw)
+    if kind == "bool":
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(raw)
+    if kind == "floatlist":
+        return [float(v) for v in raw.replace(",", " ").split()]
+    return raw
 
 
 def load_config(path: str | None = None, environ: dict | None = None) -> dict:
     """Parse, default-fill, env-override, and validate a configuration.
 
     With ``path=None`` the built-in baseline text is used.  Raises
-    ConfigError naming the exact section.key on a missing required key or an
-    unknown entry.
+    ConfigError naming the exact section.key on a missing required key, an
+    unknown entry, or a value that does not parse or is not a finite number.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is None:
@@ -251,7 +260,7 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"environment override names unknown key {section}.{key}")
         kind, _ = SCHEMA[section][key]
-        cfg.setdefault(section, {})[key] = _parse_value(raw, kind, f"env:{name}")
+        cfg.setdefault(section, {})[key] = _parse_value(raw, kind, f"{section}.{key} (from {name})")
 
     for section, keys in SCHEMA.items():
         cfg.setdefault(section, {})

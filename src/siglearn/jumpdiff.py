@@ -25,9 +25,9 @@ from .kernelspace import NystromMap, compress_flat
 from .signature import (
     CadlagPath,
     SignatureConfig,
-    step_factor_flat,
     batch_prefix_signatures,
     batch_terminal_signatures,
+    chen_step_flat,
 )
 
 __all__ = [
@@ -359,8 +359,7 @@ def generate_ensemble(
         flags[:, j + 1] = jumped
         if track_memory:
             inc = values[:, j + 1] - values[:, j]
-            factor = step_factor_flat(sig_config, d_sig, dt, inc, jumped)
-            proxy_flat = ta.product_flat(c, sig_config.degree, proxy_flat, factor)
+            proxy_flat = chen_step_flat(sig_config, d_sig, proxy_flat, dt, inc, jumped)
             proxies = compress_flat(nmap, proxy_flat)
 
     return PathEnsemble(

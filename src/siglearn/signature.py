@@ -15,6 +15,11 @@ Two interpolation modes are supported for observed increments:
 
 With ``include_time=False`` the time channel is dropped entirely and both
 modes coincide.
+
+Every scan advances by Chen's identity, one grid step at a time, through
+:func:`chen_step_flat`: each segment is the fused update sig (x) exp(v) of
+:func:`siglearn.tensor_algebra.mul_exp_flat`, so no segment exponential or
+step factor is materialised.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "new_filtered_proxy",
     "incremental_update",
     "step_factor_flat",
+    "chen_step_flat",
     "batch_prefix_signatures",
     "batch_terminal_signatures",
     "signature_to_csv_row",
@@ -151,7 +157,13 @@ def step_factor_flat(
     dx: np.ndarray,
     jumped: np.ndarray,
 ) -> np.ndarray:
-    """Batched signature factor for one grid step; leading axis is the path."""
+    """Batched signature factor for one grid step; leading axis is the path.
+
+    The scans multiply by this factor without building it, through
+    :func:`chen_step_flat`.  The bare factor is what the score-matching
+    targets average, and it is the reference the fused step is tested
+    against.
+    """
     c = config.channels(dim)
     k = config.degree
     n_flat = ta.flat_size(c, k)
@@ -184,6 +196,46 @@ def step_factor_flat(
     return np.where(jumped[..., None], rect, linear)
 
 
+def chen_step_flat(
+    config: SignatureConfig,
+    dim: int,
+    sig: np.ndarray,
+    dt: np.ndarray,
+    dx: np.ndarray,
+    jumped: np.ndarray,
+) -> np.ndarray:
+    """``sig`` times the signature factor of one grid step, by Chen's identity.
+
+    Each segment is one fused update sig (x) exp(v), so no factor is built.
+    In linear mode every row takes the joint (time, space) segment and the
+    jump-flagged rows are then redone from ``sig`` as a time segment followed
+    by a space segment.
+    """
+    c = config.channels(dim)
+    k = config.degree
+    dx = np.asarray(dx, dtype=float)
+    if not config.include_time:
+        return ta.mul_exp_flat(c, k, sig, dx)
+
+    dt = np.asarray(dt, dtype=float) / config.time_scale
+    batch = np.broadcast_shapes(dt.shape, dx.shape[:-1])
+    time_v = np.zeros(batch + (c,))
+    time_v[..., 0] = dt
+    space_v = np.zeros(batch + (c,))
+    space_v[..., 1:] = dx
+    if config.mode == "rectilinear":
+        return ta.mul_exp_flat(c, k, ta.mul_exp_flat(c, k, sig, time_v), space_v)
+
+    out = ta.mul_exp_flat(c, k, sig, time_v + space_v)
+    rows = out.shape[:-1]
+    jumped = np.broadcast_to(np.asarray(jumped, dtype=bool), rows)
+    if np.any(jumped):
+        time_v, space_v = (np.broadcast_to(v, rows + (c,))[jumped] for v in (time_v, space_v))
+        before = np.broadcast_to(sig, out.shape)[jumped]
+        out[jumped] = ta.mul_exp_flat(c, k, ta.mul_exp_flat(c, k, before, time_v), space_v)
+    return out
+
+
 def path_signature(
     config: SignatureConfig, path: CadlagPath, t0: float, t1: float
 ) -> ta.TruncTensor:
@@ -191,20 +243,11 @@ def path_signature(
     lo, hi = path.span()
     if not (lo - 1e-12 <= t0 <= t1 <= hi + 1e-12):
         raise RangeError(f"[{t0}, {t1}] outside path span [{lo}, {hi}]")
-    i0 = path.index_of(t0)
-    i1 = path.index_of(t1)
-    c = config.channels(path.dim)
-    sig = ta.identity_flat(c, config.degree)
-    for i in range(i0 + 1, i1 + 1):
-        factor = step_factor_flat(
-            config,
-            path.dim,
-            path.times[i] - path.times[i - 1],
-            path.values[i] - path.values[i - 1],
-            path.jump_flags[i],
-        )
-        sig = ta.product_flat(c, config.degree, sig, factor)
-    return ta.TruncTensor(c, config.degree, sig)
+    window = slice(path.index_of(t0), path.index_of(t1) + 1)
+    sig = batch_terminal_signatures(
+        config, path.times[window], path.values[None, window], path.jump_flags[None, window]
+    )[0]
+    return ta.TruncTensor(config.channels(path.dim), config.degree, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +302,7 @@ def incremental_update(
         )
     dim = proxy.anchor_value.shape[0]
     c = proxy.config.channels(dim)
-    factor = step_factor_flat(proxy.config, dim, dt, dx, bool(jump_flag))
-    sig = ta.product_flat(c, proxy.config.degree, proxy.sig.data, factor)
+    sig = chen_step_flat(proxy.config, dim, proxy.sig.data, dt, dx, bool(jump_flag))
     return replace(
         proxy,
         sig=ta.TruncTensor(c, proxy.config.degree, sig),
@@ -306,14 +348,14 @@ def batch_prefix_signatures(
         full = np.empty((n_grid, n_paths, n_flat))
         full[0] = sig
     for j in range(1, n_grid):
-        factor = step_factor_flat(
+        sig = chen_step_flat(
             config,
             dim,
+            sig,
             times[j] - times[j - 1],
             values[:, j] - values[:, j - 1],
             jump_flags[:, j],
         )
-        sig = ta.product_flat(c, k, sig, factor)
         means[j] = sig.mean(axis=0)
         if keep_paths:
             full[j] = sig
@@ -338,14 +380,14 @@ def batch_terminal_signatures(
     k = config.degree
     sig = np.tile(ta.identity_flat(c, k), (n_paths, 1))
     for j in range(1, n_grid):
-        factor = step_factor_flat(
+        sig = chen_step_flat(
             config,
             dim,
+            sig,
             times[j] - times[j - 1],
             values[:, j] - values[:, j - 1],
             jump_flags[:, j],
         )
-        sig = ta.product_flat(c, k, sig, factor)
     return sig
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "project_to_degree",
     "product_flat",
     "exp_flat",
+    "mul_exp_flat",
     "log_flat",
     "inverse_flat",
     "inner_flat",
@@ -161,6 +162,31 @@ def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
     for i in range(2, degree + 1):
         term = product_flat(channels, degree, term, x) / i
         out = out + term
+    return out
+
+
+def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a (x) exp(v) for a level-1 increment v of shape (..., channels).
+
+    Horner's rule per level, without building exp(v): level n of the result
+    is a_n + (...((a_0 v/n + a_1) v/(n-1) + a_2) ... + a_{n-1}) v/1, so level
+    n costs n outer products with v.  Broadcasts over leading axes.
+    """
+    offs = level_offsets(channels, degree)
+    sizes = level_sizes(channels, degree)
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
+    batch = np.broadcast_shapes(a.shape[:-1], v.shape[:-1])
+    out = np.array(np.broadcast_to(a, batch + (offs[-1],)))
+    v = v[..., None, :]
+    v_over = [None] + [v / i for i in range(1, degree + 1)]
+    for n in range(1, degree + 1):
+        g = a[..., :1]
+        for m in range(1, n + 1):
+            g = (g[..., :, None] * v_over[n - m + 1]).reshape(batch + (sizes[m],))
+            if m < n:
+                g += a[..., offs[m] : offs[m + 1]]
+        out[..., offs[n] : offs[n + 1]] += g
     return out
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +107,22 @@ class TestConfig:
         cfg = load_config(None, environ={f"{ENV_PREFIX}TD__GAMMA": "0.5"})
         assert cfg["td"]["gamma"] == 0.5
 
+    @pytest.mark.parametrize(
+        "key, raw", [("td.gamma", "nan"), ("env.jump_intensity", "inf"),
+                     ("analysis.stress_scales", "1, -inf, 10")],
+    )
+    def test_non_finite_rejected(self, tmp_path, key, raw):
+        section, name = key.split(".")
+        env_name = f"{ENV_PREFIX}{section.upper()}__{name.upper()}"
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, environ={env_name: raw})
+        text, n = re.subn(rf"^{name} = .*$", f"{name} = {raw}", default_config_text(), flags=re.M)
+        assert n == 1
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
     def test_hash_sensitivity(self):
         a = load_config(None)
         b = load_config(None, environ={f"{ENV_PREFIX}TD__GAMMA": "0.5"})
@@ -128,6 +148,32 @@ class TestCliExitCodes:
         monkeypatch.setenv(f"{ENV_PREFIX}TRAIN__FD_STEP", "1e-5")
         assert main(["run-scf", "--out-dir", str(tmp_path / "b")]) == 2
         assert "train.fd_step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("TD__GAMMA=nan", "td.gamma"),
+            ("ENV__JUMP_INTENSITY=inf", "env.jump_intensity"),
+            ("ALGEBRA__DEGREE=0", None),
+            ("HORIZON__DT=-0.1", None),
+        ],
+    )
+    def test_bad_value_exits_2_without_traceback(self, tmp_path, override, named):
+        name, value = override.split("=")
+        env = {
+            **os.environ,
+            f"{ENV_PREFIX}{name}": value,
+            f"{ENV_PREFIX}TRAIN__STEPS": "1",
+            f"{ENV_PREFIX}TRAIN__ENSEMBLE_SIZE": "16",
+        }
+        res = subprocess.run(
+            [sys.executable, "-m", "siglearn.cli", "run-scf", "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        if named is not None:
+            assert named in res.stderr
 
     def test_bad_threads_exits_2(self, tmp_path):
         assert main(["run-td", "--threads", "0", "--out-dir", str(tmp_path)]) == 2

@@ -10,12 +10,14 @@ from siglearn.signature import (
     CadlagPath,
     SignatureConfig,
     batch_prefix_signatures,
+    chen_step_flat,
     incremental_update,
     new_filtered_proxy,
     path_signature,
     paths_from_csv,
     paths_to_csv,
     segment_signature,
+    step_factor_flat,
 )
 
 CFG = SignatureConfig(degree=3, time_scale=1.0)
@@ -218,6 +220,49 @@ class TestBatched:
             per_path = np.array(per_path)
             assert np.max(np.abs(full[j] - per_path)) < 1e-12
             assert np.max(np.abs(means[j] - per_path.mean(axis=0))) < 1e-12
+
+
+# (shape, jumps): one path with a scalar dt, a (dim,) increment and a bool
+# flag, or a batch of paths with no, some or all of them jump-flagged
+STEP_CASES = [
+    ("single", "none"),
+    ("single", "all"),
+    ("batch", "none"),
+    ("batch", "some"),
+    ("batch", "all"),
+]
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("degree", [1, 3, 4])
+    @pytest.mark.parametrize("include_time", [True, False])
+    @pytest.mark.parametrize("mode", ["linear", "rectilinear"])
+    @pytest.mark.parametrize("shape, jumps", STEP_CASES)
+    def test_matches_product_with_step_factor(self, shape, jumps, mode, include_time, degree):
+        rng = np.random.default_rng(33)
+        dim, n_paths = 2, 9
+        cfg = SignatureConfig(
+            degree=degree, time_scale=1.5, mode=mode, include_time=include_time
+        )
+        n_flat = ta.flat_size(cfg.channels(dim), degree)
+        dt = 0.3
+        if shape == "single":
+            sig = rng.uniform(-1.0, 1.0, size=n_flat)
+            dx = rng.uniform(-1.0, 1.0, size=dim)
+            jumped = jumps == "all"
+        else:
+            sig = rng.uniform(-1.0, 1.0, size=(n_paths, n_flat))
+            dx = rng.uniform(-1.0, 1.0, size=(n_paths, dim))
+            jumped = {
+                "none": np.zeros(n_paths, bool),
+                "some": np.arange(n_paths) % 3 == 1,
+                "all": np.ones(n_paths, bool),
+            }[jumps]
+        c = cfg.channels(dim)
+        want = ta.product_flat(c, degree, sig, step_factor_flat(cfg, dim, dt, dx, jumped))
+        got = chen_step_flat(cfg, dim, sig, dt, dx, jumped)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestCsv:

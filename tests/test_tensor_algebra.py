@@ -227,6 +227,31 @@ class TestBatchedEngine:
         assert np.max(np.abs(prod - ta.identity_flat(2, 3))) < 1e-12
 
 
+class TestMulExp:
+    @pytest.mark.parametrize("degree", [1, 3, 4])
+    @pytest.mark.parametrize(
+        "a_shape, v_shape", [((), ()), ((6,), (6,)), ((6,), ()), ((), (6,)), ((2, 3), (3,))]
+    )
+    def test_matches_product_with_exp(self, degree, a_shape, v_shape):
+        rng = np.random.default_rng(16)
+        c = 3
+        a = rng.uniform(-1.0, 1.0, size=a_shape + (ta.flat_size(c, degree),))
+        v = rng.uniform(-1.0, 1.0, size=v_shape + (c,))
+        x = np.zeros(v_shape + (ta.flat_size(c, degree),))
+        x[..., 1 : 1 + c] = v
+        want = ta.product_flat(c, degree, a, ta.exp_flat(c, degree, x))
+        got = ta.mul_exp_flat(c, degree, a, v)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_leaves_inputs_unchanged(self):
+        a = ta.identity_flat(2, 3)
+        v = np.array([0.5, -0.25])
+        ta.mul_exp_flat(2, 3, a, v)
+        assert np.array_equal(a, ta.identity_flat(2, 3))
+        assert v.tolist() == [0.5, -0.25]
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(15)
