@@ -129,7 +129,6 @@ def fixed_point_iterate(
     eta0: ReturnLaw,
     metric: WhitenedMetric,
     tol: float = 1e-12,
-    max_iter: int = 10_000,
 ) -> FixedPointResult:
     """Iterate the evaluation operator until successive laws are tol-close."""
     if tol <= 0:
@@ -138,6 +137,7 @@ def fixed_point_iterate(
         raise DomainError("fixed-point iteration needs gamma in [0, 1)")
     law = eta0
     distances = []
+    max_iter = 10_000
     for it in range(max_iter):
         nxt = apply_bellman(law, reward, gamma, next_features)
         d = law_distance(metric, nxt, law)
@@ -281,12 +281,12 @@ def lyapunov_estimate(
     seeds,
     sig_config,
     nmap: NystromMap | None = None,
-    eps: float = 1e-8,
 ) -> float:
-    """Two-path divergence rate under common random numbers."""
+    """Two-path divergence rate under common random numbers, from a 1e-8 offset."""
     grid = np.asarray(grid, dtype=float)
     t0, x0, proxy0 = junction
     horizon = grid[-1] - grid[0]
+    eps = 1e-8
     rates = []
     for seed in seeds:
         a = generate_ensemble(

@@ -2,8 +2,10 @@
 
 Sections and keys are fixed by ``SCHEMA``; every value is typed.  Overrides
 can come from the environment as ``SIGLEARN_<SECTION>__<KEY>=value`` (applied
-after the file).  The effective configuration is hashed so every artifact can
-name the exact inputs that produced it.
+after the file).  Keys that must agree with each other (list lengths against
+``env.dim``, landmark and Lie degree bounds) are checked once the
+configuration is complete.  The effective configuration is hashed so every
+artifact can name the exact inputs that produced it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .errors import ConfigError
 
 __all__ = [
     "SCHEMA",
-    "REQUIRED",
     "default_config_text",
     "load_config",
     "config_hash",
@@ -29,7 +30,8 @@ ENV_PREFIX = "SIGLEARN_"
 _REQ = object()
 
 # key -> (type, default); _REQ marks keys a config file must provide unless
-# the built-in default text is used
+# the built-in default text is used.  A "float_or_auto" value is the string
+# "auto" or a finite float.
 SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "algebra": {
         "degree": ("int", _REQ),
@@ -66,7 +68,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "nystrom": {
         "landmarks": ("int", _REQ),
-        "ridge": ("str", "auto"),
+        "ridge": ("float_or_auto", "auto"),
         "metric_lambda": ("float", 1e-4),
     },
     "flow": {
@@ -85,7 +87,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "td": {
         "gamma": ("float", _REQ),
-        "alpha": ("str", "auto"),
+        "alpha": ("float_or_auto", "auto"),
         "iters": ("int", _REQ),
         "terminal_payoff": ("float", 0.0),
         "planted_rank": ("int", 3),
@@ -108,12 +110,12 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
-REQUIRED = [
-    (section, key)
-    for section, keys in SCHEMA.items()
-    for key, (_, default) in keys.items()
-    if default is _REQ
-]
+# keys holding one entry per state dimension; env.vol_sub holds dim - 1
+_PER_DIM = [
+    ("env", key)
+    for key, (kind, _) in SCHEMA["env"].items()
+    if kind == "floatlist" and key != "vol_sub"
+] + [("history", "x0")]
 
 _DEFAULT_TEXT = """\
 # siglearn baseline configuration (jump-diffusion desk scale)
@@ -200,8 +202,8 @@ def _parse_value(raw: str, kind: str, where: str):
         value = _convert(raw, kind)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind}") from exc
-    numbers = {"float": [value], "floatlist": value}.get(kind, [])
-    if not all(map(math.isfinite, numbers)):
+    numbers = value if isinstance(value, list) else [value]
+    if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
         raise ConfigError(f"{where} = {raw!r} is not finite")
     return value
 
@@ -219,6 +221,8 @@ def _convert(raw: str, kind: str):
         raise ValueError(raw)
     if kind == "floatlist":
         return [float(v) for v in raw.replace(",", " ").split()]
+    if kind == "float_or_auto":
+        return raw if raw == "auto" else float(raw)
     return raw
 
 
@@ -227,7 +231,8 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
 
     With ``path=None`` the built-in baseline text is used.  Raises
     ConfigError naming the exact section.key on a missing required key, an
-    unknown entry, or a value that does not parse or is not a finite number.
+    unknown entry, a value that does not parse or is not a finite number, or
+    keys that contradict each other.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is None:
@@ -271,7 +276,29 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
                 raise ConfigError(f"missing required config key {section}.{key}")
             if default is not None:
                 cfg[section][key] = default
+    _check_cross_keys(cfg)
     return cfg
+
+
+def _check_cross_keys(cfg: dict) -> None:
+    dim = cfg["env"]["dim"]
+    for section, key in _PER_DIM:
+        value = cfg[section].get(key)
+        if value is not None and len(value) != dim:
+            raise ConfigError(f"{section}.{key} has {len(value)} entries but env.dim = {dim}")
+    sub = cfg["env"].get("vol_sub")
+    if sub is not None and len(sub) != dim - 1:
+        raise ConfigError(
+            f"env.vol_sub has {len(sub)} entries but needs env.dim - 1 = {dim - 1}"
+        )
+    landmarks, n_mem = cfg["nystrom"]["landmarks"], cfg["env"]["memory_features"]
+    if landmarks < n_mem:
+        raise ConfigError(
+            f"nystrom.landmarks = {landmarks} is below env.memory_features = {n_mem}"
+        )
+    lie, degree = cfg["flow"]["lie_degree"], cfg["algebra"]["degree"]
+    if not 1 <= lie <= degree:
+        raise ConfigError(f"flow.lie_degree = {lie} must lie in [1, algebra.degree = {degree}]")
 
 
 def config_hash(cfg: dict) -> str:

@@ -18,7 +18,16 @@ import numpy as np
 from . import tensor_algebra as ta
 from . import td_learning as td
 from .errors import ConfigError
-from .greeks import RiskConfig, action_sensitivity, cvar, grad_proxy, grad_theta, grad_w
+from .greeks import (
+    RiskConfig,
+    action_sensitivity,
+    cvar,
+    grad_proxy,
+    grad_theta,
+    grad_w,
+    return_moments,
+    risk_rectified_advantage,
+)
 from .jumpdiff import (
     JumpDiffusionParams,
     PathEnsemble,
@@ -45,7 +54,7 @@ from .proxy_flow import (
     score_matching_loss,
     train_generator,
 )
-from .signature import CadlagPath, SignatureConfig, batch_terminal_signatures
+from .signature import CadlagPath, SignatureConfig, batch_terminal_signatures, path_signature
 
 __all__ = [
     "derive_seed",
@@ -131,15 +140,12 @@ def sample_landmark_signatures(
 def build_scenario(cfg: dict, seed: int) -> Scenario:
     """Assemble environment, history, compression, and metrics for one seed."""
     env_cfg = cfg["env"]
-    dim = int(env_cfg["dim"])
+    dim = env_cfg["dim"]
     hist_cfg = cfg["history"]
     hor_cfg = cfg["horizon"]
-    episode_span = (
-        int(hist_cfg["steps"]) * float(hist_cfg["dt"])
-        + int(hor_cfg["steps"]) * float(hor_cfg["dt"])
-    )
-    degree = int(cfg["algebra"]["degree"])
-    weights_kind = cfg["algebra"].get("level_weights", "unit")
+    episode_span = hist_cfg["steps"] * hist_cfg["dt"] + hor_cfg["steps"] * hor_cfg["dt"]
+    degree = cfg["algebra"]["degree"]
+    weights_kind = cfg["algebra"]["level_weights"]
     if weights_kind == "unit":
         level_weights = ta.unit_level_weights(degree)
     elif weights_kind == "factorial":
@@ -148,19 +154,14 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         raise ConfigError(f"unknown level_weights {weights_kind!r}")
 
     sig_config = SignatureConfig(
-        degree=degree,
-        time_scale=episode_span,
-        mode=cfg["signature"].get("mode", "linear"),
+        degree=degree, time_scale=episode_span, mode=cfg["signature"]["mode"]
     )
     history_config = SignatureConfig(
-        degree=degree,
-        time_scale=episode_span,
-        mode=cfg["signature"].get("history_mode", "rectilinear"),
+        degree=degree, time_scale=episode_span, mode=cfg["signature"]["history_mode"]
     )
 
-    n_mem = int(env_cfg.get("memory_features", 4))
-    gain_scale = float(env_cfg.get("memory_gain_scale", 0.0))
-    gain = memory_gain_matrix(dim, n_mem, gain_scale)
+    n_mem = env_cfg["memory_features"]
+    gain = memory_gain_matrix(dim, n_mem, env_cfg["memory_gain_scale"])
 
     vol = np.diag(np.asarray(env_cfg["vol_diag"], dtype=float))
     sub = env_cfg.get("vol_sub")
@@ -171,7 +172,7 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
     env_nomem = JumpDiffusionParams(
         drift_base=np.asarray(env_cfg["drift_base"], dtype=float),
         vol=vol,
-        jump_intensity=float(env_cfg["jump_intensity"]),
+        jump_intensity=env_cfg["jump_intensity"],
         jump_mean=np.asarray(env_cfg["jump_mean"], dtype=float),
         jump_scale=np.asarray(env_cfg["jump_scale"], dtype=float),
         action_exposure=np.asarray(env_cfg["action_exposure"], dtype=float),
@@ -188,21 +189,19 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         env_nomem,
         0.0,
         x0,
-        int(hist_cfg["steps"]),
-        float(hist_cfg["dt"]),
+        hist_cfg["steps"],
+        hist_cfg["dt"],
         derive_seed(seed, "history"),
         history_config,
     )
     t0 = float(history_path.times[-1])
-    window = float(hist_cfg.get("window", 0.0))
+    window = hist_cfg["window"]
     if window > 0.0:
         # filtered proxy over the look-back window [t - window, t] only
-        from .signature import path_signature
-
         lo = history_path.times[np.searchsorted(history_path.times, t0 - window)]
         junction_proxy = path_signature(history_config, history_path, lo, t0)
     junction_state = history_path.values[-1, :dim].copy()
-    grid = t0 + float(hor_cfg["dt"]) * np.arange(int(hor_cfg["steps"]) + 1)
+    grid = t0 + hor_cfg["dt"] * np.arange(hor_cfg["steps"] + 1)
 
     nys_cfg = cfg["nystrom"]
     boot_env = env_nomem
@@ -211,17 +210,17 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         (t0, junction_state, junction_proxy),
         None,
         grid,
-        int(cfg["train"]["ensemble_size"]),
+        cfg["train"]["ensemble_size"],
         derive_seed(seed, "bootstrap"),
         sig_config,
     )
     landmarks = sample_landmark_signatures(
-        boot, int(nys_cfg["landmarks"]), derive_seed(seed, "landmarks")
+        boot, nys_cfg["landmarks"], derive_seed(seed, "landmarks")
     )
-    ridge = nys_cfg.get("ridge", "auto")
+    ridge = nys_cfg["ridge"]
     nmap = build_nystrom(
         landmarks,
-        ridge=None if ridge in ("auto", None) else float(ridge),
+        ridge=None if ridge == "auto" else ridge,
         level_weights=level_weights,
         channels=sig_config.channels(boot.values.shape[2]),
         degree=degree,
@@ -244,16 +243,14 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         (t0, junction_state, junction_proxy),
         None,
         grid,
-        int(cfg["train"]["ensemble_size"]),
+        cfg["train"]["ensemble_size"],
         derive_seed(seed, "train"),
         sig_config,
         nmap=nmap if env.has_memory else None,
     )
     _, full = prefix_mean_signatures(train_ens, keep_paths=True)
     feats_per_point = compress_flat(nmap, full)
-    metrics = fit_metric_family(
-        feats_per_point, float(nys_cfg.get("metric_lambda", 1e-4))
-    )
+    metrics = fit_metric_family(feats_per_point, nys_cfg["metric_lambda"])
     return Scenario(
         sig_config=sig_config,
         history_config=history_config,
@@ -276,16 +273,15 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
 
 def _generator_from_cfg(cfg: dict, scenario: Scenario) -> GeneratorParams:
     flow_cfg = cfg["flow"]
-    pin = str(flow_cfg.get("pin_clock", "true")).lower() in ("1", "true", "yes")
     return new_generator(
         scenario.channels,
         scenario.degree,
-        lie_degree=int(flow_cfg.get("lie_degree", 2)),
-        n_proxy_features=int(flow_cfg.get("proxy_features", 6)),
-        phase_powers=int(flow_cfg.get("phase_powers", 3)),
-        clock_rate=1.0 / scenario.sig_config.time_scale if pin else None,
+        lie_degree=flow_cfg["lie_degree"],
+        n_proxy_features=flow_cfg["proxy_features"],
+        phase_powers=flow_cfg["phase_powers"],
+        clock_rate=1.0 / scenario.sig_config.time_scale if flow_cfg["pin_clock"] else None,
         seed=derive_seed(scenario.seed, "generator-init"),
-        init_scale=float(flow_cfg.get("init_scale", 0.01)),
+        init_scale=flow_cfg["init_scale"],
     )
 
 
@@ -294,10 +290,10 @@ def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
     train_cfg = cfg["train"]
     gen0 = _generator_from_cfg(cfg, scenario)
     tc = TrainConfig(
-        steps=int(train_cfg["steps"]),
-        lr=float(train_cfg.get("lr", 0.05)),
-        eta_scf=float(train_cfg.get("eta_scf", 0.1)),
-        contraction_reg=float(train_cfg.get("contraction_reg", 0.0)),
+        steps=train_cfg["steps"],
+        lr=train_cfg["lr"],
+        eta_scf=train_cfg["eta_scf"],
+        contraction_reg=train_cfg["contraction_reg"],
     )
     ens = scenario.train_ensemble
     sbar = empirical_mean_signature(ens, scenario.grid[0], scenario.grid[-1])
@@ -329,11 +325,11 @@ def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
     measure floating-point dust rather than learning.
     """
     td_cfg = cfg["td"]
-    gamma = float(td_cfg["gamma"])
-    z = float(td_cfg.get("terminal_payoff", 0.0))
+    gamma = td_cfg["gamma"]
+    z = td_cfg["terminal_payoff"]
     traj = empirical_trajectory(scenario.train_ensemble, scenario.nmap)
     rng = np.random.default_rng(derive_seed(scenario.seed, "planted-weights"))
-    rank = int(td_cfg.get("planted_rank", 0))
+    rank = td_cfg["planted_rank"]
     if rank > 0:
         psi = traj.residual_features()
         _, _, vt = np.linalg.svd(psi[:-1], full_matrices=False)
@@ -344,25 +340,20 @@ def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
     rewards = td.realizable_rewards(traj, w_true, gamma, z)
     system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
     sol = td.solve_fixed_point(system)
-    alpha_cfg = td_cfg.get("alpha", "auto")
-    alpha = (
-        0.9 * td.stability_bound(system)
-        if alpha_cfg in ("auto", None)
-        else float(alpha_cfg)
-    )
+    alpha = td_cfg["alpha"]
+    if alpha == "auto":
+        alpha = 0.9 * td.stability_bound(system)
     weights = td.ValueWeights(
         w_G=np.zeros_like(w_true), w_R=np.zeros_like(w_true), terminal_const=z
     )
-    sweep = td.td0_sweep(
-        traj, weights, gamma, alpha, int(td_cfg["iters"]), rewards=rewards
-    )
+    sweep = td.td0_sweep(traj, weights, gamma, alpha, td_cfg["iters"], rewards=rewards)
     deltas_at_solution = td.td_error_vector(traj, sol.w, gamma, z, rewards=rewards)
     rel_gap = float(
         np.linalg.norm(sweep.weights.w_G - sol.w) / max(np.linalg.norm(sol.w), 1e-300)
     )
     return {
         "gamma": gamma,
-        "alpha": float(alpha),
+        "alpha": alpha,
         "trajectory": traj,
         "rewards": rewards,
         "w_true": w_true,
@@ -387,15 +378,11 @@ def variance_experiment(
     classical errors on a single independent rollout, both at the same
     matched weights (the fixed point of the master scenario).
     """
-    var_cfg = cfg.get("variance", {})
-    n_seeds = int(var_cfg.get("seeds", 40)) if n_seeds is None else n_seeds
-    n_paths = (
-        int(var_cfg.get("ensemble_size", 512))
-        if ensemble_size is None
-        else ensemble_size
-    )
-    gamma = float(cfg["td"]["gamma"])
-    z = float(cfg["td"].get("terminal_payoff", 0.0))
+    var_cfg = cfg["variance"]
+    n_seeds = var_cfg["seeds"] if n_seeds is None else n_seeds
+    n_paths = var_cfg["ensemble_size"] if ensemble_size is None else ensemble_size
+    gamma = cfg["td"]["gamma"]
+    z = cfg["td"]["terminal_payoff"]
 
     ref = empirical_trajectory(scenario.train_ensemble, scenario.nmap)
     ref_rewards = scenario.train_ensemble.rewards.mean(axis=0)
@@ -403,8 +390,8 @@ def variance_experiment(
     w_star = td.solve_fixed_point(system).w
 
     n_steps = scenario.grid.size - 1
-    hist_steps = int(cfg["history"]["steps"])
-    hist_dt = float(cfg["history"]["dt"])
+    hist_steps = cfg["history"]["steps"]
+    hist_dt = cfg["history"]["dt"]
     delta_a = np.empty((n_seeds, n_steps))
     delta_c = np.empty((n_seeds, n_steps))
     for i in range(n_seeds):
@@ -530,12 +517,10 @@ def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> lis
 
 def risk_report(cfg: dict, scenario: Scenario) -> dict:
     """Moment and tail-risk summary of the scenario's ensemble."""
-    risk_cfg = cfg.get("risk", {})
-    alpha_tail = float(risk_cfg.get("alpha_tail", 0.05))
+    risk_cfg = cfg["risk"]
+    alpha_tail = risk_cfg["alpha_tail"]
     ens = scenario.train_ensemble
     sbar = empirical_mean_signature(ens, scenario.grid[0], scenario.grid[-1])
-    from .greeks import return_moments
-
     mean, variance = return_moments(sbar, reward_channel=-1)
     totals = ens.rewards.sum(axis=1)
     q = np.quantile(totals, alpha_tail)
@@ -549,14 +534,10 @@ def risk_report(cfg: dict, scenario: Scenario) -> dict:
         derive_seed(scenario.seed, "action-sens"),
         scenario.sig_config,
         a0=0.0,
-        step=float(risk_cfg.get("action_step", 1e-3)),
+        step=risk_cfg["action_step"],
         nmap=scenario.nmap if scenario.env.has_memory else None,
     )
-    risk = RiskConfig(
-        alpha_tail=alpha_tail, beta_risk=float(risk_cfg.get("beta", 1.0))
-    )
-    from .greeks import risk_rectified_advantage
-
+    risk = RiskConfig(alpha_tail=alpha_tail, beta_risk=risk_cfg["beta"])
     base_delta = 0.0
     rectified = risk_rectified_advantage(base_delta, sbar, sens, risk)
     return {

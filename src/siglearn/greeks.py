@@ -144,9 +144,7 @@ def cvar(mean: float, variance: float, alpha_tail: float) -> float:
     return float(mean - sigma * _tail_density(alpha_tail) / alpha_tail)
 
 
-def shortfall_gradient_flat(
-    sig: ta.TruncTensor, risk: RiskConfig, sigma_floor: float = 1e-12
-) -> np.ndarray:
+def shortfall_gradient_flat(sig: ta.TruncTensor, risk: RiskConfig) -> np.ndarray:
     """Gradient of the expected shortfall in raw signature coordinates.
 
     Chain rule through the moment reads: the mean lives at the level-1 reward
@@ -154,7 +152,7 @@ def shortfall_gradient_flat(
     """
     i1, i2 = _moment_indices(sig.channels, sig.degree, risk.reward_channel)
     mean, variance = return_moments(sig, risk.reward_channel)
-    sigma = max(np.sqrt(max(variance, 0.0)), sigma_floor)
+    sigma = max(np.sqrt(max(variance, 0.0)), 1e-12)
     d_mean = -1.0
     d_var = _tail_density(risk.alpha_tail) / risk.alpha_tail / (2.0 * sigma)
     grad = np.zeros(sig.data.size)

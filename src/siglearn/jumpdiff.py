@@ -14,7 +14,7 @@ same noise regardless of how many other paths are generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,7 @@ from .kernelspace import NystromMap, compress_flat
 from .signature import (
     CadlagPath,
     SignatureConfig,
+    _grid_index,
     batch_prefix_signatures,
     batch_terminal_signatures,
     chen_step_flat,
@@ -35,7 +36,6 @@ __all__ = [
     "PathEnsemble",
     "path_streams",
     "draw_path_noise",
-    "env_step",
     "generate_ensemble",
     "simulate_history",
     "empirical_mean_signature",
@@ -152,7 +152,7 @@ def draw_path_noise(
 
 
 def _batch_step(params, states, proxies, actions, dt, xi, counts, eta):
-    """Shared Euler step kernel; all callers route through these exact ops."""
+    """One Euler-Maruyama step of every path; returns states, rewards, jump flags."""
     drift = params.drift_base[None, :] + actions[:, None] * params.action_exposure[None, :]
     if params.has_memory:
         drift = drift + np.einsum("ij,nj->ni", params.drift_memory_gain, proxies)
@@ -172,66 +172,12 @@ def _batch_step(params, states, proxies, actions, dt, xi, counts, eta):
     return nxt, rewards, jumped
 
 
-def env_step(
-    params: JumpDiffusionParams,
-    state: np.ndarray,
-    history_proxy: np.ndarray | None,
-    action: float,
-    dt: float,
-    noise,
-) -> tuple[np.ndarray, float, bool]:
-    """One Euler-Maruyama step with a compound-Poisson Marcus jump.
-
-    ``noise`` is either a ``numpy`` Generator (draws, in order: d diffusion
-    normals, one Poisson count, d jump normals) or a tuple
-    ``(xi, count, eta)`` of pre-drawn values in that layout.
-    """
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    if not -1.0 <= action <= 1.0:
-        raise DomainError(f"action must lie in [-1, 1], got {action}")
-    state = np.asarray(state, dtype=float)
-    d = params.dim
-
-    if isinstance(noise, tuple):
-        xi, count, eta = noise
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-    else:
-        xi = noise.standard_normal(d)
-        count = int(noise.poisson(params.jump_intensity * dt))
-        eta = noise.standard_normal(d)
-
-    if params.has_memory and history_proxy is None:
-        raise DomainError("params couple to history but no proxy was given")
-    proxies = None
-    if history_proxy is not None:
-        proxies = np.asarray(history_proxy, dtype=float)[None, :]
-
-    nxt, rewards, jumped = _batch_step(
-        params,
-        state[None, :],
-        proxies,
-        np.array([float(action)]),
-        dt,
-        xi[None, :],
-        np.array([int(count)]),
-        eta[None, :],
-    )
-    if not np.all(np.isfinite(nxt)):
-        raise DivergenceError(
-            "state left the finite range",
-            context={"state": state.tolist(), "dt": dt, "action": action},
-        )
-    return nxt[0], float(rewards[0]), bool(jumped[0])
-
-
 @dataclass(frozen=True)
 class PathEnsemble:
     """Paths sharing one grid and junction, plus their realized rewards.
 
-    ``values`` holds the signature-facing coordinates (state columns first,
-    then the cumulative-reward column when the reward channel is configured).
+    ``values`` holds the signature-facing coordinates: the state columns,
+    then the cumulative-reward column.
     """
 
     sig_config: SignatureConfig
@@ -239,11 +185,8 @@ class PathEnsemble:
     values: np.ndarray
     jump_flags: np.ndarray
     rewards: np.ndarray
-    base_seed: int
-    stream_ids: np.ndarray
     state_dim: int
     junction_proxy: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_paths(self) -> int:
@@ -253,19 +196,11 @@ class PathEnsemble:
     def n_grid(self) -> int:
         return self.times.shape[0]
 
-    @property
-    def has_reward_channel(self) -> bool:
-        return self.values.shape[2] == self.state_dim + 1
-
     def path(self, i: int) -> CadlagPath:
         return CadlagPath(self.times, self.values[i], self.jump_flags[i])
 
     def grid_index(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t))
-        for cand in (i - 1, i, i + 1):
-            if 0 <= cand < self.n_grid and abs(self.times[cand] - t) <= 1e-9 * max(1.0, abs(t)):
-                return cand
-        raise RangeError(f"time {t} is not on the ensemble grid")
+        return _grid_index(self.times, t, "on the ensemble grid")
 
 
 def generate_ensemble(
@@ -277,7 +212,6 @@ def generate_ensemble(
     seed: int,
     sig_config: SignatureConfig,
     nmap: NystromMap | None = None,
-    include_reward_channel: bool = True,
 ) -> PathEnsemble:
     """Generate N independent paths from per-path counter-based streams.
 
@@ -313,7 +247,7 @@ def generate_ensemble(
     if track_memory and nmap is None:
         raise DomainError("drift_memory_gain is set: a NystromMap is required")
 
-    d_sig = d + 1 if include_reward_channel else d
+    d_sig = d + 1  # state columns, then the cumulative reward
     values = np.empty((n_paths, n_steps + 1, d_sig))
     flags = np.zeros((n_paths, n_steps + 1), dtype=bool)
     rewards = np.empty((n_paths, n_steps))
@@ -321,8 +255,7 @@ def generate_ensemble(
     states = np.tile(x0, (n_paths, 1))
     cumrew = np.zeros(n_paths)
     values[:, 0, :d] = states
-    if include_reward_channel:
-        values[:, 0, d] = 0.0
+    values[:, 0, d] = 0.0
 
     if track_memory:
         c = sig_config.channels(d_sig)
@@ -341,8 +274,7 @@ def generate_ensemble(
         if np.any(np.abs(actions) > 1.0):
             raise DomainError("policy produced an action outside [-1, 1]")
         nxt, step_rew, jumped = _batch_step(
-            params, states, proxies if track_memory else None, actions, dt,
-            xi[:, j], counts[:, j], eta[:, j],
+            params, states, proxies, actions, dt, xi[:, j], counts[:, j], eta[:, j]
         )
         if not np.all(np.isfinite(nxt)):
             bad = int(np.argmax(~np.all(np.isfinite(nxt), axis=1)))
@@ -354,8 +286,7 @@ def generate_ensemble(
         rewards[:, j] = step_rew
         states = nxt
         values[:, j + 1, :d] = states
-        if include_reward_channel:
-            values[:, j + 1, d] = cumrew
+        values[:, j + 1, d] = cumrew
         flags[:, j + 1] = jumped
         if track_memory:
             inc = values[:, j + 1] - values[:, j]
@@ -368,8 +299,6 @@ def generate_ensemble(
         values=values,
         jump_flags=flags,
         rewards=rewards,
-        base_seed=int(seed),
-        stream_ids=np.arange(n_paths),
         state_dim=d,
         junction_proxy=None if proxy0 is None else np.array(proxy0.data),
     )
@@ -385,7 +314,6 @@ def simulate_history(
     sig_config: SignatureConfig,
     nmap: NystromMap | None = None,
     policy: Callable | None = None,
-    include_reward_channel: bool = True,
 ) -> tuple[CadlagPath, ta.TruncTensor]:
     """One observed history segment and its filtered junction signature."""
     grid = t_start + dt * np.arange(n_steps + 1)
@@ -398,7 +326,6 @@ def simulate_history(
         seed,
         sig_config,
         nmap=nmap,
-        include_reward_channel=include_reward_channel,
     )
     path = ens.path(0)
     sig = batch_terminal_signatures(

@@ -1,4 +1,4 @@
-"""Signature kernel, Nystrom landmark compression, and the whitening metric.
+"""Nystrom landmark compression of signatures, and the whitening metric.
 
 Every distance used elsewhere in the package runs through the compressed
 coordinates produced here: ``compress`` maps a truncated tensor to the
@@ -20,10 +20,8 @@ from . import tensor_algebra as ta
 from .errors import DomainError, InsufficientDataError, ShapeMismatchError
 
 __all__ = [
-    "DEFAULT_LANDMARK_COUNT",
     "NystromMap",
     "WhitenedMetric",
-    "sig_kernel",
     "build_nystrom",
     "default_ridge",
     "compress",
@@ -34,15 +32,6 @@ __all__ = [
     "nystrom_to_json",
     "nystrom_from_json",
 ]
-
-# landmark count used by shipped configurations
-DEFAULT_LANDMARK_COUNT = 128
-
-
-def sig_kernel(a: ta.TruncTensor, b: ta.TruncTensor, level_weights=None) -> float:
-    """Graded inner product of two truncated signatures."""
-    return ta.graded_inner(a, b, level_weights)
-
 
 @dataclass(frozen=True)
 class NystromMap:

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor_algebra as ta
-from .errors import DivergenceError, DomainError, RangeError, ShapeMismatchError
+from .errors import DivergenceError, DomainError, ShapeMismatchError
 from .jumpdiff import PathEnsemble, prefix_mean_signatures
 from .kernelspace import NystromMap, WhitenedMetric, compress, compress_flat
-from .signature import step_factor_flat
+from .signature import _grid_index, step_factor_flat
 
 __all__ = [
     "GeneratorParams",
@@ -34,9 +34,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "new_generator",
-    "flow_step",
     "integrate_flow",
-    "nested_residual",
     "empirical_trajectory",
     "step_targets",
     "score_matching_loss",
@@ -164,28 +162,11 @@ class ProxyTrajectory:
             raise ShapeMismatchError("trajectory flats do not match grid and tensor shape")
 
     @property
-    def junction_time(self) -> float:
-        return float(self.grid[0])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
-
-    @property
     def n_grid(self) -> int:
         return self.grid.size
 
     def index_of(self, s: float) -> int:
-        i = int(np.searchsorted(self.grid, s))
-        for cand in (i - 1, i, i + 1):
-            if 0 <= cand < self.grid.size and abs(self.grid[cand] - s) <= 1e-9 * max(
-                1.0, abs(s)
-            ):
-                return cand
-        raise RangeError(f"s={s} is not a gridpoint of the trajectory")
-
-    def element(self, s: float) -> ta.TruncTensor:
-        return ta.TruncTensor(self.channels, self.degree, self.flats[self.index_of(s)].copy())
+        return _grid_index(self.grid, s, "a gridpoint of the trajectory")
 
     def terminal(self) -> ta.TruncTensor:
         return ta.TruncTensor(self.channels, self.degree, self.flats[-1].copy())
@@ -210,17 +191,6 @@ class ProxyTrajectory:
         return compress_flat(self.nmap, self.residual_flats())
 
 
-def flow_step(phi: ta.TruncTensor, ell: ta.TruncTensor, ds: float) -> ta.TruncTensor:
-    """One log-ODE step phi (x) exp(ds * ell); stays on the group exactly."""
-    if ds <= 0:
-        raise DomainError(f"ds must be positive, got {ds}")
-    if not phi.is_group_like():
-        raise DomainError("flow state must be group-like")
-    if not ell.is_lie_like():
-        raise DomainError("flow tangent must have zero scalar part")
-    return ta.trunc_product(phi, ta.trunc_exp(ta.scale(ell, ds)))
-
-
 def _junction_feats(gen: GeneratorParams, nmap: NystromMap, junction) -> np.ndarray:
     if junction is None:
         return np.zeros(gen.n_proxy_features)
@@ -234,16 +204,11 @@ def integrate_flow(
     nmap: NystromMap,
     junction,
     grid: np.ndarray,
-    left_context: ta.TruncTensor | None = None,
-    phase_span: tuple[float, float] | None = None,
 ) -> ProxyTrajectory:
-    """Iterated flow steps from the identity along the grid.
+    """Iterated log-ODE steps phi (x) exp(ds * ell) from the identity along the grid.
 
     ``junction`` is the filtered history proxy (tensor, compressed vector, or
-    None for an empty history).  With ``left_context`` set, the generator
-    features are computed on context (x) state, so a re-anchored continuation
-    (with ``phase_span`` kept from the original run) composes exactly with
-    the segment it continues.
+    None for an empty history).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -254,7 +219,7 @@ def integrate_flow(
             f"map has only {nmap.n_landmarks} landmarks"
         )
     c, k = gen.channels, gen.degree
-    t, T = phase_span if phase_span is not None else (grid[0], grid[-1])
+    t, T = grid[0], grid[-1]
     jfeats = _junction_feats(gen, nmap, junction)
     proxy_rows = nmap.matrix[: gen.n_proxy_features]
 
@@ -262,10 +227,7 @@ def integrate_flow(
     tangents = np.empty((grid.size - 1, flats.shape[1]))
     flats[0] = ta.identity_flat(c, k)
     for j in range(grid.size - 1):
-        observed = flats[j]
-        if left_context is not None:
-            observed = ta.product_flat(c, k, left_context.data, observed)
-        feats = gen.features(observed @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
+        feats = gen.features(flats[j] @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
         tangents[j] = gen.tangent_flat(feats)
         ds = grid[j + 1] - grid[j]
         flats[j + 1] = ta.product_flat(c, k, flats[j], ta.exp_flat(c, k, ds * tangents[j]))
@@ -315,12 +277,6 @@ def _flow_tangents(gen: GeneratorParams, nmap: NystromMap, junction, grid: np.nd
             c, k, flats[j], ta.exp_tangent_flat(c, k, x[j], dx)
         )
     return traj, J, d_ell
-
-
-def nested_residual(traj: ProxyTrajectory, s: float) -> ta.TruncTensor:
-    """inverse(proxy_s) (x) proxy_T, the re-centered law over [s, T]."""
-    i = traj.index_of(s)
-    return ta.TruncTensor(traj.channels, traj.degree, traj.residual_flats()[i].copy())
 
 
 def empirical_trajectory(ens: PathEnsemble, nmap: NystromMap) -> ProxyTrajectory:
@@ -433,10 +389,6 @@ class TrainConfig:
 class TrainResult:
     params: GeneratorParams
     trace: list[dict]
-
-    @property
-    def final(self) -> dict:
-        return self.trace[-1]
 
 
 def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):

@@ -13,9 +13,6 @@ Two interpolation modes are supported for observed increments:
   points still contribute the pure-time advance followed by the zero-time
   jump factor.
 
-With ``include_time=False`` the time channel is dropped entirely and both
-modes coincide.
-
 Every scan advances by Chen's identity, one grid step at a time, through
 :func:`chen_step_flat`: each segment is the fused update sig (x) exp(v) of
 :func:`siglearn.tensor_algebra.mul_exp_flat`, so no segment exponential or
@@ -36,7 +33,6 @@ __all__ = [
     "SignatureConfig",
     "CadlagPath",
     "FilteredProxy",
-    "segment_signature",
     "path_signature",
     "new_filtered_proxy",
     "incremental_update",
@@ -44,8 +40,6 @@ __all__ = [
     "chen_step_flat",
     "batch_prefix_signatures",
     "batch_terminal_signatures",
-    "signature_to_csv_row",
-    "signature_from_csv_row",
     "paths_to_csv",
     "paths_from_csv",
 ]
@@ -64,7 +58,6 @@ class SignatureConfig:
     degree: int
     time_scale: float = 1.0
     mode: str = "rectilinear"
-    include_time: bool = True
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -73,7 +66,7 @@ class SignatureConfig:
             raise DomainError("time_scale must be positive")
 
     def channels(self, dim: int) -> int:
-        return dim + 1 if self.include_time else dim
+        return dim + 1
 
 
 @dataclass(frozen=True)
@@ -122,32 +115,16 @@ class CadlagPath:
 
     def index_of(self, t: float) -> int:
         """Index of the observation at time t; RangeError if t is not observed."""
-        i = int(np.searchsorted(self.times, t))
-        for cand in (i - 1, i, i + 1):
-            if 0 <= cand < self.n_points and abs(self.times[cand] - t) <= 1e-9 * max(
-                1.0, abs(t)
-            ):
-                return cand
-        raise RangeError(f"time {t} is not an observation time of the path")
+        return _grid_index(self.times, t, "an observation time of the path")
 
 
-def segment_signature(
-    config: SignatureConfig, dim: int, dt: float, dx: np.ndarray
-) -> ta.TruncTensor:
-    """Signature factor of one straight segment; ``dt == 0`` is a Marcus jump."""
-    if dt < 0:
-        raise DomainError(f"segment duration must be >= 0, got {dt}")
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape != (dim,):
-        raise ShapeMismatchError(f"increment has shape {dx.shape}, expected ({dim},)")
-    c = config.channels(dim)
-    vec = ta.zero(c, config.degree)
-    if config.include_time:
-        vec.data[1] = dt / config.time_scale
-        vec.data[2 : 2 + dim] = dx
-    else:
-        vec.data[1 : 1 + dim] = dx
-    return ta.trunc_exp(vec)
+def _grid_index(grid: np.ndarray, t: float, what: str) -> int:
+    """Index of the gridpoint within 1e-9 max(1, |t|) of t; RangeError if none."""
+    i = int(np.searchsorted(grid, t))
+    for cand in (i - 1, i, i + 1):
+        if 0 <= cand < grid.size and abs(grid[cand] - t) <= 1e-9 * max(1.0, abs(t)):
+            return cand
+    raise RangeError(f"time {t} is not {what}")
 
 
 def step_factor_flat(
@@ -170,14 +147,10 @@ def step_factor_flat(
     dt = np.asarray(dt, dtype=float) / config.time_scale
     dx = np.asarray(dx, dtype=float)
     batch = dx.shape[:-1]
-    lo = 1 if config.include_time else 0
 
     space = np.zeros(batch + (n_flat,))
-    space[..., 1 + lo : 1 + lo + dim] = dx
+    space[..., 2 : 2 + dim] = dx
     space_exp = ta.exp_flat(c, k, space)
-
-    if not config.include_time:
-        return space_exp
 
     time_vec = np.zeros(batch + (n_flat,))
     time_vec[..., 1] = dt
@@ -214,9 +187,6 @@ def chen_step_flat(
     c = config.channels(dim)
     k = config.degree
     dx = np.asarray(dx, dtype=float)
-    if not config.include_time:
-        return ta.mul_exp_flat(c, k, sig, dx)
-
     dt = np.asarray(dt, dtype=float) / config.time_scale
     batch = np.broadcast_shapes(dt.shape, dx.shape[:-1])
     time_v = np.zeros(batch + (c,))
@@ -392,19 +362,7 @@ def batch_terminal_signatures(
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def signature_to_csv_row(t0: float, t1: float, sig: ta.TruncTensor) -> list[str]:
-    """Tensor CSV row prefixed by the interval it was computed over."""
-    return [repr(float(t0)), repr(float(t1))] + ta.tensor_to_csv_row(sig)
-
-
-def signature_from_csv_row(row) -> tuple[float, float, ta.TruncTensor]:
-    return float(row[0]), float(row[1]), ta.tensor_from_csv_row(row[2:])
-
-
-# paths.csv schema: path_id, t, x_1..x_d, jump_flag
+# serialization (paths.csv: path_id, t, x_1..x_d, jump_flag)
 
 
 def paths_to_csv(paths, fh, header_lines=()) -> None:

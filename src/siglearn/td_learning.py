@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor_algebra as ta
-from .errors import (
-    DivergenceError,
-    DomainError,
-    InsufficientDataError,
-    RangeError,
-    ShapeMismatchError,
-)
+from .errors import DivergenceError, DomainError, InsufficientDataError, ShapeMismatchError
 from .jumpdiff import PathEnsemble
 from .kernelspace import NystromMap, compress_flat
 from .proxy_flow import ProxyTrajectory
@@ -35,25 +29,16 @@ __all__ = [
     "BaselineResult",
     "step_features",
     "value_at",
-    "step_reward",
-    "anticipatory_td_error",
     "td_error_vector",
     "realizable_rewards",
     "td0_sweep",
     "assemble_system",
     "stability_bound",
-    "default_alpha",
     "solve_fixed_point",
-    "fit_reward_weights",
     "classical_td0_baseline",
     "path_residual_features",
     "variance_compare",
-    "semi_gradient_direction",
-    "full_gradient_direction",
 ]
-
-# learning-rate cap from the shipped optimizer configuration
-DEFAULT_ALPHA_CAP = 3e-4
 
 
 @dataclass(frozen=True)
@@ -130,13 +115,6 @@ def value_at(traj: ProxyTrajectory, w_G: np.ndarray, s: float) -> float:
     return float(np.asarray(w_G, dtype=float) @ traj.residual_features()[i])
 
 
-def step_reward(traj: ProxyTrajectory, w_R: np.ndarray, s: float) -> float:
-    i = traj.index_of(s)
-    if i >= traj.n_grid - 1:
-        raise RangeError("step reward is undefined at the terminal gridpoint")
-    return float(np.asarray(w_R, dtype=float) @ step_features(traj)[i])
-
-
 def _rewards_vector(traj, w_R, rewards):
     if rewards is not None:
         rewards = np.asarray(rewards, dtype=float)
@@ -165,22 +143,6 @@ def td_error_vector(
     r = _rewards_vector(traj, w_R, rewards)
     nxt = np.concatenate([values[1:-1], [z]])
     return r + gamma * nxt - values[:-1]
-
-
-def anticipatory_td_error(
-    traj: ProxyTrajectory,
-    w_G: np.ndarray,
-    w_R: np.ndarray | None,
-    s: float,
-    gamma: float,
-    z: float,
-    rewards: np.ndarray | None = None,
-) -> float:
-    """Bellman residual at s evaluated along the deterministic flow."""
-    i = traj.index_of(s)
-    if i >= traj.n_grid - 1:
-        raise RangeError("TD error is undefined at or beyond the horizon")
-    return float(td_error_vector(traj, w_G, gamma, z, rewards=rewards, w_R=w_R)[i])
 
 
 def realizable_rewards(
@@ -264,15 +226,11 @@ def stability_bound(system: TdSystem) -> float:
     return 2.0 / lam_max
 
 
-def default_alpha(system: TdSystem) -> float:
-    return min(DEFAULT_ALPHA_CAP, 0.5 * stability_bound(system))
-
-
-def solve_fixed_point(system: TdSystem, ridge_fallback: float = 1e-8) -> SolveResult:
-    """Direct solve of A w = b, with a flagged ridge fallback when singular."""
+def solve_fixed_point(system: TdSystem) -> SolveResult:
+    """Direct solve of A w = b, with a flagged 1e-8 ridge when singular."""
     cond = float(np.linalg.cond(system.A))
     ridged = not np.isfinite(cond) or cond > 1e12
-    A = system.A + (ridge_fallback * np.eye(system.A.shape[0]) if ridged else 0.0)
+    A = system.A + (1e-8 * np.eye(system.A.shape[0]) if ridged else 0.0)
     try:
         w = np.linalg.solve(A, system.b)
     except np.linalg.LinAlgError as exc:
@@ -281,28 +239,6 @@ def solve_fixed_point(system: TdSystem, ridge_fallback: float = 1e-8) -> SolveRe
         np.linalg.norm(system.A @ w - system.b) / max(np.linalg.norm(system.b), 1e-300)
     )
     return SolveResult(w=w, ridged=ridged, residual=residual, condition=cond)
-
-
-def fit_reward_weights(
-    signatures,
-    realized_rewards: np.ndarray,
-    lam_ridge: float,
-    nmap: NystromMap,
-) -> tuple[np.ndarray, float]:
-    """Ridge regression of realized rewards on compressed signatures."""
-    if lam_ridge <= 0:
-        raise DomainError("ridge must be positive")
-    y = np.asarray(realized_rewards, dtype=float)
-    if y.size == 0:
-        raise InsufficientDataError("need at least one sample")
-    if isinstance(signatures, np.ndarray):
-        X = compress_flat(nmap, signatures)
-    else:
-        X = compress_flat(nmap, np.array([t.data for t in signatures]))
-    m = X.shape[1]
-    w = np.linalg.solve(X.T @ X + lam_ridge * np.eye(m), X.T @ y)
-    mse = float(np.mean((X @ w - y) ** 2))
-    return w, mse
 
 
 def path_residual_features(ens: PathEnsemble, nmap: NystromMap, path_index: int) -> np.ndarray:
@@ -388,16 +324,3 @@ def variance_compare(delta_anticipatory: np.ndarray, delta_classical: np.ndarray
         "per_step_var_classical": np.var(dc, axis=0, ddof=1).tolist(),
     }
 
-
-def semi_gradient_direction(traj, w_G, gamma, z, rewards=None, w_R=None) -> np.ndarray:
-    delta = td_error_vector(traj, w_G, gamma, z, rewards=rewards, w_R=w_R)
-    return delta @ traj.residual_features()[:-1]
-
-
-def full_gradient_direction(traj, w_G, gamma, z, rewards=None, w_R=None) -> np.ndarray:
-    """Direction that also differentiates the TD target; for contrast only."""
-    delta = td_error_vector(traj, w_G, gamma, z, rewards=rewards, w_R=w_R)
-    psi = traj.residual_features()
-    direction = delta @ psi[:-1]
-    direction = direction - gamma * (delta[:-1] @ psi[1:-1])
-    return direction

@@ -39,20 +39,15 @@ __all__ = [
     "trunc_log",
     "group_inverse",
     "graded_inner",
-    "add",
     "scale",
-    "project_to_degree",
     "product_flat",
     "exp_flat",
     "mul_exp_flat",
     "log_flat",
     "inverse_flat",
     "inner_flat",
-    "project_flat",
     "identity_flat",
     "exp_tangent_flat",
-    "tensor_to_csv_row",
-    "tensor_from_csv_row",
 ]
 
 
@@ -248,14 +243,6 @@ def inner_flat(
     return np.einsum("...i,...i->...", np.asarray(a) * w, np.asarray(b))
 
 
-def project_flat(channels: int, degree: int, a: np.ndarray, r: int) -> np.ndarray:
-    if not 0 <= r <= degree:
-        raise DomainError(f"projection degree r={r} outside [0, {degree}]")
-    out = np.array(a, dtype=float, copy=True)
-    out[..., level_offsets(channels, degree)[r + 1] :] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # single-element API
 
@@ -286,19 +273,8 @@ class TruncTensor:
     def level(self, i: int) -> np.ndarray:
         return self.data[level_slice(self.channels, self.degree, i)]
 
-    @property
-    def scalar(self) -> float:
-        return float(self.data[0])
-
     def is_group_like(self) -> bool:
         return self.data[0] == 1.0
-
-    def is_lie_like(self) -> bool:
-        return self.data[0] == 0.0
-
-    def norm(self, level_weights=None) -> float:
-        w = unit_level_weights(self.degree) if level_weights is None else level_weights
-        return float(np.sqrt(inner_flat(self.channels, self.degree, self.data, self.data, w)))
 
     def _like(self, data: np.ndarray) -> "TruncTensor":
         return TruncTensor(self.channels, self.degree, data)
@@ -350,32 +326,6 @@ def graded_inner(a: TruncTensor, b: TruncTensor, level_weights=None) -> float:
     return float(inner_flat(a.channels, a.degree, a.data, b.data, w))
 
 
-def add(a: TruncTensor, b: TruncTensor) -> TruncTensor:
-    _check_same_shape(a, b)
-    return a._like(a.data + b.data)
-
-
 def scale(a: TruncTensor, alpha: float) -> TruncTensor:
     return a._like(a.data * float(alpha))
 
-
-def project_to_degree(g: TruncTensor, r: int) -> TruncTensor:
-    """Zero all levels above r; an algebra homomorphism onto the r-truncation."""
-    if r > g.degree:
-        raise DomainError(f"r={r} exceeds tensor degree {g.degree}")
-    return g._like(project_flat(g.channels, g.degree, g.data, r))
-
-
-# ---------------------------------------------------------------------------
-# serialization: one flat CSV row per tensor
-
-
-def tensor_to_csv_row(t: TruncTensor) -> list[str]:
-    """channels, degree, then the flat coefficients in documented order."""
-    return [str(t.channels), str(t.degree)] + [repr(float(v)) for v in t.data]
-
-
-def tensor_from_csv_row(row) -> TruncTensor:
-    channels, degree = int(row[0]), int(row[1])
-    data = np.array([float(v) for v in row[2:]])
-    return TruncTensor(channels, degree, data)

@@ -123,6 +123,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(str(path))
 
+    def test_auto_or_float_keys(self):
+        cfg = load_config(None)
+        assert cfg["td"]["alpha"] == "auto" and cfg["nystrom"]["ridge"] == "auto"
+        cfg = load_config(None, environ={f"{ENV_PREFIX}TD__ALPHA": "1e-3",
+                                         f"{ENV_PREFIX}NYSTROM__RIDGE": "2e-6"})
+        assert cfg["td"]["alpha"] == 1e-3 and cfg["nystrom"]["ridge"] == 2e-6
+
+    def test_default_hash_is_pinned(self):
+        assert config_hash(load_config(None)) == "d71ed027093c"
+
     def test_hash_sensitivity(self):
         a = load_config(None)
         b = load_config(None, environ={f"{ENV_PREFIX}TD__GAMMA": "0.5"})
@@ -156,6 +166,13 @@ class TestCliExitCodes:
             ("ENV__JUMP_INTENSITY=inf", "env.jump_intensity"),
             ("ALGEBRA__DEGREE=0", None),
             ("HORIZON__DT=-0.1", None),
+            ("TD__ALPHA=fast", "td.alpha"),
+            ("NYSTROM__RIDGE=abc", "nystrom.ridge"),
+            ("NYSTROM__RIDGE=nan", "nystrom.ridge"),
+            ("ENV__DIM=2", "env.dim"),
+            ("NYSTROM__LANDMARKS=2", "nystrom.landmarks"),
+            ("FLOW__LIE_DEGREE=9", "flow.lie_degree"),
+            ("ENV__VOL_SUB=0.1", "env.vol_sub"),
         ],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, override, named):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from siglearn import tensor_algebra as ta
-from siglearn.errors import DivergenceError, DomainError
+from siglearn.errors import DivergenceError, DomainError, RangeError
 from siglearn.jumpdiff import (
     JumpDiffusionParams,
     draw_path_noise,
     empirical_mean_signature,
-    env_step,
     generate_ensemble,
     prefix_mean_signatures,
     simulate_history,
@@ -35,26 +34,40 @@ def unit_grid(n_steps, dt=0.05):
     return dt * np.arange(n_steps + 1)
 
 
+def euler_step(params, state, dt, xi, count, eta):
+    """One Euler-Maruyama step at action 0, written out from the model."""
+    nxt = state + params.drift_base * dt + (params.vol @ xi) * np.sqrt(dt)
+    if count > 0:
+        nxt = nxt + count * params.jump_mean
+        nxt = nxt + np.sqrt(count) * (params.jump_scale * eta)
+    return nxt, float((nxt - state) @ params.reward_coeffs), count > 0
+
+
 class TestEnvStep:
     def test_pure_drift_is_exact(self):
         params = make_params(vol=0.0, drift_base=np.array([0.3, -0.2]))
-        state = np.zeros(2)
-        rng = np.random.default_rng(0)
-        nxt, reward, jumped = env_step(params, state, None, 0.0, 0.5, rng)
-        assert np.allclose(nxt, [0.15, -0.1], atol=0)
-        assert not jumped
-        assert reward == pytest.approx(0.15 - 0.1, abs=0)
+        ens = generate_ensemble(params, (0.0, np.zeros(2), None), None,
+                                np.array([0.0, 0.5]), 1, 0, CFG)
+        assert np.allclose(ens.values[0, 1, :2], [0.15, -0.1], atol=0)
+        assert not ens.jump_flags[0, 1]
+        assert ens.rewards[0, 0] == pytest.approx(0.15 - 0.1, abs=0)
 
     def test_action_bounds(self):
         params = make_params()
+
+        def policy(t, states, proxies):
+            return np.full(states.shape[0], 1.5)
+
         with pytest.raises(DomainError):
-            env_step(params, np.zeros(2), None, 1.5, 0.1, np.random.default_rng(0))
+            generate_ensemble(params, (0.0, np.zeros(2), None), policy,
+                              np.array([0.0, 0.1]), 1, 0, CFG)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported(self):
         params = make_params(vol=0.0, drift_base=np.array([1e308, 0.0]))
         with pytest.raises(DivergenceError):
-            env_step(params, np.full(2, 1e308), None, 0.0, 1e4, np.random.default_rng(0))
+            generate_ensemble(params, (0.0, np.full(2, 1e308), None), None,
+                              np.array([0.0, 1e4]), 1, 0, CFG)
 
     def test_jump_count_moment(self):
         lam, dt, n_steps, n_paths = 0.8, 0.02, 50, 10_000
@@ -71,8 +84,8 @@ class TestEnvStep:
 
 
 class TestEnsemble:
-    def test_n1_reproduces_env_step_fold(self):
-        params = make_params(vol=0.3, lam=1.0, jump_mean=np.array([0.0, 0.2]),
+    def test_n1_reproduces_euler_fold(self):
+        params = make_params(vol=0.3, lam=5.0, jump_mean=np.array([0.0, 0.2]),
                              jump_scale=np.array([0.1, 0.1]))
         grid = unit_grid(8)
         seed = 11
@@ -81,10 +94,10 @@ class TestEnsemble:
             seed, 0, 8, 2, params.jump_intensity * np.diff(grid)
         )
         state = np.ones(2)
+        assert counts.any()
         for j in range(8):
-            state, reward, jumped = env_step(
-                params, state, None, 0.0, grid[j + 1] - grid[j],
-                (xi[j], counts[j], eta[j]),
+            state, reward, jumped = euler_step(
+                params, state, grid[j + 1] - grid[j], xi[j], counts[j], eta[j]
             )
             assert np.array_equal(state, ens.values[0, j + 1, :2])
             assert reward == ens.rewards[0, j]
@@ -163,6 +176,12 @@ class TestMeanSignature:
         mean_inc = (ens.values[:, -1] - ens.values[:, 0]).mean(axis=0)
         expected = np.concatenate([[grid[-1] - grid[0]], mean_inc])
         assert np.allclose(sbar.level(1), expected, atol=1e-12)
+
+    def test_off_grid_time_rejected(self):
+        grid = unit_grid(4)
+        ens = generate_ensemble(make_params(), (0.0, np.zeros(2), None), None, grid, 2, 0, CFG)
+        with pytest.raises(RangeError, match="on the ensemble grid"):
+            empirical_mean_signature(ens, 0.01, grid[-1])
 
     def test_monte_carlo_rate(self):
         params = make_params(vol=0.4)

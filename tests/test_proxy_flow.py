@@ -10,9 +10,7 @@ from siglearn.proxy_flow import (
     _ensemble_cache,
     _objective,
     empirical_trajectory,
-    flow_step,
     integrate_flow,
-    nested_residual,
     new_generator,
     scf_loss,
     score_matching_loss,
@@ -63,30 +61,29 @@ def matched_generator(mu):
 
 
 class TestFlowStep:
-    def test_zero_tangent_keeps_state(self):
-        rng = np.random.default_rng(0)
-        v = ta.zero(C, K)
-        v.data[1:] = rng.normal(size=v.data.size - 1) * 0.3
-        phi = ta.trunc_exp(v)
-        out = flow_step(phi, ta.zero(C, K), 0.25)
-        assert np.array_equal(out.data, phi.data)
-
     def test_constant_tangent_reaches_exp(self):
+        # a bias-only generator of full Lie degree emits the same tangent v
+        # at every step, and exp(v/8)^8 = exp(v) on the group
         rng = np.random.default_rng(1)
         v = ta.zero(C, K)
         v.data[1:] = rng.normal(size=v.data.size - 1) * 0.4
-        phi = ta.identity(C, K)
-        for _ in range(8):
-            phi = flow_step(phi, v, 1.0 / 8)
-        assert np.max(np.abs(phi.data - ta.trunc_exp(v).data)) < 1e-14
+        gen = new_generator(C, K, lie_degree=K, n_proxy_features=4)
+        W = gen.weights.copy()
+        W[:, -1] = v.data[1:]
+        traj = integrate_flow(gen.with_theta(W.ravel()), make_map(rng), None,
+                              np.linspace(0.0, 1.0, 9))
+        assert np.max(np.abs(traj.flats[-1] - ta.trunc_exp(v).data)) < 1e-14
 
     def test_preconditions(self):
+        rng = np.random.default_rng(0)
+        nmap = make_map(rng, n_landmarks=3)
+        gen = new_generator(C, K, n_proxy_features=3)
+        for grid in ([0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.25]):
+            with pytest.raises(DomainError):
+                integrate_flow(gen, nmap, None, np.array(grid))
         with pytest.raises(DomainError):
-            flow_step(ta.identity(C, K), ta.zero(C, K), 0.0)
-        with pytest.raises(DomainError):
-            flow_step(ta.zero(C, K), ta.zero(C, K), 0.1)
-        with pytest.raises(DomainError):
-            flow_step(ta.identity(C, K), ta.identity(C, K), 0.1)
+            integrate_flow(new_generator(C, K, n_proxy_features=4), nmap, None,
+                           np.linspace(0.0, 1.0, 3))
 
     def test_step_halving_first_order(self):
         # non-constant tangent: terminal error scales like O(ds)
@@ -136,9 +133,8 @@ class TestIntegrateFlow:
         gen = new_generator(C, K, n_proxy_features=4, seed=3, init_scale=0.5)
         grid = np.linspace(0.0, 1.0, 13)
         traj = integrate_flow(gen, nmap, None, grid)
-        for s in grid:
-            glued = ta.trunc_product(traj.element(s), nested_residual(traj, s))
-            assert np.max(np.abs(glued.data - traj.flats[-1])) < 1e-12
+        glued = ta.product_flat(C, K, traj.flats, traj.residual_flats())
+        assert np.max(np.abs(glued - traj.flats[-1])) < 1e-12
 
     def test_nested_residual_boundaries(self):
         rng = np.random.default_rng(7)
@@ -146,10 +142,9 @@ class TestIntegrateFlow:
         gen = new_generator(C, K, n_proxy_features=4, seed=4, init_scale=0.5)
         grid = np.linspace(0.0, 1.0, 9)
         traj = integrate_flow(gen, nmap, None, grid)
-        at_t = nested_residual(traj, 0.0)
-        assert np.array_equal(at_t.data, traj.flats[-1])
-        at_T = nested_residual(traj, 1.0)
-        assert np.max(np.abs(at_T.data - ta.identity_flat(C, K))) < 1e-12
+        residuals = traj.residual_flats()
+        assert np.array_equal(residuals[traj.index_of(0.0)], traj.flats[-1])
+        assert np.max(np.abs(residuals[traj.index_of(1.0)] - ta.identity_flat(C, K))) < 1e-12
 
     def test_horizon_residual_is_exact_identity(self):
         rng = np.random.default_rng(7)
@@ -157,23 +152,6 @@ class TestIntegrateFlow:
         gen = new_generator(C, K, n_proxy_features=4, seed=4, init_scale=0.5)
         traj = integrate_flow(gen, nmap, None, np.linspace(0.0, 1.0, 9))
         assert np.array_equal(traj.residual_flats()[-1], ta.identity_flat(C, K))
-
-    def test_semigroup_composition(self):
-        rng = np.random.default_rng(8)
-        nmap = make_map(rng)
-        gen = new_generator(C, K, n_proxy_features=4, seed=6, init_scale=0.5)
-        grid = np.linspace(0.0, 1.0, 17)
-        direct = integrate_flow(gen, nmap, None, grid)
-        mid = 8
-        first = integrate_flow(gen, nmap, None, grid[: mid + 1],
-                               phase_span=(grid[0], grid[-1]))
-        second = integrate_flow(
-            gen, nmap, None, grid[mid:],
-            left_context=first.terminal(),
-            phase_span=(grid[0], grid[-1]),
-        )
-        composed = ta.trunc_product(first.terminal(), second.terminal())
-        assert np.max(np.abs(composed.data - direct.flats[-1])) < 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_error(self):

@@ -5,9 +5,10 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from siglearn import tensor_algebra as ta
-from siglearn.errors import DomainError, OrderingError, RangeError
+from siglearn.errors import OrderingError, RangeError
 from siglearn.signature import (
     CadlagPath,
+    _grid_index,
     SignatureConfig,
     batch_prefix_signatures,
     chen_step_flat,
@@ -16,11 +17,11 @@ from siglearn.signature import (
     path_signature,
     paths_from_csv,
     paths_to_csv,
-    segment_signature,
     step_factor_flat,
 )
 
 CFG = SignatureConfig(degree=3, time_scale=1.0)
+LINEAR = SignatureConfig(degree=3, time_scale=1.0, mode="linear")
 
 
 def random_path(rng, n_points=8, dim=2, jump_prob=0.3):
@@ -29,6 +30,19 @@ def random_path(rng, n_points=8, dim=2, jump_prob=0.3):
     flags = rng.random(n_points) < jump_prob
     flags[0] = False
     return CadlagPath(times, values, flags)
+
+
+def segment(dt, dx):
+    """Signature of one straight (time, space) segment; dt = 0 is a jump."""
+    return chen_step_flat(LINEAR, 2, ta.identity_flat(3, 3), dt, np.asarray(dx, float), False)
+
+
+def space_signature(values, degree=3):
+    """Signature of the piecewise-linear path through values, without time."""
+    sig = ta.identity_flat(values.shape[1], degree)
+    for dx in np.diff(values, axis=0):
+        sig = ta.mul_exp_flat(values.shape[1], degree, sig, dx)
+    return sig
 
 
 def words_with_time(channels, degree):
@@ -47,33 +61,27 @@ def words_with_time(channels, degree):
 
 class TestSegment:
     def test_zero_increment_is_identity(self):
-        seg = segment_signature(CFG, 2, 0.0, np.zeros(2))
-        assert np.array_equal(seg.data, ta.identity(3, 3).data)
+        assert np.array_equal(segment(0.0, np.zeros(2)), ta.identity_flat(3, 3))
 
     def test_level_one_is_increment(self):
-        seg = segment_signature(CFG, 2, 0.5, np.array([0.2, -0.1]))
-        assert np.allclose(seg.level(1), [0.5, 0.2, -0.1], atol=0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(DomainError):
-            segment_signature(CFG, 2, -0.1, np.zeros(2))
+        seg = segment(0.5, [0.2, -0.1])
+        assert np.allclose(seg[ta.level_slice(3, 3, 1)], [0.5, 0.2, -0.1], atol=0)
 
     def test_jump_vs_steep_ramp_sweep(self):
         # Pure-space coordinates agree exactly for every ramp duration; the
         # time-channel coordinates shrink linearly as the ramp steepens.
         dx = np.array([0.7, -0.4])
-        jump = segment_signature(CFG, 2, 0.0, dx)
+        jump = segment(0.0, dx)
         timey = words_with_time(3, 3)
         prev_err = None
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             # fine-interpolation oracle: 64 collinear pieces of the ramp
             pieces = ta.identity_flat(3, 3)
             for _ in range(64):
-                seg = segment_signature(CFG, 2, eps / 64, dx / 64)
-                pieces = ta.product_flat(3, 3, pieces, seg.data)
-            ramp = segment_signature(CFG, 2, eps, dx)
-            assert np.max(np.abs(pieces - ramp.data)) < 1e-12
-            diff = np.abs(ramp.data - jump.data)
+                pieces = ta.product_flat(3, 3, pieces, segment(eps / 64, dx / 64))
+            ramp = segment(eps, dx)
+            assert np.max(np.abs(pieces - ramp)) < 1e-12
+            diff = np.abs(ramp - jump)
             assert np.max(diff[~timey]) < 1e-12
             err = np.max(diff[timey])
             if prev_err is not None:
@@ -84,12 +92,7 @@ class TestSegment:
 
 class TestPathSignature:
     def test_constant_path_is_identity_in_space(self):
-        cfg = SignatureConfig(degree=3, include_time=False)
-        times = np.array([0.0, 0.5, 1.0])
-        values = np.ones((3, 2))
-        p = CadlagPath(times, values, np.zeros(3, bool))
-        sig = path_signature(cfg, p, 0.0, 1.0)
-        assert np.array_equal(sig.data, ta.identity(2, 3).data)
+        assert np.array_equal(space_signature(np.ones((3, 2))), ta.identity_flat(2, 3))
 
     @pytest.mark.parametrize("mode", ["rectilinear", "linear"])
     def test_level_one_telescopes(self, mode):
@@ -130,7 +133,6 @@ class TestPathSignature:
 
     def test_reversal_tree_like_without_time(self):
         rng = np.random.default_rng(25)
-        cfg_nt = SignatureConfig(degree=3, include_time=False)
         fwd = random_path(rng, n_points=6, jump_prob=0.0)
         back_values = fwd.values[::-1][1:]
         times = np.concatenate(
@@ -138,20 +140,18 @@ class TestPathSignature:
         )
         values = np.vstack([fwd.values, back_values])
         full = CadlagPath(times, values, np.zeros(times.size, bool))
-        sig_nt = path_signature(cfg_nt, full, times[0], times[-1])
-        assert np.max(np.abs(sig_nt.data - ta.identity(2, 3).data)) < 1e-12
+        sig_nt = space_signature(values)
+        assert np.max(np.abs(sig_nt - ta.identity_flat(2, 3))) < 1e-12
         sig_t = path_signature(SignatureConfig(degree=3), full, times[0], times[-1])
         assert np.max(np.abs(sig_t.data - ta.identity(3, 3).data)) > 1e-3
 
     def test_inverse_is_time_reversed_signature(self):
         # sign-flipped increments in reverse order, time channel excluded
         rng = np.random.default_rng(26)
-        cfg = SignatureConfig(degree=3, include_time=False)
         p = random_path(rng, n_points=6, jump_prob=0.0)
-        rev = CadlagPath(p.times, p.values[::-1], np.zeros(p.n_points, bool))
-        sig = path_signature(cfg, p, p.times[0], p.times[-1])
-        sig_rev = path_signature(cfg, rev, p.times[0], p.times[-1])
-        assert np.max(np.abs(ta.group_inverse(sig).data - sig_rev.data)) < 1e-12
+        sig = ta.TruncTensor(2, 3, space_signature(p.values))
+        sig_rev = space_signature(p.values[::-1])
+        assert np.max(np.abs(ta.group_inverse(sig).data - sig_rev)) < 1e-12
 
     def test_desk_scale_injectivity(self):
         rng = np.random.default_rng(27)
@@ -161,6 +161,23 @@ class TestPathSignature:
             sigs.append(path_signature(CFG, p, p.times[0], p.times[-1]).data)
         dists = pdist(np.array(sigs))
         assert dists.min() > 1e-8
+
+
+class TestGridIndex:
+    def test_relative_tolerance(self):
+        grid = np.array([0.0, 0.1, 0.2, 1000.0])
+        assert _grid_index(grid, 0.1 + 5e-10, "on the grid") == 1
+        assert _grid_index(grid, 1000.0 - 5e-7, "on the grid") == 3
+        for t in (0.1 + 2e-9, 1000.0 + 2e-6, -1.0, 0.15):
+            with pytest.raises(RangeError, match=f"time {t} is not on the grid"):
+                _grid_index(grid, t, "on the grid")
+
+    def test_path_lookup(self):
+        rng = np.random.default_rng(34)
+        p = random_path(rng)
+        assert p.index_of(p.times[3]) == 3
+        with pytest.raises(RangeError, match="observation time of the path"):
+            p.index_of(0.5 * (p.times[3] + p.times[4]))
 
 
 class TestStreaming:
@@ -191,10 +208,8 @@ class TestStreaming:
         dx = np.array([0.3, 0.4])
         upd = incremental_update(proxy, 0.25, dx)
         # rectilinear: time factor then space factor
-        t_seg = segment_signature(CFG, 2, 0.25, np.zeros(2))
-        s_seg = segment_signature(CFG, 2, 0.0, dx)
-        expected = ta.trunc_product(t_seg, s_seg)
-        assert np.max(np.abs(upd.sig.data - expected.data)) < 1e-14
+        expected = ta.product_flat(3, 3, segment(0.25, np.zeros(2)), segment(0.0, dx))
+        assert np.max(np.abs(upd.sig.data - expected)) < 1e-14
 
     def test_non_monotone_rejected(self):
         proxy = new_filtered_proxy(CFG, 1.0, np.zeros(2))
@@ -235,15 +250,13 @@ STEP_CASES = [
 
 class TestFusedStep:
     @pytest.mark.parametrize("degree", [1, 3, 4])
-    @pytest.mark.parametrize("include_time", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("mode", ["linear", "rectilinear"])
     @pytest.mark.parametrize("shape, jumps", STEP_CASES)
-    def test_matches_product_with_step_factor(self, shape, jumps, mode, include_time, degree):
+    def test_matches_product_with_step_factor(self, shape, jumps, mode, dim, degree):
         rng = np.random.default_rng(33)
-        dim, n_paths = 2, 9
-        cfg = SignatureConfig(
-            degree=degree, time_scale=1.5, mode=mode, include_time=include_time
-        )
+        n_paths = 9
+        cfg = SignatureConfig(degree=degree, time_scale=1.5, mode=mode)
         n_flat = ta.flat_size(cfg.channels(dim), degree)
         dt = 0.3
         if shape == "single":
@@ -279,15 +292,3 @@ class TestCsv:
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.jump_flags, b.jump_flags)
 
-
-class TestSignatureDump:
-    def test_interval_prefixed_row_round_trip(self):
-        from siglearn.signature import signature_from_csv_row, signature_to_csv_row
-
-        rng = np.random.default_rng(32)
-        p = random_path(rng)
-        sig = path_signature(CFG, p, p.times[0], p.times[-1])
-        row = signature_to_csv_row(p.times[0], p.times[-1], sig)
-        t0, t1, back = signature_from_csv_row(row)
-        assert t0 == p.times[0] and t1 == p.times[-1]
-        assert np.array_equal(back.data, sig.data)

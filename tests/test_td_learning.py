@@ -46,7 +46,7 @@ class TestValueAndReward:
         nmap = make_map(rng)
         traj = make_traj(rng, nmap)
         assert td.value_at(traj, np.zeros(6), 0.5) == 0.0
-        assert td.step_reward(traj, np.zeros(6), 0.0) == 0.0
+        assert not np.any(td.step_features(traj) @ np.zeros(6))
 
     def test_value_at_horizon_reads_identity(self):
         rng = np.random.default_rng(1)
@@ -85,12 +85,19 @@ class TestValueAndReward:
         total = segs[:, 1 : 1 + c].sum(axis=0)
         assert np.allclose(total, traj.flats[-1][1 : 1 + c], atol=1e-12)
 
-    def test_terminal_reward_rejected(self):
+    def test_off_grid_time_rejected(self):
         rng = np.random.default_rng(4)
         nmap = make_map(rng)
         traj = make_traj(rng, nmap)
-        with pytest.raises(RangeError):
-            td.step_reward(traj, np.zeros(6), 1.0)
+        with pytest.raises(RangeError, match="gridpoint of the trajectory"):
+            td.value_at(traj, np.zeros(6), 0.05)
+
+    def test_one_reward_row_per_step(self):
+        # no step, and so no reward, starts at the terminal gridpoint
+        rng = np.random.default_rng(4)
+        nmap = make_map(rng)
+        traj = make_traj(rng, nmap)
+        assert td.step_features(traj).shape == (traj.n_grid - 1, 6)
 
 
 class TestTdError:
@@ -98,8 +105,8 @@ class TestTdError:
         rng = np.random.default_rng(5)
         nmap = make_map(rng)
         traj = make_traj(rng, nmap)
-        delta = td.anticipatory_td_error(traj, np.zeros(6), np.zeros(6), 0.0, 0.9, 0.0)
-        assert delta == 0.0
+        deltas = td.td_error_vector(traj, np.zeros(6), 0.9, 0.0, w_R=np.zeros(6))
+        assert np.array_equal(deltas, np.zeros(traj.n_grid - 1))
 
     def test_realizable_construction_zeroes_every_step(self):
         rng = np.random.default_rng(6)
@@ -224,12 +231,8 @@ class TestSweepAndSolve:
         A = np.zeros((2, 2))
         A[0, 0] = 1.0
         system = td.TdSystem(A=A, b=np.array([1.0, 0.0]), gamma=0.9, n_steps=2)
-        sol = td.solve_fixed_point(system, ridge_fallback=1e-8)
+        sol = td.solve_fixed_point(system)
         assert sol.ridged
-
-    def test_default_alpha_cap(self):
-        system = td.TdSystem(A=np.eye(2) * 1e-9, b=np.zeros(2), gamma=0.9, n_steps=2)
-        assert td.default_alpha(system) == td.DEFAULT_ALPHA_CAP
 
     def test_sweep_deterministic_bitwise(self):
         rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem(seed=14)
@@ -238,55 +241,6 @@ class TestSweepAndSolve:
         b = td.td0_sweep(traj, weights, gamma, 0.02, 500, rewards=rewards)
         assert np.array_equal(a.weights.w_G, b.weights.w_G)
         assert np.array_equal(a.objective_trace, b.objective_trace)
-
-
-class TestGradientContract:
-    def test_semi_and_full_gradients_differ_when_discounted(self):
-        rng = np.random.default_rng(15)
-        nmap = make_map(rng)
-        traj = make_traj(rng, nmap)
-        w = rng.normal(size=6)
-        rewards = rng.normal(size=traj.n_grid - 1)
-        semi = td.semi_gradient_direction(traj, w, 0.9, 0.2, rewards=rewards)
-        full = td.full_gradient_direction(traj, w, 0.9, 0.2, rewards=rewards)
-        cos = semi @ full / (np.linalg.norm(semi) * np.linalg.norm(full))
-        assert cos < 1.0 - 1e-6
-        semi0 = td.semi_gradient_direction(traj, w, 0.0, 0.2, rewards=rewards)
-        full0 = td.full_gradient_direction(traj, w, 0.0, 0.2, rewards=rewards)
-        assert np.array_equal(semi0, full0)
-
-
-class TestRewardFit:
-    def test_planted_solution_recovery(self):
-        rng = np.random.default_rng(16)
-        nmap = make_map(rng)
-        flats = []
-        for _ in range(60):
-            v = ta.zero(C, K)
-            v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
-            flats.append(ta.exp_flat(C, K, v.data))
-        flats = np.array(flats)
-        w_true = rng.normal(size=6)
-        y = compress_flat(nmap, flats) @ w_true
-        w, mse = td.fit_reward_weights(flats, y, 1e-12, nmap)
-        assert np.max(np.abs(w - w_true)) < 1e-6
-        assert mse < 1e-16
-
-    def test_zero_rewards_zero_weights(self):
-        rng = np.random.default_rng(17)
-        nmap = make_map(rng)
-        flats = rng.normal(size=(10, ta.flat_size(C, K)))
-        w, mse = td.fit_reward_weights(flats, np.zeros(10), 1e-6, nmap)
-        assert np.array_equal(w, np.zeros(6))
-
-    def test_ridge_shrinks_norm(self):
-        rng = np.random.default_rng(18)
-        nmap = make_map(rng)
-        flats = rng.normal(size=(40, ta.flat_size(C, K)))
-        y = rng.normal(size=40)
-        w1, _ = td.fit_reward_weights(flats, y, 1e-4, nmap)
-        w2, _ = td.fit_reward_weights(flats, y, 1e-3, nmap)
-        assert np.linalg.norm(w2) < np.linalg.norm(w1)
 
 
 class TestClassicalBaseline:

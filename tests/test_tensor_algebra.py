@@ -165,26 +165,6 @@ class TestInner:
             ta.graded_inner(one, one, [1.0, 0.0, 1.0])
 
 
-class TestProjection:
-    def test_projection_zeroes_upper_levels(self):
-        rng = np.random.default_rng(8)
-        g = random_group_like(rng, degree=4)
-        p = ta.project_to_degree(g, 2)
-        assert np.allclose(p.level(3), 0.0) and np.allclose(p.level(4), 0.0)
-        assert np.array_equal(p.level(2), g.level(2))
-
-    def test_projection_is_homomorphism(self):
-        rng = np.random.default_rng(9)
-        for r in (1, 2, 3):
-            a = random_group_like(rng, degree=4)
-            b = random_group_like(rng, degree=4)
-            lhs = ta.project_to_degree(ta.trunc_product(a, b), r)
-            rhs = ta.project_to_degree(
-                ta.trunc_product(ta.project_to_degree(a, r), ta.project_to_degree(b, r)), r
-            )
-            assert np.max(np.abs(lhs.data - rhs.data)) < 1e-12
-
-
 class TestExpTangent:
     def test_exp_tangent_matches_fd(self):
         rng = np.random.default_rng(11)
@@ -251,12 +231,3 @@ class TestMulExp:
         assert np.array_equal(a, ta.identity_flat(2, 3))
         assert v.tolist() == [0.5, -0.25]
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(15)
-        g = random_group_like(rng, 3, 2)
-        row = ta.tensor_to_csv_row(g)
-        back = ta.tensor_from_csv_row(row)
-        assert back.channels == 3 and back.degree == 2
-        assert np.array_equal(back.data, g.data)
