@@ -215,6 +215,9 @@ class Runner:
                 "solution_ridged": rep["solution"].ridged,
                 "solution_residual": rep["solution"].residual,
                 "sweep_vs_solve_rel": rep["sweep_vs_solve_rel"],
+                "sweep_spectral_radius": sweep.spectral_radius,
+                "sweep_predicted_iters": sweep.predicted_iters,
+                "sweep_converged": rep["sweep_converged"],
                 "max_delta_at_solution": rep["max_delta_at_solution"],
                 "final_objective": rep["final_objective"],
             },

@@ -2,10 +2,10 @@
 
 Sections and keys are fixed by ``SCHEMA``; every value is typed.  Overrides
 can come from the environment as ``SIGLEARN_<SECTION>__<KEY>=value`` (applied
-after the file).  Keys that must agree with each other (list lengths against
-``env.dim``, landmark and Lie degree bounds) are checked once the
-configuration is complete.  The effective configuration is hashed so every
-artifact can name the exact inputs that produced it.
+after the file).  Per-key ranges and keys that must agree with each other
+(list lengths against ``env.dim``, landmark and Lie degree bounds) are
+checked once the configuration is complete.  The effective configuration is
+hashed so every artifact can name the exact inputs that produced it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import configparser
 import hashlib
 import math
 import os
+from typing import Callable
 
 from .errors import ConfigError
 
@@ -108,6 +109,16 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "decay_seeds": ("int", 4),
         "fixed_point_tol": ("float", 1e-12),
     },
+}
+
+# per-key ranges, checked once the configuration is complete
+_RANGES: dict[tuple[str, str], tuple[Callable[[float], bool], str]] = {
+    ("td", "gamma"): (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    ("td", "iters"): (lambda v: v >= 1, "be >= 1"),
+    ("train", "lr"): (lambda v: v > 0.0, "be > 0"),
+    ("flow", "phase_powers"): (lambda v: v >= 0, "be >= 0"),
+    ("risk", "alpha_tail"): (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    ("analysis", "decay_seeds"): (lambda v: v >= 1, "be >= 1"),
 }
 
 # keys holding one entry per state dimension; env.vol_sub holds dim - 1
@@ -231,8 +242,8 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
 
     With ``path=None`` the built-in baseline text is used.  Raises
     ConfigError naming the exact section.key on a missing required key, an
-    unknown entry, a value that does not parse or is not a finite number, or
-    keys that contradict each other.
+    unknown entry, a value that does not parse, is not a finite number or
+    lies outside its range, or keys that contradict each other.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is None:
@@ -281,6 +292,10 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
 
 
 def _check_cross_keys(cfg: dict) -> None:
+    for (section, key), (ok, rule) in _RANGES.items():
+        value = cfg[section][key]
+        if not ok(value):
+            raise ConfigError(f"{section}.{key} = {value} must {rule}")
     dim = cfg["env"]["dim"]
     for section, key in _PER_DIM:
         value = cfg[section].get(key)

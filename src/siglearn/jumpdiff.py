@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _STREAMS_PER_PATH = 4  # diffusion, jump counts, jump sizes, spare
+# one reused generator per channel; path_streams resets their keys per path
+_PATH_GENERATORS = tuple(np.random.Generator(np.random.Philox(key=0)) for _ in range(3))
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,30 @@ def zero_policy(t, states, proxies):
 
 
 def path_streams(seed: int, path_id: int) -> tuple[np.random.Generator, ...]:
-    """The three Philox substreams owned by one path."""
-    gens = []
-    for channel in range(3):
-        key = np.array([seed, _STREAMS_PER_PATH * path_id + channel], dtype=np.uint64)
-        gens.append(np.random.Generator(np.random.Philox(key=key)))
-    return tuple(gens)
+    """The three Philox substreams owned by one path.
+
+    Philox is counter-based: each (key, counter) block is a pure function of
+    its inputs, so resetting a generator to a key and a zero counter gives
+    exactly the draws of a freshly built one.  The three module-level
+    generators are reset here instead of rebuilt, which skips the seed
+    sequence each new Philox would build and its key would then ignore.  The
+    returned tuple is therefore valid only until the next call, and running
+    paths concurrently needs processes, not threads.
+    """
+    for channel, gen in enumerate(_PATH_GENERATORS):
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([seed, _STREAMS_PER_PATH * path_id + channel], dtype=np.uint64),
+            },
+            # drop any words the previous path left buffered
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    return _PATH_GENERATORS
 
 
 def draw_path_noise(

@@ -6,10 +6,14 @@ residual of the flow (inverse(proxy_s) (x) proxy_T), so one time-invariant
 weight vector covers the whole horizon.  The TD(0) sweep over the horizon is
 a deterministic linear recursion w <- w + alpha (b - A w); its fixed point is
 also assembled explicitly so the sweep can be checked against a direct solve.
+The sweep runs in the step space: its n TD errors follow delta <- P delta
+with an n x n matrix P, advanced a block of iterations per matmul, and the
+m weights are read back from the running sum of the errors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +24,13 @@ from .jumpdiff import PathEnsemble
 from .kernelspace import NystromMap, compress_flat
 from .proxy_flow import ProxyTrajectory
 from .signature import batch_prefix_signatures
+
+# iterations per block of the TD sweep, capped so the stack of P powers stays
+# within a few MiB on long horizons
+_BLOCK = 256
+_POWER_STACK_BYTES = 4 << 20
+# a sweep counts as converged once its slowest mode has decayed by 1e-6
+_CONVERGED_DECAY = math.log(1e-6)
 
 __all__ = [
     "ValueWeights",
@@ -93,6 +104,9 @@ class SweepResult:
     objective_trace: np.ndarray
     weight_norms: np.ndarray
     max_abs_delta: np.ndarray
+    spectral_radius: float
+    predicted_iters: int | None
+    converged: bool
 
 
 @dataclass
@@ -165,38 +179,98 @@ def td0_sweep(
 ) -> SweepResult:
     """Semi-gradient TD(0) over the whole horizon, iterated n_iters times.
 
-    Per iteration: wfl <- w + alpha * sum_s delta_s Psi_s, with the TD target
-    held fixed (never differentiated).  Records the objective sum of squared
-    errors, the weight norm, and the largest |delta| per iteration.
+    Per iteration: w <- w + alpha * C^T delta, with the TD target held fixed
+    (never differentiated).  The recursion runs on the n step errors rather
+    than the m weights.  With C the current-step features, N the next-step
+    features (zero at the terminal step), M = C - gamma N and
+    c0 = r + gamma z e_last, the errors are delta(w) = c0 - M w, so each
+    iteration is delta <- P delta with P = I - alpha M C^T, and
+    w_t = w_0 + alpha C^T S_t with S_t the sum of the errors so far.  The
+    powers P^0..P^(B-1) are built once, so one matmul advances B iterations.
+    With C^T = Q R the weights are w_0 + alpha Q (R S_t), so their norm
+    needs only the min(n, m) coordinates R S_t.
+
+    Records, per iteration, the objective half the sum of squared errors,
+    the norm of the updated weights and the largest |delta|; raises
+    DivergenceError at the first iteration whose weight norm passes 1e12.
+    Also reports the spectral radius of the iteration, the iterations it
+    predicts for the slowest mode to decay by 1e-6, and whether n_iters
+    reaches that.  The radius is taken in the smaller of the two spaces:
+    when m < n, P also has n - m unit eigenvalues on errors that no weight
+    can reach, and those do not slow the weights.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
+    if n_iters < 1:
+        raise DomainError(f"n_iters must be >= 1, got {n_iters}")
     psi = traj.residual_features()
-    r = _rewards_vector(traj, weights.w_R, rewards)
-    z = weights.terminal_payoff(traj)
-    w = weights.w_G.copy()
+    cur = psi[:-1]
+    n, m = cur.shape
+    nxt = np.zeros_like(cur)
+    nxt[:-1] = psi[1:-1]
+    M = cur - gamma * nxt
+    c0 = _rewards_vector(traj, weights.w_R, rewards).copy()
+    c0[-1] += gamma * weights.terminal_payoff(traj)
+    w0 = weights.w_G
+    MC = M @ cur.T
+    P = np.eye(n) - alpha * MC
+    # the weights move only along Q: their norm is the fixed part of w_0 off
+    # Q plus the moving part Q^T w_0 + alpha T_t on it, with T_t = R S_t
+    Q, R = np.linalg.qr(cur.T)
+    qw0 = Q.T @ w0
+    off_sq = float(np.sum((w0 - Q @ qw0) ** 2))
+
+    small = MC if n <= m else cur.T @ M
+    rho = float(np.max(np.abs(1.0 - alpha * np.linalg.eigvals(small))))
+    predicted = (
+        math.ceil(_CONVERGED_DECAY / math.log(max(rho, 1e-300))) if rho < 1.0 else None
+    )
+
+    # P^0..P^(B-1), cut short before a power leaves the safe float range so
+    # a diverging sweep still reaches its norm check with finite numbers
+    block = min(_BLOCK, n_iters, max(1, _POWER_STACK_BYTES // (8 * n * n)))
+    powers = np.empty((block, n, n))
+    powers[0] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, block):
+            powers[k] = P @ powers[k - 1]
+            if not np.max(np.abs(powers[k])) < 1e100:
+                block = k
+                break
+    powers = powers[:block].reshape(block * n, n)
+
     obj = np.empty(n_iters)
     norms = np.empty(n_iters)
     max_delta = np.empty(n_iters)
-    cur = psi[:-1]
-    for it in range(n_iters):
-        values = psi @ w
-        target_next = np.concatenate([values[1:-1], [z]])
-        delta = r + gamma * target_next - values[:-1]
-        w = w + alpha * (delta @ cur)
-        obj[it] = 0.5 * float(delta @ delta)
-        norms[it] = float(np.linalg.norm(w))
-        max_delta[it] = float(np.max(np.abs(delta)))
-        if norms[it] > 1e12:
+    delta = c0 - M @ w0
+    T = np.zeros(R.shape[0])
+    for start in range(0, n_iters, block):
+        k = min(block, n_iters - start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = (powers[: k * n] @ delta).reshape(k, n)
+            sums = T + np.cumsum(D @ R.T, axis=0)
+            norms[start : start + k] = np.sqrt(
+                off_sq + np.sum((qw0 + alpha * sums) ** 2, axis=1)
+            )
+        obj[start : start + k] = 0.5 * np.sum(D * D, axis=1)
+        max_delta[start : start + k] = np.max(np.abs(D), axis=1)
+        over = np.flatnonzero(norms[start : start + k] > 1e12)
+        if over.size:
+            it = start + int(over[0])
             raise DivergenceError(
                 "TD sweep diverged; lower the learning rate",
                 context={"iteration": it, "weight_norm": norms[it]},
             )
+        T = sums[-1]
+        delta = P @ D[-1]
     return SweepResult(
-        weights=replace(weights, w_G=w),
+        weights=replace(weights, w_G=w0 + alpha * (Q @ T)),
         objective_trace=obj,
         weight_norms=norms,
         max_abs_delta=max_delta,
+        spectral_radius=rho,
+        predicted_iters=predicted,
+        converged=predicted is not None and predicted <= n_iters,
     )
 
 

@@ -173,6 +173,12 @@ class TestCliExitCodes:
             ("NYSTROM__LANDMARKS=2", "nystrom.landmarks"),
             ("FLOW__LIE_DEGREE=9", "flow.lie_degree"),
             ("ENV__VOL_SUB=0.1", "env.vol_sub"),
+            ("TD__GAMMA=1.5", "td.gamma"),
+            ("TD__ITERS=0", "td.iters"),
+            ("TRAIN__LR=-1", "train.lr"),
+            ("FLOW__PHASE_POWERS=-1", "flow.phase_powers"),
+            ("RISK__ALPHA_TAIL=2", "risk.alpha_tail"),
+            ("ANALYSIS__DECAY_SEEDS=0", "analysis.decay_seeds"),
         ],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, override, named):
@@ -264,4 +270,10 @@ class TestDefaultConfigCriteria:
         assert main(["run-td", "--seed", "1", "--out-dir", str(out)]) == 0
         payload = json.loads((out / "weights.json").read_text())
         assert payload["final_objective"] < 1e-8
+        # the sweep ends 1.6% from the solve: its slowest mode contracts by
+        # only about 1.9e-10 per iteration, and weights.json says so
+        assert 0.0 < 1.0 - payload["sweep_spectral_radius"] < 1e-9
+        assert payload["sweep_predicted_iters"] > 1e10
+        assert payload["sweep_vs_solve_rel"] > 1e-6
+        assert payload["sweep_converged"] is False
         assert json.loads((out / "variance.json").read_text())["ratio"] < 1.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siglearn import jumpdiff
 from siglearn import tensor_algebra as ta
 from siglearn.errors import DivergenceError, DomainError, RangeError
 from siglearn.jumpdiff import (
@@ -8,6 +9,7 @@ from siglearn.jumpdiff import (
     draw_path_noise,
     empirical_mean_signature,
     generate_ensemble,
+    path_streams,
     prefix_mean_signatures,
     simulate_history,
 )
@@ -157,6 +159,76 @@ class TestEnsemble:
         params = make_params(memory=np.ones((2, 3)))
         with pytest.raises(DomainError):
             generate_ensemble(params, (0.0, np.zeros(2), None), None, unit_grid(4), 2, 0, CFG)
+
+
+def fresh_streams(seed, path_id):
+    """Each path's three channels on newly built Philox generators."""
+    return tuple(
+        np.random.Generator(
+            np.random.Philox(key=np.array([seed, 4 * path_id + channel], dtype=np.uint64))
+        )
+        for channel in range(3)
+    )
+
+
+def fresh_noise(seed, path_id, n_steps, dim, lam_dt):
+    g_diff, g_count, g_jump = fresh_streams(seed, path_id)
+    xi = g_diff.standard_normal((n_steps, dim))
+    counts = g_count.poisson(lam_dt, size=n_steps)
+    return xi, counts, g_jump.standard_normal((n_steps, dim))
+
+
+class TestReusedStreams:
+    """Resetting the reused generators reproduces newly built ones exactly."""
+
+    @pytest.mark.parametrize("seed", [1, 99, 2**40])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_noise_equals_fresh_generators(self, seed, dim):
+        lam_dt = np.linspace(0.05, 3.0, 12)
+        # interleave paths so each draw follows another path's partial block
+        for path_id in [0, 7, 1, 7, 5119, 0, 3]:
+            got = draw_path_noise(seed, path_id, 12, dim, lam_dt)
+            want = fresh_noise(seed, path_id, 12, dim, lam_dt)
+            assert want[1].any()
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_buffered_words_do_not_leak(self):
+        # an odd number of 32-bit draws leaves a buffered half word and a
+        # part-used block behind; the next path must not see either
+        for gen in path_streams(1, 0):
+            gen.integers(0, 2**32, size=3, dtype=np.uint32)
+        for gen, fresh in zip(path_streams(1, 9), fresh_streams(1, 9)):
+            assert np.array_equal(
+                gen.integers(0, 2**32, size=5, dtype=np.uint32),
+                fresh.integers(0, 2**32, size=5, dtype=np.uint32),
+            )
+
+    @pytest.mark.parametrize("seed", [2, 17])
+    @pytest.mark.parametrize("n_paths", [3, 64])
+    @pytest.mark.parametrize("memory", [False, True])
+    def test_ensemble_equals_fresh_generators(self, monkeypatch, seed, n_paths, memory):
+        rng = np.random.default_rng(12)
+        lms = []
+        for _ in range(6):
+            v = ta.zero(4, 3)
+            v.data[1:] = rng.normal(scale=0.3, size=v.data.size - 1)
+            lms.append(ta.trunc_exp(v))
+        nmap = build_nystrom(lms)
+        params = make_params(
+            vol=0.3, lam=4.0, jump_mean=np.array([0.1, -0.2]),
+            jump_scale=np.array([0.2, 0.1]),
+            memory=0.5 * rng.normal(size=(2, 6)) if memory else None,
+        )
+        junction = (0.0, np.zeros(2), ta.identity(4, 3))
+        args = (params, junction, None, unit_grid(8), n_paths, seed, CFG)
+        got = generate_ensemble(*args, nmap=nmap)
+        monkeypatch.setattr(jumpdiff, "path_streams", fresh_streams)
+        want = generate_ensemble(*args, nmap=nmap)
+        assert want.jump_flags.any()
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.jump_flags, want.jump_flags)
+        assert np.array_equal(got.rewards, want.rewards)
 
 
 class TestMeanSignature:

@@ -1,9 +1,12 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from siglearn import tensor_algebra as ta
 from siglearn import td_learning as td
-from siglearn.errors import InsufficientDataError, RangeError
+from siglearn.errors import DivergenceError, DomainError, InsufficientDataError, RangeError
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, compress_flat
 from siglearn.proxy_flow import empirical_trajectory, integrate_flow, new_generator
@@ -183,6 +186,7 @@ class TestSweepAndSolve:
         res = td.td0_sweep(traj, weights, gamma, alpha, 60_000, rewards=rewards)
         rel = np.linalg.norm(res.weights.w_G - sol.w) / np.linalg.norm(sol.w)
         assert rel < 1e-6
+        assert res.converged and res.predicted_iters <= 60_000
         assert np.max(np.abs(sol.w - w_true)) < 1e-8
 
     def test_objective_non_increasing_after_burn_in(self):
@@ -241,6 +245,143 @@ class TestSweepAndSolve:
         b = td.td0_sweep(traj, weights, gamma, 0.02, 500, rewards=rewards)
         assert np.array_equal(a.weights.w_G, b.weights.w_G)
         assert np.array_equal(a.objective_trace, b.objective_trace)
+
+
+def oracle_sweep(traj, weights, gamma, alpha, n_iters, rewards):
+    """The sweep as a per-iteration loop in weight space.
+
+    Each iteration recomputes every TD error from the current weights and
+    applies w <- w + alpha * delta @ C; returns the final weights and the
+    objective, weight-norm and max |delta| traces, or the iteration at which
+    the weight norm first passes 1e12.
+    """
+    psi = traj.residual_features()
+    z = weights.terminal_payoff(traj)
+    w = weights.w_G.copy()
+    obj, norms, max_delta = (np.empty(n_iters) for _ in range(3))
+    for it in range(n_iters):
+        values = psi @ w
+        delta = rewards + gamma * np.concatenate([values[1:-1], [z]]) - values[:-1]
+        w = w + alpha * (delta @ psi[:-1])
+        obj[it] = 0.5 * float(delta @ delta)
+        norms[it] = float(np.linalg.norm(w))
+        max_delta[it] = float(np.max(np.abs(delta)))
+        if norms[it] > 1e12:
+            return it, norms[it]
+    return w, obj, norms, max_delta
+
+
+def close(a, b, rel=1e-12):
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestBlockedSweep:
+    """The step-space block recursion against the weight-space loop."""
+
+    def problem(self, m, w0_kind="zero", terminal=False, n_grid=13, seed=40):
+        # empirical trajectory of a jumpy ensemble; with 12 steps, m = 6
+        # iterates fewer weights than steps and m = 20 more
+        rng = np.random.default_rng(seed)
+        nmap = make_map(rng, n_landmarks=m)
+        env = JumpDiffusionParams(
+            drift_base=np.array([0.1]),
+            vol=np.array([[0.5]]),
+            jump_intensity=2.0,
+            jump_mean=np.array([0.15]),
+            jump_scale=np.array([0.3]),
+            action_exposure=np.zeros(1),
+        )
+        cfg = SignatureConfig(degree=K, mode="linear")
+        ens = generate_ensemble(env, (0.0, np.zeros(1), None), None,
+                                np.linspace(0.0, 1.0, n_grid), 8, seed, cfg)
+        traj = empirical_trajectory(ens, nmap)
+        gamma = 0.9
+        rewards = rng.normal(size=traj.n_grid - 1)
+        w0 = np.zeros(m) if w0_kind == "zero" else rng.normal(size=m)
+        weights = td.ValueWeights(
+            w_G=w0,
+            w_R=np.zeros(m),
+            terminal_const=0.3,
+            terminal_weights=rng.normal(size=m) if terminal else None,
+        )
+        system = td.assemble_system(
+            traj, None, gamma, weights.terminal_payoff(traj), rewards=rewards
+        )
+        return traj, weights, gamma, rewards, td.stability_bound(system)
+
+    @pytest.mark.parametrize(
+        "m, n_iters, w0_kind, terminal",
+        [
+            (6, 1, "zero", False),
+            (6, 100, "random", False),
+            (6, 256, "zero", True),
+            (6, 3 * 256 + 17, "random", True),
+            (20, 1, "random", True),
+            (20, 100, "zero", False),
+            (20, 256, "random", False),
+            (20, 3 * 256 + 17, "zero", True),
+        ],
+    )
+    def test_matches_weight_space_loop(self, m, n_iters, w0_kind, terminal):
+        traj, weights, gamma, rewards, bound = self.problem(m, w0_kind, terminal)
+        alpha = 0.5 * bound
+        res = td.td0_sweep(traj, weights, gamma, alpha, n_iters, rewards=rewards)
+        w, obj, norms, max_delta = oracle_sweep(traj, weights, gamma, alpha, n_iters, rewards)
+        assert close(res.weights.w_G, w)
+        assert close(res.objective_trace, obj)
+        assert close(res.weight_norms, norms)
+        assert close(res.max_abs_delta, max_delta)
+
+    @pytest.mark.parametrize("m", [6, 20])
+    @pytest.mark.parametrize("scale", [2.5, 50.0, 1e4])
+    def test_divergence_at_the_loop_iteration(self, m, scale):
+        traj, weights, gamma, rewards, bound = self.problem(m, "random")
+        alpha = scale * bound
+        it, norm = oracle_sweep(traj, weights, gamma, alpha, 5000, rewards)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                td.td0_sweep(traj, weights, gamma, alpha, 5000, rewards=rewards)
+        assert info.value.context["iteration"] == it
+        assert info.value.context["weight_norm"] == pytest.approx(norm, rel=1e-9)
+
+    def test_zero_errors_stay_zero_under_a_diverging_rate(self):
+        # no reward, no payoff and zero weights give exactly zero errors, so
+        # the weights never move, however fast the powers of P grow
+        traj, weights, gamma, rewards, bound = self.problem(6)
+        still = replace(weights, terminal_const=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = td.td0_sweep(
+                traj, still, gamma, 1e4 * bound, 600, rewards=np.zeros_like(rewards)
+            )
+        assert not np.any(res.weights.w_G)
+        assert not np.any(res.objective_trace) and not np.any(res.weight_norms)
+
+    def test_empty_sweep_rejected(self):
+        traj, weights, gamma, rewards, bound = self.problem(6)
+        with pytest.raises(DomainError):
+            td.td0_sweep(traj, weights, gamma, 0.5 * bound, 0, rewards=rewards)
+
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_spectral_radius_is_the_decay_rate(self, m):
+        # on 4 steps, m = 2 and m = 6 put the radius in weight and step
+        # space; far into the sweep the slowest mode dominates, and the
+        # errors shrink by the reported radius per iteration
+        traj, weights, gamma, _, bound = self.problem(m, n_grid=5)
+        w_true = np.random.default_rng(41).normal(size=m)
+        rewards = td.realizable_rewards(traj, w_true, gamma, weights.terminal_payoff(traj))
+        res = td.td0_sweep(traj, weights, gamma, 0.5 * bound, 1, rewards=rewards)
+        rho = res.spectral_radius
+        assert 0.0 < rho < 1.0
+        assert res.predicted_iters == int(np.ceil(np.log(1e-6) / np.log(rho)))
+        assert not res.converged
+        k = min(res.predicted_iters, 20_000)
+        a = td.td0_sweep(traj, weights, gamma, 0.5 * bound, k, rewards=rewards)
+        b = td.td0_sweep(traj, weights, gamma, 0.5 * bound, k + 50, rewards=rewards)
+        ratio = (b.max_abs_delta[-1] / a.max_abs_delta[-1]) ** (1 / 50)
+        assert ratio == pytest.approx(rho, rel=1e-6)
+        assert b.converged == (res.predicted_iters <= k + 50)
 
 
 class TestClassicalBaseline:
