@@ -222,14 +222,13 @@ def whitened_norm_stress(
     metric: WhitenedMetric,
     scales=(1.0, 3.0, 10.0),
     n_groups: int = 8,
-    bound_B: float = 1.0,
 ) -> list[dict]:
     """Raw vs whitened proxy norms under jump-size stress.
 
     The metric stays fitted on the unstressed regime.  Each scale yields
     ``n_groups`` proxies (sub-ensemble mean signatures); the rows report the
     max raw flat norm, the max whitened-feature norm, growth factors against
-    the first scale, and the complexity bound B/n sqrt(sum of squared
+    the first scale, and the complexity bound 1/n sqrt(sum of squared
     whitened norms).
     """
     if n_paths % n_groups != 0:
@@ -266,9 +265,7 @@ def whitened_norm_stress(
                 "max_whitened_norm": float(white_norms.max()),
                 "raw_growth": float(raw_norms.max() / base_raw),
                 "whitened_growth": float(white_norms.max() / base_white),
-                "rademacher_bound": float(
-                    bound_B / n_groups * np.sqrt(np.sum(white_norms**2))
-                ),
+                "rademacher_bound": float(1.0 / n_groups * np.sqrt(np.sum(white_norms**2))),
             }
         )
     return rows

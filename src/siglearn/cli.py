@@ -2,15 +2,19 @@
 
 Every emitted file starts with a header line naming the producing
 subcommand, the config hash, and the seed; identical (config, seed) inputs
-produce byte-identical artifacts.  The ``--threads`` flag is accepted for
-interface compatibility and never influences results.
+produce byte-identical artifacts.  BLAS runs on one thread whatever the
+environment says, because a threaded BLAS changes the last digits of
+results; the ``--threads`` flag is accepted for interface compatibility and
+never influences results.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -365,13 +369,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default="out")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="accepted for compatibility; results never depend on it",
+        help="accepted for compatibility; BLAS runs on one thread and results never depend on it",
     )
     return parser
 
 
+def pin_blas_threads() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; True if that call was made.
+
+    The setter is looked up in the OpenBLAS that numpy's wheel ships.  If
+    there is none, OPENBLAS_NUM_THREADS=1 is set instead, which OpenBLAS
+    reads only when it loads: it then holds for a numpy loaded later, such
+    as in a child process, not for one loaded already.
+    """
+    libs = Path(np.__file__).resolve().parent
+    for path in sorted([*libs.parent.glob("numpy.libs/libscipy_openblas*"),
+                        *libs.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter(1)
+        return True
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    return False
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_blas_threads()
     if args.subcommand == "print-config":
         sys.stdout.write(default_config_text())
         return 0

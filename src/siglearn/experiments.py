@@ -45,6 +45,7 @@ from .kernelspace import (
 )
 from .proxy_flow import (
     GeneratorParams,
+    ProxyTrajectory,
     TrainConfig,
     TrainResult,
     empirical_trajectory,
@@ -52,6 +53,7 @@ from .proxy_flow import (
     new_generator,
     scf_loss,
     score_matching_loss,
+    step_targets,
     train_generator,
 )
 from .signature import CadlagPath, SignatureConfig, batch_terminal_signatures, path_signature
@@ -297,11 +299,12 @@ def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
     )
     ens = scenario.train_ensemble
     sbar = empirical_mean_signature(ens, scenario.grid[0], scenario.grid[-1])
+    targets = step_targets(ens)
 
     def diagnostics(gen):
         traj = integrate_flow(gen, scenario.nmap, scenario.junction_proxy, scenario.grid)
         return {
-            "score": score_matching_loss(gen, ens, scenario.nmap, scenario.metrics),
+            "score": score_matching_loss(gen, ens, scenario.nmap, scenario.metrics, targets),
             "scf": scf_loss(
                 traj, sbar, scenario.nmap, scenario.terminal_metric(), eta=tc.eta_scf
             ),
@@ -438,13 +441,43 @@ def variance_experiment(
             scenario.sig_config,
             nmap=scenario.nmap if scenario.env.has_memory else None,
         )
-        res = td.classical_td0_baseline(
-            solo, scenario.nmap, gamma, 1e-3, z, w0=w_star, update=False
-        )
-        delta_c[i] = res.delta_samples[0]
+        delta_c[i] = td.classical_td0_baseline(solo, scenario.nmap, gamma, z, w_star)[0]
     report = td.variance_compare(delta_a, delta_c)
     report["ensemble_size"] = n_paths
     return report
+
+
+# perturbed flows per batched integration in the FD oracle: a chunk of 66
+# flows holds about 2 MiB, below what training holds, so run-all's peak
+# memory does not grow; all 264 at once would
+FD_CHUNK = 66
+
+
+def _fd_grad_theta(gen, nmap, junction, grid, w, check_points) -> np.ndarray:
+    """Central differences of the value at each check point in every weight.
+
+    Returns shape (n_params, n_points).  The 2 n_params perturbed flows run
+    ``FD_CHUNK`` at a time through ``integrate_flow``'s weight-row axis, and
+    each is read at every check point (the flows do not depend on s).
+    Residuals are taken on the sub-trajectory of the check points and T
+    only, which keeps the chunk's memory at that of its flows.  A value is
+    the raw read C^T w dotted with the residual, so the pinned identity
+    residual at s = T gives the same value for every row whatever the
+    summation order, and that column is exactly zero.
+    """
+    theta0 = gen.theta()
+    h_t = 1e-6 * max(1.0, np.max(np.abs(theta0)))
+    bumps = h_t * np.eye(theta0.size)
+    thetas = np.concatenate([theta0 + bumps, theta0 - bumps])
+    v1 = nmap.matrix.T @ w
+    values = np.empty((thetas.shape[0], len(check_points)))
+    for lo in range(0, thetas.shape[0], FD_CHUNK):
+        pert = integrate_flow(gen, nmap, junction, grid, theta_rows=thetas[lo : lo + FD_CHUNK])
+        keep = sorted({pert.index_of(s) for s in check_points} | {grid.size - 1})
+        sub = ProxyTrajectory(pert.channels, pert.degree, grid[keep], pert.flats[:, keep])
+        idx = [sub.index_of(s) for s in check_points]
+        values[lo : lo + FD_CHUNK] = sub.residual_flats()[:, idx] @ v1
+    return (values[: theta0.size] - values[theta0.size :]) / (2 * h_t)
 
 
 def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> list[dict]:
@@ -457,22 +490,11 @@ def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> lis
     w = rng.normal(size=nmap.n_landmarks)
     check_points = [grid[0], grid[len(grid) // 2], grid[-1]]
 
-    # theta oracle: each perturbed flow is integrated once and read at every
-    # check point (the flows do not depend on s)
-    def values(theta):
-        pert = integrate_flow(gen.with_theta(theta), nmap, junction, grid)
-        return np.array([td.value_at(pert, w, s) for s in check_points])
-
-    theta0 = gen.theta()
-    h_t = 1e-6 * max(1.0, np.max(np.abs(theta0)))
-    fd_theta = np.empty((theta0.size, len(check_points)))
-    for idx in range(theta0.size):
-        bump = np.zeros_like(theta0)
-        bump[idx] = h_t
-        fd_theta[idx] = (values(theta0 + bump) - values(theta0 - bump)) / (2 * h_t)
+    fd_theta = _fd_grad_theta(gen, nmap, junction, grid, w, check_points)
+    grads_t, _ = grad_theta(gen, nmap, junction, grid, w, check_points)
 
     rows = []
-    for s, fd_t in zip(check_points, fd_theta.T):
+    for s, fd_t, grad_t in zip(check_points, fd_theta.T, grads_t):
         gw = grad_w(traj, s)
         # value is exactly linear in w: FD along random directions
         direction = rng.normal(size=w.size)
@@ -500,7 +522,6 @@ def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> lis
             fd = (up - dn) / (2 * eps)
             err_p = max(err_p, abs(cov @ h - fd) / max(abs(fd), 1e-12))
 
-        grad_t, _ = grad_theta(gen, nmap, junction, grid, w, s)
         scale = max(np.max(np.abs(grad_t)), np.max(np.abs(fd_t)), 1e-9)
         err_t = float(np.max(np.abs(grad_t - fd_t)) / scale)
         rows.append(
@@ -535,7 +556,6 @@ def risk_report(cfg: dict, scenario: Scenario) -> dict:
         ens.n_paths,
         derive_seed(scenario.seed, "action-sens"),
         scenario.sig_config,
-        a0=0.0,
         step=risk_cfg["action_step"],
         nmap=scenario.nmap if scenario.env.has_memory else None,
     )

@@ -3,7 +3,10 @@
 The value at gridpoint s is linear in the weights, linear in the raw terminal
 proxy, and differentiable in the generator weights through the flow.  All
 three gradients are exact up to floating point and are cross-validated
-against central finite differences in the tests.
+against central finite differences in the tests.  The proxy gradient is the
+pullback of the value's raw read through the residual product; the
+generator-weight gradient seeds the flow's adjoint with it, which is the
+reverse-mode pass that training also uses, one row per gridpoint asked for.
 
 Return moments are read directly off the reward channel of a signature:
 level 1 holds the mean total reward and twice the (reward, reward) diagonal
@@ -29,7 +32,7 @@ from .jumpdiff import (
     generate_ensemble,
 )
 from .kernelspace import NystromMap
-from .proxy_flow import GeneratorParams, ProxyTrajectory, _flow_tangents
+from .proxy_flow import GeneratorParams, ProxyTrajectory, _flow_adjoint, integrate_flow
 
 __all__ = [
     "RiskConfig",
@@ -69,13 +72,13 @@ def grad_proxy(traj: ProxyTrajectory, w_G: np.ndarray, s: float) -> np.ndarray:
 
     Returned in raw flat coordinates, so the directional derivative of the
     value along a raw tensor perturbation h of the terminal proxy is the dot
-    product with flat(h).
+    product with flat(h).  It is the pullback of the raw read C^T w_G
+    through the right factor of inv(proxy_s) (x) proxy_T.
     """
     c, k = traj.channels, traj.degree
     inv_s = ta.inverse_flat(c, k, traj.flats[traj.index_of(s)])
     v1 = traj.nmap.matrix.T @ np.asarray(w_G, dtype=float)
-    # row r is inv_s (x) e_r, the image of the r-th basis tensor
-    return ta.product_flat(c, k, inv_s, np.eye(ta.flat_size(c, k))) @ v1
+    return ta.product_pullback_flat(c, k, inv_s, traj.flats[-1], v1)[1]
 
 
 def grad_theta(
@@ -84,24 +87,39 @@ def grad_theta(
     junction,
     grid: np.ndarray,
     w_G: np.ndarray,
-    s: float,
-) -> tuple[np.ndarray, float]:
-    """Value gradient in the generator weights by forward-mode accumulation.
+    s,
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Value gradient in the generator weights by one reverse-mode pass.
 
-    Reads J = d(proxy)/d(theta), one row per weight, from the tangent
-    recursion that training also uses (``proxy_flow._flow_tangents``).  With
-    d(g^-1) = -g^-1 (x) dg (x) g^-1, the derivative of the residual
-    inv(phi_s) (x) phi_T is inv(phi_s) (x) (J_T - J_s (x) residual_s).
-    Returns the gradient (same length as ``gen.theta()``) and the value at s.
+    The value at s reads the residual inv(phi_s) (x) phi_T.  With
+    d(g^-1) = -g^-1 (x) dg (x) g^-1 its derivative is
+    inv(phi_s) (x) (d phi_T - d phi_s (x) residual_s), so the adjoint of the
+    flow (``proxy_flow._flow_adjoint``, which training also uses) is seeded
+    with ``grad_proxy`` at phi_T, minus its pullback through
+    h -> h (x) residual_s at phi_s.  At s = T the two seeds cancel exactly.
+
+    ``s`` is one gridpoint or a sequence of them; a sequence shares one flow
+    and one adjoint pass with a row per point.  Returns the gradient (same
+    length as ``gen.theta()``) and the value at s, or for a sequence an
+    array of gradients, one row per point, and an array of values.
     """
-    traj, J, _ = _flow_tangents(gen, nmap, junction, grid)
-    i = traj.index_of(s)
-    res = traj.residual_flats()[i]
-    value = float((nmap.matrix.T @ np.asarray(w_G, dtype=float)) @ res)
-    grad = (J[-1] - ta.product_flat(gen.channels, gen.degree, J[i], res)) @ grad_proxy(
-        traj, w_G, s
-    )
-    return grad, value
+    points = np.atleast_1d(np.asarray(s, dtype=float))
+    traj = integrate_flow(gen, nmap, junction, grid)
+    c, k = gen.channels, gen.degree
+    v1 = nmap.matrix.T @ np.asarray(w_G, dtype=float)
+    seeds = np.zeros((points.size,) + traj.flats.shape)
+    values = np.empty(points.size)
+    for r, point in enumerate(points):
+        i = traj.index_of(point)
+        res = traj.residual_flats()[i]
+        values[r] = float(v1 @ res)
+        g_T = grad_proxy(traj, w_G, point)
+        seeds[r, -1] += g_T
+        seeds[r, i] -= ta.product_pullback_flat(c, k, traj.flats[i], res, g_T)[0]
+    grads = _flow_adjoint(gen, nmap, junction, traj, seeds)
+    if np.ndim(s) == 0:
+        return grads[0], float(values[0])
+    return grads, values
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +204,10 @@ def action_sensitivity(
     n_paths: int,
     seed: int,
     sig_config,
-    a0: float = 0.0,
     step: float = 1e-3,
     nmap: NystromMap | None = None,
 ) -> np.ndarray:
-    """d(mean terminal signature)/d(action) by seed-matched central FD.
+    """d(mean terminal signature)/d(action) at action 0 by seed-matched central FD.
 
     Common random numbers: both shifted ensembles reuse the same per-path
     streams, so the difference isolates the action channel.
@@ -205,6 +222,6 @@ def action_sensitivity(
         )
         return empirical_mean_signature(ens, grid[0], grid[-1]).data
 
-    hi = mean_terminal(a0 + step)
-    lo = mean_terminal(a0 - step)
+    hi = mean_terminal(step)
+    lo = mean_terminal(-step)
     return (hi - lo) / (2.0 * step)

@@ -11,9 +11,12 @@ channel always integrates the horizon exactly.
 Training matches the generator tangent to the expected infinitesimal
 signature increment of a stochastic ensemble (score matching) plus a terminal
 self-consistency penalty tying the flow endpoint to the ensemble's empirical
-mean signature.  Gradients are exact: forward-mode tangents of the flow in
-the generator weights, one row per weight, carried through the integrator's
-own log-ODE steps.  The greeks read the same recursion.
+mean signature.  Gradients are exact, by one discrete adjoint (reverse
+mode) over the states the integrator stores: a loss or a value is a linear
+read of the states and tangents, and its cotangent walks back through the
+same log-ODE steps, one row per scalar, whatever the number of weights.
+The greeks read the same adjoint.  The integrator also runs many weight
+settings at once, one flow per row, for the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -104,9 +107,16 @@ class GeneratorParams:
         out[..., -1] = 1.0
         return out
 
-    def tangent_flat(self, feats: np.ndarray) -> np.ndarray:
-        """Lie-like flat tangent(s) for feature rows (..., n_features)."""
-        out = feats @ self.weights.T
+    def tangent_flat(self, feats: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """Lie-like flat tangent(s) for feature rows (..., n_features).
+
+        ``weights`` of shape (..., out_dim, n_features) replaces the
+        generator's own weights row by row, one weight matrix per feature row.
+        """
+        if weights is None:
+            out = feats @ self.weights.T
+        else:
+            out = (feats[..., None, :] @ np.swapaxes(weights, -1, -2))[..., 0, :]
         flat = np.zeros(out.shape[:-1] + (ta.flat_size(self.channels, self.degree),))
         flat[..., 1 : 1 + self.out_dim] = out
         if self.clock_rate is not None:
@@ -145,7 +155,11 @@ def new_generator(
 
 @dataclass
 class ProxyTrajectory:
-    """Group-like proxy per gridpoint; element 0 is the identity exactly."""
+    """Group-like proxy per gridpoint; element 0 is the identity exactly.
+
+    ``flats`` is (n_grid, flat), or (R, n_grid, flat) for R flows integrated
+    at once; ``residual_flats`` follows that leading axis.
+    """
 
     channels: int
     degree: int
@@ -158,7 +172,7 @@ class ProxyTrajectory:
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.flats = np.asarray(self.flats, dtype=float)
-        if self.flats.shape != (self.grid.size, ta.flat_size(self.channels, self.degree)):
+        if self.flats.shape[-2:] != (self.grid.size, ta.flat_size(self.channels, self.degree)):
             raise ShapeMismatchError("trajectory flats do not match grid and tensor shape")
 
     @property
@@ -179,8 +193,8 @@ class ProxyTrajectory:
         """
         if self._residual_cache is None:
             inv = ta.inverse_flat(self.channels, self.degree, self.flats)
-            res = ta.product_flat(self.channels, self.degree, inv, self.flats[-1])
-            res[-1] = ta.identity_flat(self.channels, self.degree)
+            res = ta.product_flat(self.channels, self.degree, inv, self.flats[..., -1:, :])
+            res[..., -1, :] = ta.identity_flat(self.channels, self.degree)
             self._residual_cache = res
         return self._residual_cache
 
@@ -204,11 +218,15 @@ def integrate_flow(
     nmap: NystromMap,
     junction,
     grid: np.ndarray,
+    theta_rows: np.ndarray | None = None,
 ) -> ProxyTrajectory:
     """Iterated log-ODE steps phi (x) exp(ds * ell) from the identity along the grid.
 
     ``junction`` is the filtered history proxy (tensor, compressed vector, or
-    None for an empty history).
+    None for an empty history).  ``theta_rows`` of shape (R, n_params)
+    integrates R flows at once, one per row of weights in place of the
+    generator's own; the trajectory's flats and tangents then carry a
+    leading axis of length R.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -222,16 +240,22 @@ def integrate_flow(
     t, T = grid[0], grid[-1]
     jfeats = _junction_feats(gen, nmap, junction)
     proxy_rows = nmap.matrix[: gen.n_proxy_features]
+    W = None
+    if theta_rows is not None:
+        W = np.asarray(theta_rows, dtype=float).reshape(-1, gen.out_dim, gen.n_features)
+    batch = () if W is None else W.shape[:1]
 
-    flats = np.empty((grid.size, ta.flat_size(c, k)))
-    tangents = np.empty((grid.size - 1, flats.shape[1]))
-    flats[0] = ta.identity_flat(c, k)
+    flats = np.empty(batch + (grid.size, ta.flat_size(c, k)))
+    tangents = np.empty(batch + (grid.size - 1, flats.shape[-1]))
+    flats[..., 0, :] = ta.identity_flat(c, k)
     for j in range(grid.size - 1):
-        feats = gen.features(flats[j] @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
-        tangents[j] = gen.tangent_flat(feats)
+        feats = gen.features(flats[..., j, :] @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
+        tangents[..., j, :] = gen.tangent_flat(feats, W)
         ds = grid[j + 1] - grid[j]
-        flats[j + 1] = ta.product_flat(c, k, flats[j], ta.exp_flat(c, k, ds * tangents[j]))
-        if not np.all(np.isfinite(flats[j + 1])):
+        flats[..., j + 1, :] = ta.product_flat(
+            c, k, flats[..., j, :], ta.exp_flat(c, k, ds * tangents[..., j, :])
+        )
+        if not np.all(np.isfinite(flats[..., j + 1, :])):
             raise DivergenceError(
                 "flow state left the finite range",
                 context={"gridpoint": j + 1, "time": float(grid[j + 1])},
@@ -241,17 +265,27 @@ def integrate_flow(
     )
 
 
-def _flow_tangents(gen: GeneratorParams, nmap: NystromMap, junction, grid: np.ndarray):
-    """One flow plus its exact derivatives in the generator weights.
+def _flow_adjoint(
+    gen: GeneratorParams,
+    nmap: NystromMap,
+    junction,
+    traj: ProxyTrajectory,
+    state_cotangents: np.ndarray,
+    output_cotangents: np.ndarray | None = None,
+) -> np.ndarray:
+    """Weight gradients of linear reads of one flow, by a discrete adjoint.
 
-    Returns the trajectory, J with J[j] = d(proxy_j)/d(theta) of shape
-    (n_grid, P, flat), and d_ell with d_ell[j] = d(generator output_j)/d(theta)
-    of shape (n_grid - 1, P, out_dim).  J is carried through every log-ODE
-    step phi (x) exp(x) as J <- J (x) exp(x) + phi (x) dexp_x[dx].
+    Row r of the result, of length ``gen.n_params``, is the gradient in the
+    generator weights of sum_j <state_cotangents[r, j], proxy_j> +
+    sum_j <output_cotangents[r, j], ell_j>, where ``traj`` is the flow of
+    ``gen`` and ell_j its flat tangent at step j.  The cotangent lam of the
+    state walks back over the steps phi_(j+1) = phi_j (x) exp(ds * ell_j):
+    through both factors of the product, through the exponential series,
+    past the pinned clock coordinate (which reads no weights), and through
+    the proxy features that feed the generator, lam += C_p^T (W_p^T ell_bar).
     """
     c, k = gen.channels, gen.degree
     p = gen.n_proxy_features
-    traj = integrate_flow(gen, nmap, junction, grid)
     grid, flats = traj.grid, traj.flats
     ds = np.diff(grid)
     x = ds[:, None] * traj.tangents
@@ -261,22 +295,20 @@ def _flow_tangents(gen: GeneratorParams, nmap: NystromMap, junction, grid: np.nd
     feats = gen.features(
         flats[:-1] @ proxy_rows.T, u[:, None], _junction_feats(gen, nmap, junction)
     )
-    eye = np.eye(gen.out_dim)
+    feedback = gen.weights[:, :p] @ proxy_rows
 
-    J = np.zeros((grid.size, gen.n_params, flats.shape[1]))
-    d_ell = np.empty((grid.size - 1, gen.n_params, gen.out_dim))
-    for j in range(grid.size - 1):
-        # weight r * n_features + f feeds output coordinate r with feature f,
-        # plus the feedback of the state through the proxy features
-        d_ell[j] = np.kron(eye, feats[j][:, None]) + (J[j] @ proxy_rows.T) @ gen.weights[:, :p].T
+    lam = np.array(state_cotangents[:, -1], dtype=float)
+    g_out = np.empty((lam.shape[0], ds.size, gen.out_dim))
+    for j in range(ds.size - 1, -1, -1):
+        g_phi, g_exp = ta.product_pullback_flat(c, k, flats[j], exp_x[j], lam)
+        g_ell = ds[j] * ta.exp_pullback_flat(c, k, x[j], g_exp)
+        if output_cotangents is not None:
+            g_ell += output_cotangents[:, j]
+        g_out[:, j] = g_ell[:, 1 : 1 + gen.out_dim]
         if gen.clock_rate is not None:
-            d_ell[j, :, 0] = 0.0  # pinned clock coordinate reads no weights
-        dx = np.zeros_like(J[j])
-        dx[:, 1 : 1 + gen.out_dim] = ds[j] * d_ell[j]
-        J[j + 1] = ta.product_flat(c, k, J[j], exp_x[j]) + ta.product_flat(
-            c, k, flats[j], ta.exp_tangent_flat(c, k, x[j], dx)
-        )
-    return traj, J, d_ell
+            g_out[:, j, 0] = 0.0
+        lam = g_phi + state_cotangents[:, j] + g_out[:, j] @ feedback
+    return np.einsum("rjo,jf->rof", g_out, feats).reshape(lam.shape[0], gen.n_params)
 
 
 def empirical_trajectory(ens: PathEnsemble, nmap: NystromMap) -> ProxyTrajectory:
@@ -404,24 +436,27 @@ def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
 def _objective(gen, nmap, metrics, caches, cfg: TrainConfig):
     """Loss components averaged over the ensembles, and the exact gradient.
 
-    Every term is a Q-norm d^T Q d of a compressed difference that is linear
-    in the generator output or in the flow, so its gradient is
-    2 (dd/dtheta)^T Q d, with Q d shared by loss and gradient.
+    Every term is a Q-norm d^T Q d of a compressed difference d = C y - ref
+    that is linear in a tangent or a state y, so its cotangent on y is
+    2 C^T Q d, with Q d shared by loss and gradient.  The cotangents of one
+    ensemble form one adjoint row.
     """
     parts = {"score": 0.0, "scf": 0.0, "reg": 0.0}
     grad = np.zeros(gen.n_params)
     C = nmap.matrix
-    C_ell = C[:, 1 : 1 + gen.out_dim]
     w_ens = 1.0 / len(caches)
     for cache in caches:
-        traj, J, d_ell = _flow_tangents(gen, nmap, cache["junction"], cache["grid"])
-        n_steps = d_ell.shape[0]
+        traj = integrate_flow(gen, nmap, cache["junction"], cache["grid"])
+        n_steps = traj.tangents.shape[0]
+        # one adjoint row: the loss's cotangents on the tangents and states
+        out_cot = np.empty((1,) + traj.tangents.shape)
+        state_cot = np.zeros((1,) + traj.flats.shape)
         wt = w_ens / n_steps
         for j in range(n_steps):
             d = compress_flat(nmap, traj.tangents[j] - cache["targets"][j])
             Qd = _metric_at(metrics, j).precision @ d
             parts["score"] += wt * (d @ Qd)
-            grad += 2.0 * wt * (d_ell[j] @ (C_ell.T @ Qd))
+            out_cot[0, j] = 2.0 * wt * (C.T @ Qd)
 
         # tracking terms: Q-distance of the flow at gridpoint j from the
         # ensemble mean there
@@ -440,7 +475,8 @@ def _objective(gen, nmap, metrics, caches, cfg: TrainConfig):
             Qe = _metric_at(metrics, j).precision @ e
             wt = w_ens * weight
             parts[key] += wt * (e @ Qe)
-            grad += 2.0 * wt * (J[j] @ (C.T @ Qe))
+            state_cot[0, j] += 2.0 * wt * (C.T @ Qe)
+        grad += _flow_adjoint(gen, nmap, cache["junction"], traj, state_cot, out_cot)[0]
     return parts, grad
 
 
@@ -454,8 +490,7 @@ def train_generator(
     """Adam descent on score matching + self-consistency, exact gradients.
 
     ``ensembles`` is one PathEnsemble or a sequence; losses and gradients are
-    averaged.  Each ensemble costs one flow and its forward-mode tangents
-    per step.
+    averaged.  Each ensemble costs one flow and one adjoint pass per step.
     """
     cfg = cfg or TrainConfig()
     if isinstance(ensembles, PathEnsemble):

@@ -37,7 +37,6 @@ __all__ = [
     "TdSystem",
     "SolveResult",
     "SweepResult",
-    "BaselineResult",
     "step_features",
     "value_at",
     "td_error_vector",
@@ -107,12 +106,6 @@ class SweepResult:
     spectral_radius: float
     predicted_iters: int | None
     converged: bool
-
-
-@dataclass
-class BaselineResult:
-    weights: np.ndarray
-    delta_samples: np.ndarray  # (episodes, steps)
 
 
 def step_features(traj: ProxyTrajectory) -> np.ndarray:
@@ -333,44 +326,30 @@ def classical_td0_baseline(
     ens: PathEnsemble,
     nmap: NystromMap,
     gamma: float,
-    alpha: float,
     z: float,
-    w0: np.ndarray | None = None,
-    n_episodes: int | None = None,
-    update: bool = True,
-) -> BaselineResult:
-    """Online semi-gradient TD(0) on sampled rollouts.
+    w: np.ndarray,
+) -> np.ndarray:
+    """Classical TD(0) errors on sampled rollouts at fixed weights, (episodes, steps).
 
     Each ensemble path is one episode; the state feature at step s is the
     compressed signature of the realized remaining segment, the stochastic
-    counterpart of the deterministic flow residual.  With ``update=False``
-    the weights stay fixed and only the delta samples are recorded.
+    counterpart of the deterministic flow residual.  The weights stay
+    fixed, so the errors are those the sampled rollouts give at ``w``.
     """
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    n_eps = ens.n_paths if n_episodes is None else min(n_episodes, ens.n_paths)
-    if n_eps < 1:
+    if ens.n_paths < 1:
         raise InsufficientDataError("need at least one episode")
-    m = nmap.n_landmarks
-    w = np.zeros(m) if w0 is None else np.asarray(w0, dtype=float).copy()
+    w = np.asarray(w, dtype=float)
     n_steps = ens.n_grid - 1
-    deltas = np.empty((n_eps, n_steps))
-    for e in range(n_eps):
+    deltas = np.empty((ens.n_paths, n_steps))
+    for e in range(ens.n_paths):
         feats = path_residual_features(ens, nmap, e)
         rewards = ens.rewards[e]
         for s in range(n_steps):
             v_next = z if s + 1 == n_steps else float(w @ feats[s + 1])
-            delta = rewards[s] + gamma * v_next - float(w @ feats[s])
-            deltas[e, s] = delta
-            if update:
-                w = w + alpha * delta * feats[s]
-                if np.linalg.norm(w) > 1e12:
-                    raise DivergenceError(
-                        "classical TD diverged", context={"episode": e, "step": s}
-                    )
-    return BaselineResult(weights=w, delta_samples=deltas)
+            deltas[e, s] = rewards[s] + gamma * v_next - float(w @ feats[s])
+    return deltas
 
 
 def variance_compare(delta_anticipatory: np.ndarray, delta_classical: np.ndarray) -> dict:

@@ -30,24 +30,20 @@ __all__ = [
     "level_sizes",
     "level_offsets",
     "flat_size",
-    "level_slice",
     "coefficient_weights",
     "identity",
-    "zero",
     "trunc_product",
     "trunc_exp",
     "trunc_log",
     "group_inverse",
-    "graded_inner",
-    "scale",
     "product_flat",
     "exp_flat",
     "mul_exp_flat",
     "log_flat",
     "inverse_flat",
-    "inner_flat",
     "identity_flat",
-    "exp_tangent_flat",
+    "product_pullback_flat",
+    "exp_pullback_flat",
 ]
 
 
@@ -74,11 +70,6 @@ def level_offsets(channels: int, degree: int) -> tuple[int, ...]:
 def flat_size(channels: int, degree: int) -> int:
     """Total flat length, sum over levels of c^i."""
     return level_offsets(channels, degree)[-1]
-
-
-def level_slice(channels: int, degree: int, level: int) -> slice:
-    offs = level_offsets(channels, degree)
-    return slice(offs[level], offs[level + 1])
 
 
 def _check_dims(channels: int, degree: int) -> None:
@@ -185,25 +176,64 @@ def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np
     return out
 
 
-def exp_tangent_flat(channels: int, degree: int, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Derivative of the truncated exponential at x along each row of dx.
+def product_pullback_flat(
+    channels: int, degree: int, a: np.ndarray, b: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangents of both factors of a (x) b for cotangent rows g.
 
-    Differentiates the series term by term: with t_i = x^i / i!, the
-    derivative d_i = (d_{i-1} (x) x + t_{i-1} (x) dx) / i sums to dexp_x[dx].
-    Scalar parts of x and dx are ignored.
+    The pair (ga, gb) satisfies <g, da (x) b + a (x) db> = <ga, da> + <gb, db>.
+    Level i of ga contracts g_n with b_(n-i) over its trailing n - i indices;
+    level j of gb contracts g_n with a_(n-j) over its leading n - j indices.
+    Broadcasts over leading axes; the cotangents take the broadcast shape.
+    Levels that are zero in a or b are skipped: a generator increment has
+    a zero scalar part and no levels above its Lie degree.
+    """
+    offs = level_offsets(channels, degree)
+    sizes = level_sizes(channels, degree)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    g = np.asarray(g, dtype=float)
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1], g.shape[:-1])
+    a_lv = [a[..., offs[i] : offs[i + 1]] for i in range(degree + 1)]
+    b_lv = [b[..., offs[i] : offs[i + 1]] for i in range(degree + 1)]
+    a_used = [bool(x.any()) for x in a_lv]
+    b_used = [bool(x.any()) for x in b_lv]
+    ga = np.zeros(batch + (offs[-1],))
+    gb = np.zeros(batch + (offs[-1],))
+    for n in range(degree + 1):
+        gn = g[..., offs[n] : offs[n + 1]]
+        for i in range(n + 1):
+            j = n - i
+            blk = gn.reshape(gn.shape[:-1] + (sizes[i], sizes[j]))
+            if b_used[j]:
+                ga[..., offs[i] : offs[i + 1]] += (blk @ b_lv[j][..., None])[..., 0]
+            if a_used[i]:
+                gb[..., offs[j] : offs[j + 1]] += (a_lv[i][..., None, :] @ blk)[..., 0, :]
+    return ga, gb
+
+
+def exp_pullback_flat(channels: int, degree: int, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cotangent of x under the truncated exponential, for cotangent rows g.
+
+    Backpropagates through the series t_1 = x, t_i = t_(i-1) (x) x / i, whose
+    terms all feed exp(x) = 1 + t_1 + ... + t_k.  Scalar parts of x and of
+    the result are zero.
     """
     x = np.array(x, dtype=float)
     x[..., 0] = 0.0
-    dx = np.array(dx, dtype=float)
-    dx[..., 0] = 0.0
-    term, dterm, out = x, dx, dx
-    for i in range(2, degree + 1):
-        dterm = (
-            product_flat(channels, degree, dterm, x) + product_flat(channels, degree, term, dx)
-        ) / i
-        term = product_flat(channels, degree, term, x) / i
-        out = out + dterm
-    return out
+    g = np.asarray(g, dtype=float)
+    terms = [x]
+    for i in range(2, degree):
+        terms.append(product_flat(channels, degree, terms[-1], x) / i)
+    gx = 0.0
+    gt = g  # cotangent of the highest term t_k
+    for i in range(degree, 1, -1):
+        g_prev, g_x = product_pullback_flat(channels, degree, terms[i - 2], x, gt / i)
+        gx = gx + g_x
+        gt = g + g_prev
+    gx = gx + gt
+    gx[..., 0] = 0.0
+    return gx
 
 
 def log_flat(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
@@ -230,17 +260,6 @@ def inverse_flat(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
         term = product_flat(channels, degree, term, u)
         out = out + term
     return out
-
-
-def inner_flat(
-    channels: int,
-    degree: int,
-    a: np.ndarray,
-    b: np.ndarray,
-    level_weights,
-) -> np.ndarray:
-    w = coefficient_weights(channels, degree, level_weights)
-    return np.einsum("...i,...i->...", np.asarray(a) * w, np.asarray(b))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +289,6 @@ class TruncTensor:
             )
         object.__setattr__(self, "data", arr)
 
-    def level(self, i: int) -> np.ndarray:
-        return self.data[level_slice(self.channels, self.degree, i)]
-
     def is_group_like(self) -> bool:
         return self.data[0] == 1.0
 
@@ -291,10 +307,6 @@ def _check_same_shape(a: TruncTensor, b: TruncTensor) -> None:
 def identity(channels: int, degree: int) -> TruncTensor:
     """Identity element: scalar part 1, all higher levels zero."""
     return TruncTensor(channels, degree, identity_flat(channels, degree))
-
-
-def zero(channels: int, degree: int) -> TruncTensor:
-    return TruncTensor(channels, degree, np.zeros(flat_size(channels, degree)))
 
 
 def trunc_product(a: TruncTensor, b: TruncTensor) -> TruncTensor:
@@ -318,14 +330,3 @@ def group_inverse(g: TruncTensor) -> TruncTensor:
     if g.data[0] != 1.0:
         raise DomainError(f"inverse requires scalar part 1, got {g.data[0]!r}")
     return g._like(inverse_flat(g.channels, g.degree, g.data))
-
-
-def graded_inner(a: TruncTensor, b: TruncTensor, level_weights=None) -> float:
-    _check_same_shape(a, b)
-    w = unit_level_weights(a.degree) if level_weights is None else level_weights
-    return float(inner_flat(a.channels, a.degree, a.data, b.data, w))
-
-
-def scale(a: TruncTensor, alpha: float) -> TruncTensor:
-    return a._like(a.data * float(alpha))
-

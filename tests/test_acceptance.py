@@ -56,6 +56,7 @@ from siglearn.signature import (
     new_filtered_proxy,
     path_signature,
 )
+from tensor_helpers import scale, zero
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -104,11 +105,11 @@ def test_criterion_1_algebra_exactness():
         worst = max(worst, float(np.max(np.abs(
             ta.trunc_product(gi, whole).data - ident))))
 
-        v = ta.zero(c_sig, k)
+        v = zero(c_sig, k)
         v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
         worst = max(worst, float(np.max(np.abs(
             ta.trunc_log(ta.trunc_exp(v)).data - v.data))))
-        g = ta.trunc_exp(ta.scale(v, 0.5))
+        g = ta.trunc_exp(scale(v, 0.5))
         worst = max(worst, float(np.max(np.abs(
             ta.trunc_exp(ta.trunc_log(g)).data - g.data))))
 
@@ -149,7 +150,7 @@ def test_criterion_3_nested_residual_identity():
     worst = 0.0
     lms = []
     for _ in range(6):
-        v = ta.zero(3, 3)
+        v = zero(3, 3)
         v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
         lms.append(ta.trunc_exp(v))
     nmap = build_nystrom(lms)

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglearn.cli import main
 from siglearn.config import ENV_PREFIX, config_hash, default_config_text, load_config
@@ -215,6 +221,60 @@ class TestCliExitCodes:
         assert "[algebra]" in capsys.readouterr().out
 
 
+def _text(values):
+    return values.map(repr)
+
+
+# baseline keys run-scf reads, each with values on both sides of its range
+# and some that do not parse
+_JUNK = st.sampled_from(["", "abc", "1e400", "nan", "-inf", "1, 2", "auto"])
+_PERTURBED = {
+    "ALGEBRA__DEGREE": _text(st.integers(-1, 5)),
+    "ENV__DRIFT_BASE": _text(st.floats(-50.0, 50.0)),
+    "ENV__VOL_DIAG": _text(st.floats(-1.0, 3.0)),
+    "ENV__JUMP_INTENSITY": _text(st.floats(-2.0, 50.0)),
+    "ENV__JUMP_SCALE": _text(st.floats(-1.0, 5.0)),
+    "ENV__MEMORY_FEATURES": _text(st.integers(-1, 8)),
+    "HISTORY__STEPS": _text(st.integers(-1, 24)),
+    "HISTORY__DT": _text(st.floats(-0.1, 0.5)),
+    "HORIZON__STEPS": _text(st.integers(-1, 24)),
+    "HORIZON__DT": _text(st.floats(-0.1, 0.5)),
+    "NYSTROM__LANDMARKS": _text(st.integers(-1, 160)),
+    "NYSTROM__RIDGE": _text(st.floats(-1e-3, 1.0)),
+    "NYSTROM__METRIC_LAMBDA": _text(st.floats(-1.0, 1.0)),
+    "FLOW__LIE_DEGREE": _text(st.integers(-1, 6)),
+    "FLOW__PROXY_FEATURES": _text(st.integers(-1, 200)),
+    "FLOW__PHASE_POWERS": _text(st.integers(-1, 6)),
+    "FLOW__INIT_SCALE": _text(st.floats(-1.0, 1e3)),
+    "TRAIN__LR": _text(st.floats(-1.0, 1e3)),
+    "TRAIN__ETA_SCF": _text(st.floats(-1.0, 10.0)),
+    "TRAIN__CONTRACTION_REG": _text(st.floats(-1.0, 100.0)),
+}
+_OVERRIDES = st.dictionaries(
+    st.sampled_from(sorted(_PERTURBED)), st.just(None), min_size=1, max_size=3
+).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {k: st.one_of(_PERTURBED[k], _JUNK) for k in keys}
+    )
+)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(_OVERRIDES)
+def test_perturbed_baseline_keeps_exit_contract(overrides):
+    # run-scf in process: any exception that escapes main() would be a bare
+    # traceback (exit 1); codes 0, 2 and 3 are the contract
+    env = {f"{ENV_PREFIX}{k}": v for k, v in overrides.items()}
+    env[f"{ENV_PREFIX}TRAIN__STEPS"] = "2"
+    env[f"{ENV_PREFIX}TRAIN__ENSEMBLE_SIZE"] = "16"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stderr(err):
+        code = main(["run-scf", "--seed", "1", "--out-dir", out])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 class TestCliRuns:
     def test_run_all_artifacts_and_headers(self, tmp_path, small_config):
         out = tmp_path / "out"
@@ -255,6 +315,23 @@ class TestCliRuns:
         assert main(["run-all", "--config", str(small_config), "--seed", "5",
                      "--out-dir", str(out2), "--threads", "4"]) == 0
         assert tree_digest(out1) == tree_digest(out2)
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # the CLI pins BLAS to one thread, so the thread count the
+        # environment asks for cannot reach the last digits of a result
+        digests = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.startswith(ENV_PREFIX)}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"blas{threads}"
+            res = subprocess.run(
+                [sys.executable, "-m", "siglearn.cli", "run-td", "--seed", "1",
+                 "--out-dir", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert res.returncode == 0, res.stderr
+            digests.append(tree_digest(out))
+        assert digests[0] == digests[1]
 
     def test_seed_changes_artifacts(self, tmp_path, small_config):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from siglearn import greeks
+from siglearn import experiments, greeks
 from siglearn import tensor_algebra as ta
 from siglearn.errors import DomainError
 from siglearn.jumpdiff import (
@@ -14,6 +14,7 @@ from siglearn.jumpdiff import (
 from siglearn.kernelspace import build_nystrom, compress_flat
 from siglearn.proxy_flow import integrate_flow, new_generator
 from siglearn.signature import SignatureConfig
+from tensor_helpers import zero
 
 C, K = 3, 3
 
@@ -21,7 +22,7 @@ C, K = 3, 3
 def make_map(rng, n_landmarks=6):
     lms = []
     for _ in range(n_landmarks):
-        v = ta.zero(C, K)
+        v = zero(C, K)
         v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
         lms.append(ta.trunc_exp(v))
     return build_nystrom(lms)
@@ -151,12 +152,40 @@ class TestGradTheta:
         F = gen.n_features
         assert np.array_equal(grad[:F], np.zeros(F))
 
+    def test_points_share_one_pass(self):
+        # a sequence of points gives the rows of the one-point calls
+        rng, nmap, gen, grid, traj, w = make_setup(seed=8, pinned=False)
+        points = [0.0, 0.5, 1.0]
+        grads, values = greeks.grad_theta(gen, nmap, None, grid, w, points)
+        assert grads.shape == (3, gen.n_params) and values.shape == (3,)
+        for s, grad, value in zip(points, grads, values):
+            one, one_value = greeks.grad_theta(gen, nmap, None, grid, w, s)
+            assert np.max(np.abs(grad - one)) <= 1e-14 * max(np.max(np.abs(one)), 1e-300)
+            assert value == one_value
+        assert not np.any(grads[-1])
+
     def test_value_consistent_with_trajectory(self):
         rng, nmap, gen, grid, traj, w = make_setup(seed=7)
         from siglearn.td_learning import value_at
 
         _, value = greeks.grad_theta(gen, nmap, None, grid, w, 0.5)
         assert value == pytest.approx(value_at(traj, w, 0.5), abs=1e-12)
+
+
+class TestFdOracle:
+    # the batched central-difference oracle of criterion 7: 2 * n_params
+    # perturbed flows integrated in chunks through the weight-row axis
+    @pytest.mark.parametrize("chunk", [1, 66, 264])
+    def test_horizon_column_exactly_zero(self, chunk, monkeypatch):
+        rng, nmap, gen, grid, traj, w = make_setup(seed=9)
+        points = [0.0, 0.5, 1.0]
+        monkeypatch.setattr(experiments, "FD_CHUNK", chunk)
+        fd = experiments._fd_grad_theta(gen, nmap, None, grid, w, points)
+        assert fd.shape == (gen.n_params, 3)
+        assert np.array_equal(fd[:, -1], np.zeros(gen.n_params))
+        grads, _ = greeks.grad_theta(gen, nmap, None, grid, w, points)
+        scale = np.max(np.abs(grads))
+        assert np.max(np.abs(grads - fd.T)) <= 1e-6 * scale
 
 
 class TestMoments:
@@ -258,12 +287,8 @@ class TestRiskRectification:
         cfg = SignatureConfig(degree=K, mode="linear")
         grid = np.linspace(0.0, 1.0, 9)
         junction = (0.0, np.zeros(1), None)
-        sens = greeks.action_sensitivity(env, junction, grid, n_paths, seed, cfg, a0=0.2)
-
-        def policy(t, states, proxies):
-            return np.full(np.atleast_2d(states).shape[0], 0.2)
-
-        ens = generate_ensemble(env, junction, policy, grid, n_paths, seed, cfg)
+        sens = greeks.action_sensitivity(env, junction, grid, n_paths, seed, cfg)
+        ens = generate_ensemble(env, junction, None, grid, n_paths, seed, cfg)
         sbar = empirical_mean_signature(ens, 0.0, 1.0)
         return sbar, sens
 

@@ -15,6 +15,7 @@ from siglearn.jumpdiff import (
 )
 from siglearn.kernelspace import build_nystrom
 from siglearn.signature import SignatureConfig, path_signature
+from tensor_helpers import level, zero
 
 CFG = SignatureConfig(degree=3, time_scale=1.0)
 
@@ -140,7 +141,7 @@ class TestEnsemble:
         rng = np.random.default_rng(13)
         lms = []
         for _ in range(6):
-            v = ta.zero(4, 3)
+            v = zero(4, 3)
             v.data[1:] = rng.normal(scale=0.3, size=v.data.size - 1)
             lms.append(ta.trunc_exp(v))
         nmap = build_nystrom(lms)
@@ -211,7 +212,7 @@ class TestReusedStreams:
         rng = np.random.default_rng(12)
         lms = []
         for _ in range(6):
-            v = ta.zero(4, 3)
+            v = zero(4, 3)
             v.data[1:] = rng.normal(scale=0.3, size=v.data.size - 1)
             lms.append(ta.trunc_exp(v))
         nmap = build_nystrom(lms)
@@ -247,7 +248,7 @@ class TestMeanSignature:
         sbar = empirical_mean_signature(ens, grid[0], grid[-1])
         mean_inc = (ens.values[:, -1] - ens.values[:, 0]).mean(axis=0)
         expected = np.concatenate([[grid[-1] - grid[0]], mean_inc])
-        assert np.allclose(sbar.level(1), expected, atol=1e-12)
+        assert np.allclose(level(sbar, 1), expected, atol=1e-12)
 
     def test_off_grid_time_rejected(self):
         grid = unit_grid(4)
@@ -280,7 +281,7 @@ class TestMeanSignature:
         sbar = empirical_mean_signature(ens, grid[0], grid[-1])
         finals = ens.values[:, -1, :2]
         stderr = finals.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)
-        spatial_mean = sbar.level(1)[1:3]
+        spatial_mean = level(sbar, 1)[1:3]
         assert np.all(np.abs(spatial_mean) <= 3 * stderr)
 
 

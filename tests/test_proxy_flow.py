@@ -18,6 +18,7 @@ from siglearn.proxy_flow import (
     train_generator,
 )
 from siglearn.signature import SignatureConfig
+from tensor_helpers import level, zero
 
 C, K = 3, 3  # time + 1 state dim + reward channel
 
@@ -25,7 +26,7 @@ C, K = 3, 3  # time + 1 state dim + reward channel
 def make_map(rng, n_landmarks=10):
     lms = []
     for _ in range(n_landmarks):
-        v = ta.zero(C, K)
+        v = zero(C, K)
         v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
         lms.append(ta.trunc_exp(v))
     return build_nystrom(lms)
@@ -65,7 +66,7 @@ class TestFlowStep:
         # a bias-only generator of full Lie degree emits the same tangent v
         # at every step, and exp(v/8)^8 = exp(v) on the group
         rng = np.random.default_rng(1)
-        v = ta.zero(C, K)
+        v = zero(C, K)
         v.data[1:] = rng.normal(size=v.data.size - 1) * 0.4
         gen = new_generator(C, K, lie_degree=K, n_proxy_features=4)
         W = gen.weights.copy()
@@ -125,7 +126,7 @@ class TestIntegrateFlow:
                             seed=2, init_scale=0.3)
         grid = np.linspace(0.0, 0.5, 9)
         traj = integrate_flow(gen, nmap, None, grid)
-        assert traj.terminal().level(1)[0] == pytest.approx(2.0 * 0.5, abs=1e-14)
+        assert level(traj.terminal(), 1)[0] == pytest.approx(2.0 * 0.5, abs=1e-14)
 
     def test_chen_consistency_of_residuals(self):
         rng = np.random.default_rng(6)
@@ -152,6 +153,25 @@ class TestIntegrateFlow:
         gen = new_generator(C, K, n_proxy_features=4, seed=4, init_scale=0.5)
         traj = integrate_flow(gen, nmap, None, np.linspace(0.0, 1.0, 9))
         assert np.array_equal(traj.residual_flats()[-1], ta.identity_flat(C, K))
+
+    @pytest.mark.parametrize("clock,junction", [(None, False), (1.0, True)])
+    def test_weight_rows_match_single_flows(self, clock, junction):
+        rng = np.random.default_rng(8)
+        nmap = make_map(rng)
+        gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
+                            clock_rate=clock, seed=6, init_scale=0.5)
+        jn = rng.normal(size=nmap.n_landmarks) if junction else None
+        grid = np.linspace(0.0, 1.0, 13)
+        thetas = gen.theta() + 0.2 * rng.normal(size=(7, gen.n_params))
+        batch = integrate_flow(gen, nmap, jn, grid, theta_rows=thetas)
+        assert batch.flats.shape == (7, 13, ta.flat_size(C, K))
+        assert batch.tangents.shape == (7, 12, ta.flat_size(C, K))
+        for r, theta in enumerate(thetas):
+            one = integrate_flow(gen.with_theta(theta), nmap, jn, grid)
+            for got, want in [(batch.flats[r], one.flats), (batch.tangents[r], one.tangents),
+                              (batch.residual_flats()[r], one.residual_flats())]:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(batch.residual_flats()[r, -1], ta.identity_flat(C, K))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_error(self):

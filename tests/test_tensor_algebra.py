@@ -3,22 +3,23 @@ import pytest
 
 from siglearn import tensor_algebra as ta
 from siglearn.errors import ConfigError, DomainError, ShapeMismatchError
+from tensor_helpers import graded_inner, level, scale, zero
 
 
 def random_group_like(rng, channels=2, degree=3, scale=0.5):
-    v = ta.zero(channels, degree)
+    v = zero(channels, degree)
     v.data[1:] = rng.normal(scale=scale, size=v.data.size - 1)
     return ta.trunc_exp(v)
 
 
 def random_lie_like(rng, channels=2, degree=3, scale=0.5):
-    v = ta.zero(channels, degree)
+    v = zero(channels, degree)
     v.data[1:] = rng.normal(scale=scale, size=v.data.size - 1)
     return v
 
 
 def level_one(channels, degree, vec):
-    t = ta.zero(channels, degree)
+    t = zero(channels, degree)
     t.data[1 : 1 + channels] = vec
     return t
 
@@ -26,9 +27,9 @@ def level_one(channels, degree, vec):
 class TestShapes:
     def test_identity_levels_c2_k2(self):
         t = ta.identity(2, 2)
-        assert t.level(0).tolist() == [1.0]
-        assert t.level(1).tolist() == [0.0, 0.0]
-        assert t.level(2).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert level(t, 0).tolist() == [1.0]
+        assert level(t, 1).tolist() == [0.0, 0.0]
+        assert level(t, 2).tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_flat_size_c5_k4_is_781(self):
         assert ta.flat_size(5, 4) == 781
@@ -58,7 +59,7 @@ class TestProduct:
     def test_one_parameter_subgroup(self):
         rng = np.random.default_rng(1)
         v = random_lie_like(rng)
-        g = ta.trunc_product(ta.trunc_exp(v), ta.trunc_exp(ta.scale(v, -1.0)))
+        g = ta.trunc_product(ta.trunc_exp(v), ta.trunc_exp(scale(v, -1.0)))
         assert np.max(np.abs(g.data - ta.identity(2, 3).data)) < 1e-14
 
     @pytest.mark.parametrize("channels,degree", [(2, 3), (3, 4), (5, 2)])
@@ -81,14 +82,14 @@ class TestProduct:
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):
-        z = ta.zero(2, 3)
+        z = zero(2, 3)
         assert np.array_equal(ta.trunc_exp(z).data, ta.identity(2, 3).data)
 
     def test_exp_level2_is_half_square(self):
         v = level_one(2, 2, [0.3, -0.7])
         e = ta.trunc_exp(v)
-        expected = 0.5 * np.outer(v.level(1), v.level(1)).ravel()
-        assert np.allclose(e.level(2), expected, atol=1e-15)
+        expected = 0.5 * np.outer(level(v, 1), level(v, 1)).ravel()
+        assert np.allclose(level(e, 2), expected, atol=1e-15)
 
     def test_log_identity_is_zero(self):
         assert np.allclose(ta.trunc_log(ta.identity(2, 3)).data, 0.0, atol=0)
@@ -107,7 +108,7 @@ class TestExpLog:
         g = ta.identity(2, 2)
         with pytest.raises(DomainError):
             ta.trunc_exp(g)
-        z = ta.zero(2, 2)
+        z = zero(2, 2)
         with pytest.raises(DomainError):
             ta.trunc_log(z)
 
@@ -121,7 +122,7 @@ class TestInverse:
         rng = np.random.default_rng(3)
         v = random_lie_like(rng)
         lhs = ta.group_inverse(ta.trunc_exp(v))
-        rhs = ta.trunc_exp(ta.scale(v, -1.0))
+        rhs = ta.trunc_exp(scale(v, -1.0))
         assert np.max(np.abs(lhs.data - rhs.data)) < 1e-13
 
     def test_inverse_exact(self):
@@ -140,11 +141,11 @@ class TestInner:
     def test_zero_inner(self):
         rng = np.random.default_rng(5)
         g = random_group_like(rng)
-        assert ta.graded_inner(g, ta.zero(2, 3)) == 0.0
+        assert graded_inner(g, zero(2, 3)) == 0.0
 
     def test_identity_self_inner_unit_weights(self):
         one = ta.identity(2, 3)
-        assert ta.graded_inner(one, one) == 1.0
+        assert graded_inner(one, one) == 1.0
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(6)
@@ -152,39 +153,66 @@ class TestInner:
         for _ in range(200):
             a = random_lie_like(rng)
             b = random_lie_like(rng)
-            ab = ta.graded_inner(a, b, w)
-            na = np.sqrt(ta.graded_inner(a, a, w))
-            nb = np.sqrt(ta.graded_inner(b, b, w))
+            ab = graded_inner(a, b, w)
+            na = np.sqrt(graded_inner(a, a, w))
+            nb = np.sqrt(graded_inner(b, b, w))
             assert abs(ab) <= na * nb + 1e-12
 
     def test_bad_weights(self):
         one = ta.identity(2, 2)
         with pytest.raises(ShapeMismatchError):
-            ta.graded_inner(one, one, [1.0, 1.0])
+            graded_inner(one, one, [1.0, 1.0])
         with pytest.raises(DomainError):
-            ta.graded_inner(one, one, [1.0, 0.0, 1.0])
+            graded_inner(one, one, [1.0, 0.0, 1.0])
 
 
-class TestExpTangent:
-    def test_exp_tangent_matches_fd(self):
-        rng = np.random.default_rng(11)
-        x = random_lie_like(rng, 2, 3, scale=0.3)
-        h = random_lie_like(rng, 2, 3, scale=1.0)
-        eps = 1e-6
-        fd = (
-            ta.exp_flat(2, 3, x.data + eps * h.data)
-            - ta.exp_flat(2, 3, x.data - eps * h.data)
-        ) / (2 * eps)
-        assert np.max(np.abs(ta.exp_tangent_flat(2, 3, x.data, h.data) - fd)) < 1e-8
+class TestPullbacks:
+    # dot-product tests <g, Df[h]> = <pullback(g), h>, with Df[h] taken by
+    # central differences; the dims include degree 1 and one channel
+    DIMS = [(1, 3), (2, 3), (3, 4), (3, 1)]
+
+    @staticmethod
+    def central(f, x, h, eps=1e-6):
+        return (f(x + eps * h) - f(x - eps * h)) / (2 * eps)
+
+    @pytest.mark.parametrize("c,k", DIMS)
+    def test_product_pullback_both_factors(self, c, k):
+        rng = np.random.default_rng(31)
+        n = ta.flat_size(c, k)
+        a, b, g, ha, hb = (rng.normal(size=n) for _ in range(5))
+        ga, gb = ta.product_pullback_flat(c, k, a, b, g)
+        da = self.central(lambda x: ta.product_flat(c, k, x, b), a, ha)
+        db = self.central(lambda x: ta.product_flat(c, k, a, x), b, hb)
+        assert g @ da == pytest.approx(ga @ ha, rel=1e-8)
+        assert g @ db == pytest.approx(gb @ hb, rel=1e-8)
+
+    @pytest.mark.parametrize("c,k", DIMS)
+    def test_exp_pullback(self, c, k):
+        rng = np.random.default_rng(32)
+        x = random_lie_like(rng, c, k, scale=0.3).data
+        h = random_lie_like(rng, c, k, scale=1.0).data
+        g = rng.normal(size=x.size)
+        gx = ta.exp_pullback_flat(c, k, x, g)
+        dx = self.central(lambda y: ta.exp_flat(c, k, y), x, h)
+        assert g @ dx == pytest.approx(gx @ h, rel=1e-8)
+        assert gx[0] == 0.0
 
     def test_batched_rows_match_single_rows(self):
-        rng = np.random.default_rng(12)
-        x = random_lie_like(rng, 3, 4, scale=0.3)
-        dx = np.array([random_lie_like(rng, 3, 4).data for _ in range(5)])
-        batched = ta.exp_tangent_flat(3, 4, x.data, dx)
-        assert batched.shape == dx.shape
-        for row, h in zip(batched, dx):
-            assert np.array_equal(row, ta.exp_tangent_flat(3, 4, x.data, h))
+        # cotangent rows against one point, and rows of points
+        rng = np.random.default_rng(33)
+        c, k = 3, 4
+        n = ta.flat_size(c, k)
+        a, b = rng.normal(size=(2, 5, n))
+        x = 0.3 * rng.normal(size=n)
+        g = rng.normal(size=(5, n))
+        ga, gb = ta.product_pullback_flat(c, k, a[0], b, g)
+        gx = ta.exp_pullback_flat(c, k, x, g)
+        assert ga.shape == gb.shape == gx.shape == (5, n)
+        for r in range(5):
+            one_a, one_b = ta.product_pullback_flat(c, k, a[0], b[r], g[r])
+            assert np.allclose(ga[r], one_a, rtol=1e-14, atol=0)
+            assert np.allclose(gb[r], one_b, rtol=1e-14, atol=0)
+            assert np.allclose(gx[r], ta.exp_pullback_flat(c, k, x, g[r]), rtol=1e-14, atol=0)
 
 
 class TestBatchedEngine:
