@@ -243,8 +243,6 @@ def whitened_norm_stress(
         )
         ens = generate_ensemble(
             params, junction, None, grid, n_paths, seed, sig_config, nmap=nmap
-            if params.has_memory
-            else None,
         )
         from .signature import batch_terminal_signatures
 

@@ -4,8 +4,7 @@ Every emitted file starts with a header line naming the producing
 subcommand, the config hash, and the seed; identical (config, seed) inputs
 produce byte-identical artifacts.  BLAS runs on one thread whatever the
 environment says, because a threaded BLAS changes the last digits of
-results; the ``--threads`` flag is accepted for interface compatibility and
-never influences results.
+results.
 """
 
 from __future__ import annotations
@@ -325,7 +324,7 @@ class Runner:
             sc.env, sc.junction(), sc.grid,
             [derive_seed(self.seed, f"lyap-{i}") for i in range(8)],
             sc.sig_config,
-            nmap=sc.nmap if sc.env.has_memory else None,
+            nmap=sc.nmap,
         )
         summary = {
             "contraction": {
@@ -367,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="INI config path (built-in baseline if omitted)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; BLAS runs on one thread and results never depend on it",
-    )
     return parser
 
 
@@ -402,9 +397,6 @@ def main(argv=None) -> int:
     if args.subcommand == "print-config":
         sys.stdout.write(default_config_text())
         return 0
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -11,7 +11,7 @@ reproducible and never share streams by accident.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from .proxy_flow import (
     empirical_trajectory,
     integrate_flow,
     new_generator,
-    scf_loss,
-    score_matching_loss,
-    step_targets,
     train_generator,
 )
 from .signature import CadlagPath, SignatureConfig, batch_terminal_signatures, path_signature
@@ -228,16 +225,8 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         degree=degree,
     )
 
-    env = env_nomem if gain is None else JumpDiffusionParams(
-        drift_base=env_nomem.drift_base,
-        vol=env_nomem.vol,
-        jump_intensity=env_nomem.jump_intensity,
-        jump_mean=env_nomem.jump_mean,
-        jump_scale=env_nomem.jump_scale,
-        action_exposure=env_nomem.action_exposure,
-        drift_memory_gain=np.pad(gain, ((0, 0), (0, nmap.n_landmarks - n_mem))),
-        reward_coeffs=env_nomem.reward_coeffs,
-        reward_action_exposure=env_nomem.reward_action_exposure,
+    env = env_nomem if gain is None else replace(
+        env_nomem, drift_memory_gain=np.pad(gain, ((0, 0), (0, nmap.n_landmarks - n_mem)))
     )
 
     train_ens = generate_ensemble(
@@ -248,7 +237,7 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         cfg["train"]["ensemble_size"],
         derive_seed(seed, "train"),
         sig_config,
-        nmap=nmap if env.has_memory else None,
+        nmap=nmap,
     )
     _, full = prefix_mean_signatures(train_ens, keep_paths=True)
     feats_per_point = compress_flat(nmap, full)
@@ -288,7 +277,7 @@ def _generator_from_cfg(cfg: dict, scenario: Scenario) -> GeneratorParams:
 
 
 def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
-    """Train the flow generator on the scenario's ensemble; report losses."""
+    """Train the flow generator on the scenario's ensemble; report its first and final losses."""
     train_cfg = cfg["train"]
     gen0 = _generator_from_cfg(cfg, scenario)
     tc = TrainConfig(
@@ -297,22 +286,9 @@ def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
         eta_scf=train_cfg["eta_scf"],
         contraction_reg=train_cfg["contraction_reg"],
     )
-    ens = scenario.train_ensemble
-    sbar = empirical_mean_signature(ens, scenario.grid[0], scenario.grid[-1])
-    targets = step_targets(ens)
-
-    def diagnostics(gen):
-        traj = integrate_flow(gen, scenario.nmap, scenario.junction_proxy, scenario.grid)
-        return {
-            "score": score_matching_loss(gen, ens, scenario.nmap, scenario.metrics, targets),
-            "scf": scf_loss(
-                traj, sbar, scenario.nmap, scenario.terminal_metric(), eta=tc.eta_scf
-            ),
-        }
-
-    before = diagnostics(gen0)
-    result = train_generator(gen0, ens, scenario.nmap, scenario.metrics, tc)
-    after = diagnostics(result.params)
+    result = train_generator(gen0, scenario.train_ensemble, scenario.nmap, scenario.metrics, tc)
+    first = result.trace[0] if result.trace else result.final
+    before, after = ({"score": row["score"], "scf": row["scf"]} for row in (first, result.final))
     return result, {"before": before, "after": after}
 
 
@@ -409,7 +385,7 @@ def variance_experiment(
             hist_dt,
             hseed,
             scenario.history_config,
-            nmap=scenario.nmap if scenario.env.has_memory else None,
+            nmap=scenario.nmap,
         )
         junction = (
             float(hist_path.times[-1]),
@@ -425,7 +401,7 @@ def variance_experiment(
             n_paths,
             derive_seed(scenario.seed, f"var-ensemble-{i}"),
             scenario.sig_config,
-            nmap=scenario.nmap if scenario.env.has_memory else None,
+            nmap=scenario.nmap,
         )
         traj = empirical_trajectory(ens, scenario.nmap)
         delta_a[i] = td.td_error_vector(
@@ -439,7 +415,7 @@ def variance_experiment(
             1,
             derive_seed(scenario.seed, f"var-classical-{i}"),
             scenario.sig_config,
-            nmap=scenario.nmap if scenario.env.has_memory else None,
+            nmap=scenario.nmap,
         )
         delta_c[i] = td.classical_td0_baseline(solo, scenario.nmap, gamma, z, w_star)[0]
     report = td.variance_compare(delta_a, delta_c)
@@ -475,8 +451,12 @@ def _fd_grad_theta(gen, nmap, junction, grid, w, check_points) -> np.ndarray:
         pert = integrate_flow(gen, nmap, junction, grid, theta_rows=thetas[lo : lo + FD_CHUNK])
         keep = sorted({pert.index_of(s) for s in check_points} | {grid.size - 1})
         sub = ProxyTrajectory(pert.channels, pert.degree, grid[keep], pert.flats[:, keep])
+        # the chunk's full flows go before its residuals are taken, and the
+        # residuals before the next chunk is integrated
+        del pert
         idx = [sub.index_of(s) for s in check_points]
         values[lo : lo + FD_CHUNK] = sub.residual_flats()[:, idx] @ v1
+        del sub
     return (values[: theta0.size] - values[theta0.size :]) / (2 * h_t)
 
 
@@ -544,7 +524,7 @@ def risk_report(cfg: dict, scenario: Scenario) -> dict:
     alpha_tail = risk_cfg["alpha_tail"]
     ens = scenario.train_ensemble
     sbar = empirical_mean_signature(ens, scenario.grid[0], scenario.grid[-1])
-    mean, variance = return_moments(sbar, reward_channel=-1)
+    mean, variance = return_moments(sbar)
     totals = ens.rewards.sum(axis=1)
     q = np.quantile(totals, alpha_tail)
     tail = totals[totals <= q]
@@ -557,7 +537,7 @@ def risk_report(cfg: dict, scenario: Scenario) -> dict:
         derive_seed(scenario.seed, "action-sens"),
         scenario.sig_config,
         step=risk_cfg["action_step"],
-        nmap=scenario.nmap if scenario.env.has_memory else None,
+        nmap=scenario.nmap,
     )
     risk = RiskConfig(alpha_tail=alpha_tail, beta_risk=risk_cfg["beta"])
     base_delta = 0.0

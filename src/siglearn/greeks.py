@@ -8,13 +8,14 @@ pullback of the value's raw read through the residual product; the
 generator-weight gradient seeds the flow's adjoint with it, which is the
 reverse-mode pass that training also uses, one row per gridpoint asked for.
 
-Return moments are read directly off the reward channel of a signature:
-level 1 holds the mean total reward and twice the (reward, reward) diagonal
-of level 2 holds the second moment.  The tail functional is a Gaussian
-conditional value-at-risk in the loss-tail convention: ``cvar`` returns the
-conditional mean of the worst ``alpha`` fraction of outcomes (low returns),
-so smaller is worse.  Risk rectification penalizes actions that increase the
-expected shortfall (the negated lower-tail mean).
+Return moments are read directly off the reward channel of a signature,
+which is always its last channel: level 1 holds the mean total reward and
+twice the (reward, reward) diagonal of level 2 holds the second moment.  The
+tail functional is a Gaussian conditional value-at-risk in the loss-tail
+convention: ``cvar`` returns the conditional mean of the worst ``alpha``
+fraction of outcomes (low returns), so smaller is worse.  Risk rectification
+penalizes actions that increase the expected shortfall (the negated
+lower-tail mean).
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiskConfig:
-    """Tail fraction, risk aversion, and the reward channel index."""
+    """Tail fraction and risk aversion."""
 
     alpha_tail: float = 0.05
     beta_risk: float = 0.0
-    reward_channel: int = -1
 
     def __post_init__(self):
         if not 0.0 < self.alpha_tail < 1.0:
@@ -126,17 +126,17 @@ def grad_theta(
 # return distribution and tail risk
 
 
-def _moment_indices(channels: int, degree: int, reward_channel: int) -> tuple[int, int]:
+def _moment_indices(channels: int, degree: int) -> tuple[int, int]:
     if degree < 2:
         raise DomainError("moments need a degree >= 2 signature")
-    ch = reward_channel % channels
+    ch = channels - 1
     offs = ta.level_offsets(channels, degree)
     return offs[1] + ch, offs[2] + ch * channels + ch
 
 
-def return_moments(sig: ta.TruncTensor, reward_channel: int = -1) -> tuple[float, float]:
+def return_moments(sig: ta.TruncTensor) -> tuple[float, float]:
     """(mean, variance) of the total reward encoded by a mean signature."""
-    i1, i2 = _moment_indices(sig.channels, sig.degree, reward_channel)
+    i1, i2 = _moment_indices(sig.channels, sig.degree)
     mean = float(sig.data[i1])
     second = 2.0 * float(sig.data[i2])
     return mean, second - mean * mean
@@ -168,8 +168,8 @@ def shortfall_gradient_flat(sig: ta.TruncTensor, risk: RiskConfig) -> np.ndarray
     Chain rule through the moment reads: the mean lives at the level-1 reward
     coordinate, the second moment at twice the level-2 diagonal.
     """
-    i1, i2 = _moment_indices(sig.channels, sig.degree, risk.reward_channel)
-    mean, variance = return_moments(sig, risk.reward_channel)
+    i1, i2 = _moment_indices(sig.channels, sig.degree)
+    mean, variance = return_moments(sig)
     sigma = max(np.sqrt(max(variance, 0.0)), 1e-12)
     d_mean = -1.0
     d_var = _tail_density(risk.alpha_tail) / risk.alpha_tail / (2.0 * sigma)

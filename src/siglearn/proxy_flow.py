@@ -11,12 +11,15 @@ channel always integrates the horizon exactly.
 Training matches the generator tangent to the expected infinitesimal
 signature increment of a stochastic ensemble (score matching) plus a terminal
 self-consistency penalty tying the flow endpoint to the ensemble's empirical
-mean signature.  Gradients are exact, by one discrete adjoint (reverse
-mode) over the states the integrator stores: a loss or a value is a linear
-read of the states and tangents, and its cotangent walks back through the
-same log-ODE steps, one row per scalar, whatever the number of weights.
-The greeks read the same adjoint.  The integrator also runs many weight
-settings at once, one flow per row, for the finite-difference oracle.
+mean signature.  One loss pass per ensemble (``_loss_terms``) gives the loss
+parts and their cotangents, which training, its before and after losses and
+``score_matching_loss`` all read.  Gradients are exact, by one discrete
+adjoint (reverse mode) over the states the integrator stores: a loss or a
+value is a linear read of the states and tangents, and its cotangent walks
+back through the same log-ODE steps, one row per scalar, whatever the
+number of weights.  The greeks read the same adjoint.  The integrator also
+runs many weight settings at once, one flow per row, for the
+finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "empirical_trajectory",
     "step_targets",
     "score_matching_loss",
-    "scf_loss",
     "train_generator",
 ]
 
@@ -354,40 +356,14 @@ def _metric_at(metrics, j: int) -> WhitenedMetric:
     return metrics[j]
 
 
-def _sq_qnorm(metric: WhitenedMetric, diff: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", diff, metric.precision, diff)
-
-
 def score_matching_loss(
-    gen: GeneratorParams,
-    ens: PathEnsemble,
-    nmap: NystromMap,
-    metrics,
-    targets: np.ndarray | None = None,
+    gen: GeneratorParams, ens: PathEnsemble, nmap: NystromMap, metrics
 ) -> float:
     """Mean squared Q-distance between flow tangents and ensemble targets."""
     if ens.n_paths < 1:
         raise DomainError("need a non-empty ensemble")
-    traj = integrate_flow(gen, nmap, _ens_junction(ens), ens.times)
-    if targets is None:
-        targets = step_targets(ens)
-    total = 0.0
-    for j in range(targets.shape[0]):
-        diff = compress_flat(nmap, traj.tangents[j] - targets[j])
-        total += float(_sq_qnorm(_metric_at(metrics, j), diff))
-    return total / targets.shape[0]
-
-
-def scf_loss(
-    traj: ProxyTrajectory,
-    sbar: ta.TruncTensor,
-    nmap: NystromMap,
-    metric: WhitenedMetric,
-    eta: float = 0.1,
-) -> float:
-    """Terminal self-consistency penalty eta * ||sbar - proxy_T||_Q^2."""
-    diff = compress(nmap, sbar) - compress_flat(nmap, traj.flats[-1])
-    return eta * float(_sq_qnorm(metric, diff))
+    cache = _ensemble_cache(ens, nmap)
+    return _loss_terms(gen, nmap, metrics, cache, TrainConfig(), 1.0)[0]["score"]
 
 
 def _ens_junction(ens: PathEnsemble):
@@ -401,26 +377,31 @@ def _ens_junction(ens: PathEnsemble):
 # training
 
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+# deadband: below this gradient size the point counts as stationary and no
+# step is taken.  At an exact optimum the gradient is roundoff (1.3e-17 on a
+# matched generator), and Adam's normalisation would turn it into steps of
+# 6.6e-11, then 3.5e-4, then 3.2e-2.
+_GRAD_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 120
     lr: float = 0.05
     eta_scf: float = 0.1
     contraction_reg: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    # deadband: below this gradient size the point counts as stationary and
-    # no step is taken.  At an exact optimum the gradient is roundoff
-    # (1.3e-17 on a matched generator), and Adam's normalisation would turn
-    # it into steps of 6.6e-11, then 3.5e-4, then 3.2e-2.
-    grad_tol: float = 1e-9
 
 
 @dataclass
 class TrainResult:
+    """Trained generator, one loss row per Adam step, and the losses it ends at."""
+
     params: GeneratorParams
     trace: list[dict]
+    final: dict
 
 
 def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
@@ -433,49 +414,62 @@ def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
     }
 
 
-def _objective(gen, nmap, metrics, caches, cfg: TrainConfig):
-    """Loss components averaged over the ensembles, and the exact gradient.
+def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig, w_ens: float):
+    """One ensemble's weighted loss parts, its flow, and their cotangents.
 
     Every term is a Q-norm d^T Q d of a compressed difference d = C y - ref
     that is linear in a tangent or a state y, so its cotangent on y is
-    2 C^T Q d, with Q d shared by loss and gradient.  The cotangents of one
-    ensemble form one adjoint row.
+    2 C^T Q d, with Q d shared by loss and gradient.  Returns the parts
+    (score, scf, reg) scaled by ``w_ens``, the flow, and one adjoint row of
+    cotangents on its states and on its tangents.
     """
     parts = {"score": 0.0, "scf": 0.0, "reg": 0.0}
-    grad = np.zeros(gen.n_params)
     C = nmap.matrix
-    w_ens = 1.0 / len(caches)
-    for cache in caches:
-        traj = integrate_flow(gen, nmap, cache["junction"], cache["grid"])
-        n_steps = traj.tangents.shape[0]
-        # one adjoint row: the loss's cotangents on the tangents and states
-        out_cot = np.empty((1,) + traj.tangents.shape)
-        state_cot = np.zeros((1,) + traj.flats.shape)
-        wt = w_ens / n_steps
-        for j in range(n_steps):
-            d = compress_flat(nmap, traj.tangents[j] - cache["targets"][j])
-            Qd = _metric_at(metrics, j).precision @ d
-            parts["score"] += wt * (d @ Qd)
-            out_cot[0, j] = 2.0 * wt * (C.T @ Qd)
+    traj = integrate_flow(gen, nmap, cache["junction"], cache["grid"])
+    n_steps = traj.tangents.shape[0]
+    out_cot = np.empty((1,) + traj.tangents.shape)
+    state_cot = np.zeros((1,) + traj.flats.shape)
+    wt = w_ens / n_steps
+    for j in range(n_steps):
+        d = compress_flat(nmap, traj.tangents[j] - cache["targets"][j])
+        Qd = _metric_at(metrics, j).precision @ d
+        parts["score"] += wt * (d @ Qd)
+        out_cot[0, j] = 2.0 * wt * (C.T @ Qd)
 
-        # tracking terms: Q-distance of the flow at gridpoint j from the
-        # ensemble mean there
-        tracked = [("scf", n_steps, cfg.eta_scf)]
-        if cfg.contraction_reg > 0.0:
-            # late-horizon tracking penalty: pulls the flow back onto the
-            # ensemble law as the horizon closes, damping accumulated drift
-            grid = cache["grid"]
-            u = (grid - grid[0]) / (grid[-1] - grid[0])
-            tracked += [
-                ("reg", j, cfg.contraction_reg * u[j] ** 2 / n_steps)
-                for j in range(1, n_steps + 1)
-            ]
-        for key, j, weight in tracked:
-            e = compress_flat(nmap, traj.flats[j]) - cache["prefix_feats"][j]
-            Qe = _metric_at(metrics, j).precision @ e
-            wt = w_ens * weight
-            parts[key] += wt * (e @ Qe)
-            state_cot[0, j] += 2.0 * wt * (C.T @ Qe)
+    # tracking terms: Q-distance of the flow at gridpoint j from the
+    # ensemble mean there
+    tracked = [("scf", n_steps, cfg.eta_scf)]
+    if cfg.contraction_reg > 0.0:
+        # late-horizon tracking penalty: pulls the flow back onto the
+        # ensemble law as the horizon closes, damping accumulated drift
+        grid = cache["grid"]
+        u = (grid - grid[0]) / (grid[-1] - grid[0])
+        tracked += [
+            ("reg", j, cfg.contraction_reg * u[j] ** 2 / n_steps)
+            for j in range(1, n_steps + 1)
+        ]
+    for key, j, weight in tracked:
+        e = compress_flat(nmap, traj.flats[j]) - cache["prefix_feats"][j]
+        Qe = _metric_at(metrics, j).precision @ e
+        wt = w_ens * weight
+        parts[key] += wt * (e @ Qe)
+        state_cot[0, j] += 2.0 * wt * (C.T @ Qe)
+    return parts, traj, state_cot, out_cot
+
+
+def _objective(gen, nmap, metrics, caches, cfg: TrainConfig):
+    """Loss components averaged over the ensembles, and the exact gradient.
+
+    Each ensemble's loss pass gives one adjoint row.
+    """
+    parts = dict.fromkeys(("score", "scf", "reg"), 0.0)
+    grad = np.zeros(gen.n_params)
+    for cache in caches:
+        terms, traj, state_cot, out_cot = _loss_terms(
+            gen, nmap, metrics, cache, cfg, 1.0 / len(caches)
+        )
+        for key, value in terms.items():
+            parts[key] += value
         grad += _flow_adjoint(gen, nmap, cache["junction"], traj, state_cot, out_cot)[0]
     return parts, grad
 
@@ -490,7 +484,8 @@ def train_generator(
     """Adam descent on score matching + self-consistency, exact gradients.
 
     ``ensembles`` is one PathEnsemble or a sequence; losses and gradients are
-    averaged.  Each ensemble costs one flow and one adjoint pass per step.
+    averaged.  Each ensemble costs one flow and one adjoint pass per step,
+    and one more at the returned weights for ``TrainResult.final``.
     """
     cfg = cfg or TrainConfig()
     if isinstance(ensembles, PathEnsemble):
@@ -504,7 +499,8 @@ def train_generator(
     m = np.zeros(P)
     v = np.zeros(P)
     trace: list[dict] = []
-    for step in range(1, cfg.steps + 1):
+
+    def losses(theta, step):
         parts, grad = _objective(gen.with_theta(theta), nmap, metrics, caches, cfg)
         total = parts["score"] + parts["scf"] + parts["reg"]
         if not (np.isfinite(total) and np.all(np.isfinite(grad))):
@@ -512,30 +508,25 @@ def train_generator(
                 "training loss left the finite range",
                 context={"step": step, "trace": trace},
             )
+        return {"total": float(total), **{k: float(x) for k, x in parts.items()},
+                "grad_norm": float(np.linalg.norm(grad))}, grad
 
-        if np.max(np.abs(grad)) < cfg.grad_tol:
+    for step in range(1, cfg.steps + 1):
+        row, grad = losses(theta, step)
+        if np.max(np.abs(grad)) < _GRAD_TOL:
             update = np.zeros(P)
         else:
-            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1 - cfg.beta2) * grad**2
-            mhat = m / (1 - cfg.beta1**step)
-            vhat = v / (1 - cfg.beta2**step)
-            update = cfg.lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            m = _BETA1 * m + (1 - _BETA1) * grad
+            v = _BETA2 * v + (1 - _BETA2) * grad**2
+            mhat = m / (1 - _BETA1**step)
+            vhat = v / (1 - _BETA2**step)
+            update = cfg.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
             theta = theta - update
             if not np.all(np.isfinite(theta)):
                 raise DivergenceError(
                     "generator weights left the finite range",
                     context={"step": step, "trace": trace},
                 )
-        trace.append(
-            {
-                "step": step,
-                "total": float(total),
-                "score": float(parts["score"]),
-                "scf": float(parts["scf"]),
-                "reg": float(parts["reg"]),
-                "grad_norm": float(np.linalg.norm(grad)),
-                "update_max": float(np.max(np.abs(update))),
-            }
-        )
-    return TrainResult(params=gen.with_theta(theta), trace=trace)
+        trace.append({"step": step, **row, "update_max": float(np.max(np.abs(update)))})
+    final, _ = losses(theta, cfg.steps + 1)
+    return TrainResult(params=gen.with_theta(theta), trace=trace, final=final)

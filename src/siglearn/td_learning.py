@@ -6,9 +6,12 @@ residual of the flow (inverse(proxy_s) (x) proxy_T), so one time-invariant
 weight vector covers the whole horizon.  The TD(0) sweep over the horizon is
 a deterministic linear recursion w <- w + alpha (b - A w); its fixed point is
 also assembled explicitly so the sweep can be checked against a direct solve.
-The sweep runs in the step space: its n TD errors follow delta <- P delta
-with an n x n matrix P, advanced a block of iterations per matmul, and the
-m weights are read back from the running sum of the errors.
+Along one trajectory the TD errors are one affine map of the weights,
+delta(w) = c0 - M w (``_td_map``), and the errors, the realizable rewards,
+the system, the sweep and the classical rollout errors all read it.  The
+sweep runs in the step space: its n TD errors follow delta <- P delta with
+an n x n matrix P, advanced a block of iterations per matmul, and the m
+weights are read back from the running sum of the errors.
 """
 
 from __future__ import annotations
@@ -46,37 +49,24 @@ __all__ = [
     "stability_bound",
     "solve_fixed_point",
     "classical_td0_baseline",
-    "path_residual_features",
     "variance_compare",
 ]
 
 
 @dataclass(frozen=True)
 class ValueWeights:
-    """Compressed-space weights for value, reward, and terminal payoff."""
+    """Compressed-space weights for value and reward, and the terminal payoff."""
 
     w_G: np.ndarray
     w_R: np.ndarray
     terminal_const: float = 0.0
-    terminal_weights: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "w_G", np.asarray(self.w_G, dtype=float))
         object.__setattr__(self, "w_R", np.asarray(self.w_R, dtype=float))
-        if self.terminal_weights is not None:
-            object.__setattr__(
-                self, "terminal_weights", np.asarray(self.terminal_weights, dtype=float)
-            )
-        for arr in (self.w_G, self.w_R, self.terminal_weights):
-            if arr is not None and not np.all(np.isfinite(arr)):
+        for arr in (self.w_G, self.w_R):
+            if not np.all(np.isfinite(arr)):
                 raise DomainError("value weights must be finite")
-
-    def terminal_payoff(self, traj: ProxyTrajectory) -> float:
-        """Payoff z at the horizon: a constant plus an optional linear read."""
-        z = self.terminal_const
-        if self.terminal_weights is not None:
-            z += float(self.terminal_weights @ compress_flat(traj.nmap, traj.flats[-1]))
-        return z
 
 
 @dataclass(frozen=True)
@@ -111,8 +101,8 @@ class SweepResult:
 def step_features(traj: ProxyTrajectory) -> np.ndarray:
     """Compressed one-step segment laws inverse(proxy_s) (x) proxy_{s+1}."""
     c, k = traj.channels, traj.degree
-    inv = ta.inverse_flat(c, k, traj.flats[:-1])
-    segs = ta.product_flat(c, k, inv, traj.flats[1:])
+    inv = ta.inverse_flat(c, k, traj.flats[..., :-1, :])
+    segs = ta.product_flat(c, k, inv, traj.flats[..., 1:, :])
     return compress_flat(traj.nmap, segs)
 
 
@@ -125,12 +115,32 @@ def value_at(traj: ProxyTrajectory, w_G: np.ndarray, s: float) -> float:
 def _rewards_vector(traj, w_R, rewards):
     if rewards is not None:
         rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape != (traj.n_grid - 1,):
+        if rewards.shape[-1:] != (traj.n_grid - 1,):
             raise ShapeMismatchError(
                 f"rewards must have length {traj.n_grid - 1}, got {rewards.shape}"
             )
         return rewards
     return step_features(traj) @ np.asarray(w_R, dtype=float)
+
+
+def _td_map(traj: ProxyTrajectory, gamma: float, z: float, r) -> tuple:
+    """The affine TD map delta(w) = c0 - M w along the grid, as (C, M, c0).
+
+    C holds the current-step residual features, M = C - gamma N with N the
+    next-step rows (zero at the terminal step, whose next value is the
+    payoff z), and c0 = r + gamma z e_last.  A leading axis of the
+    trajectory carries through, and ``r`` broadcasts against it.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+    psi = traj.residual_features()
+    cur = psi[..., :-1, :]
+    nxt = np.zeros_like(cur)
+    nxt[..., :-1, :] = psi[..., 1:-1, :]
+    M = cur - gamma * nxt
+    c0 = np.array(np.broadcast_to(r, M.shape[:-1]), dtype=float)
+    c0[..., -1] += gamma * z
+    return cur, M, c0
 
 
 def td_error_vector(
@@ -142,24 +152,16 @@ def td_error_vector(
     w_R: np.ndarray | None = None,
 ) -> np.ndarray:
     """All anticipatory TD errors r_s + gamma V(s+1) - V(s) along the grid."""
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-    psi = traj.residual_features()
-    w_G = np.asarray(w_G, dtype=float)
-    values = psi @ w_G
-    r = _rewards_vector(traj, w_R, rewards)
-    nxt = np.concatenate([values[1:-1], [z]])
-    return r + gamma * nxt - values[:-1]
+    _, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, w_R, rewards))
+    return c0 - M @ np.asarray(w_G, dtype=float)
 
 
 def realizable_rewards(
     traj: ProxyTrajectory, w_true: np.ndarray, gamma: float, z: float
 ) -> np.ndarray:
     """Rewards that make w_true the exact zero-error fixed point."""
-    psi = traj.residual_features()
-    values = psi @ np.asarray(w_true, dtype=float)
-    nxt = np.concatenate([values[1:-1], [z]])
-    return values[:-1] - gamma * nxt
+    _, M, c0 = _td_map(traj, gamma, z, 0.0)
+    return M @ np.asarray(w_true, dtype=float) - c0
 
 
 def td0_sweep(
@@ -173,10 +175,8 @@ def td0_sweep(
     """Semi-gradient TD(0) over the whole horizon, iterated n_iters times.
 
     Per iteration: w <- w + alpha * C^T delta, with the TD target held fixed
-    (never differentiated).  The recursion runs on the n step errors rather
-    than the m weights.  With C the current-step features, N the next-step
-    features (zero at the terminal step), M = C - gamma N and
-    c0 = r + gamma z e_last, the errors are delta(w) = c0 - M w, so each
+    (never differentiated).  The recursion runs on the n step errors
+    delta(w) = c0 - M w of ``_td_map`` rather than the m weights, so each
     iteration is delta <- P delta with P = I - alpha M C^T, and
     w_t = w_0 + alpha C^T S_t with S_t the sum of the errors so far.  The
     powers P^0..P^(B-1) are built once, so one matmul advances B iterations.
@@ -196,14 +196,10 @@ def td0_sweep(
         raise DomainError("alpha must be positive")
     if n_iters < 1:
         raise DomainError(f"n_iters must be >= 1, got {n_iters}")
-    psi = traj.residual_features()
-    cur = psi[:-1]
+    cur, M, c0 = _td_map(
+        traj, gamma, weights.terminal_const, _rewards_vector(traj, weights.w_R, rewards)
+    )
     n, m = cur.shape
-    nxt = np.zeros_like(cur)
-    nxt[:-1] = psi[1:-1]
-    M = cur - gamma * nxt
-    c0 = _rewards_vector(traj, weights.w_R, rewards).copy()
-    c0[-1] += gamma * weights.terminal_payoff(traj)
     w0 = weights.w_G
     MC = M @ cur.T
     P = np.eye(n) - alpha * MC
@@ -274,14 +270,9 @@ def assemble_system(
     z: float,
     rewards: np.ndarray | None = None,
 ) -> TdSystem:
-    """Build A and b so that the TD sweep is w <- w + alpha (b - A w)."""
-    psi = traj.residual_features()
-    r = _rewards_vector(traj, w_R, rewards)
-    cur = psi[:-1]
-    A = cur.T @ cur - gamma * cur[:-1].T @ psi[1:-1]
-    b = r @ cur
-    b = b + gamma * z * cur[-1]
-    return TdSystem(A=A, b=b, gamma=gamma, n_steps=cur.shape[0])
+    """Build A = C^T M and b = C^T c0, so the TD sweep is w <- w + alpha (b - A w)."""
+    cur, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, w_R, rewards))
+    return TdSystem(A=cur.T @ M, b=c0 @ cur, gamma=gamma, n_steps=cur.shape[0])
 
 
 def stability_bound(system: TdSystem) -> float:
@@ -308,20 +299,6 @@ def solve_fixed_point(system: TdSystem) -> SolveResult:
     return SolveResult(w=w, ridged=ridged, residual=residual, condition=cond)
 
 
-def path_residual_features(ens: PathEnsemble, nmap: NystromMap, path_index: int) -> np.ndarray:
-    """Compressed realized remaining-segment signatures of one sampled path."""
-    values = ens.values[path_index : path_index + 1]
-    flags = ens.jump_flags[path_index : path_index + 1]
-    _, full = batch_prefix_signatures(
-        ens.sig_config, ens.times, values, flags, keep_paths=True
-    )
-    prefix = full[:, 0, :]
-    c = ens.sig_config.channels(values.shape[2])
-    inv = ta.inverse_flat(c, ens.sig_config.degree, prefix)
-    suffix = ta.product_flat(c, ens.sig_config.degree, inv, prefix[-1])
-    return compress_flat(nmap, suffix)
-
-
 def classical_td0_baseline(
     ens: PathEnsemble,
     nmap: NystromMap,
@@ -333,23 +310,21 @@ def classical_td0_baseline(
 
     Each ensemble path is one episode; the state feature at step s is the
     compressed signature of the realized remaining segment, the stochastic
-    counterpart of the deterministic flow residual.  The weights stay
-    fixed, so the errors are those the sampled rollouts give at ``w``.
+    counterpart of the deterministic flow residual.  The realized prefix
+    signatures form one trajectory with a leading path axis, so every
+    episode's errors come from the same TD map as the anticipatory ones.
+    The weights stay fixed, so the errors are those the sampled rollouts
+    give at ``w``.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
     if ens.n_paths < 1:
         raise InsufficientDataError("need at least one episode")
-    w = np.asarray(w, dtype=float)
-    n_steps = ens.n_grid - 1
-    deltas = np.empty((ens.n_paths, n_steps))
-    for e in range(ens.n_paths):
-        feats = path_residual_features(ens, nmap, e)
-        rewards = ens.rewards[e]
-        for s in range(n_steps):
-            v_next = z if s + 1 == n_steps else float(w @ feats[s + 1])
-            deltas[e, s] = rewards[s] + gamma * v_next - float(w @ feats[s])
-    return deltas
+    _, full = batch_prefix_signatures(
+        ens.sig_config, ens.times, ens.values, ens.jump_flags, keep_paths=True
+    )
+    c = ens.sig_config.channels(ens.values.shape[2])
+    paths = ProxyTrajectory(c, ens.sig_config.degree, ens.times, np.swapaxes(full, 0, 1), nmap)
+    _, M, c0 = _td_map(paths, gamma, z, ens.rewards)
+    return c0 - M @ np.asarray(w, dtype=float)
 
 
 def variance_compare(delta_anticipatory: np.ndarray, delta_classical: np.ndarray) -> dict:

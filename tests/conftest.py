@@ -1,3 +1,9 @@
+import siglearn.cli
+
+# run the in-process numerics on one BLAS thread, as the CLI does, so that no
+# result depends on whether a test that calls the CLI's main has run before
+siglearn.cli.pin_blas_threads()
+
 _criterion_lines: list[str] = []
 
 

@@ -7,6 +7,7 @@ helper code.
 
 import copy
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -392,7 +393,7 @@ def test_criterion_10_moment_and_risk_consistency():
     grid = np.linspace(0.0, 1.0, 17)
     ens = generate_ensemble(env, (0.0, np.zeros(1), None), None, grid, 4096, 9, cfg)
     sbar = empirical_mean_signature(ens, 0.0, 1.0)
-    mean, var = return_moments(sbar, reward_channel=-1)
+    mean, var = return_moments(sbar)
     totals = ens.rewards.sum(axis=1)
     n = totals.size
     mean_se = totals.std(ddof=1) / np.sqrt(n)
@@ -423,10 +424,11 @@ def test_criterion_11_reproducibility(tmp_path):
     start = time.time()
 
     def run(out: Path, threads: int):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
         res = subprocess.run(
             [sys.executable, "-m", "siglearn.cli", "run-all",
-             "--seed", "1", "--out-dir", str(out), "--threads", str(threads)],
-            capture_output=True, text=True,
+             "--seed", "1", "--out-dir", str(out)],
+            env=env, capture_output=True, text=True,
         )
         assert res.returncode == 0, res.stderr
         return {

@@ -204,9 +204,6 @@ class TestCliExitCodes:
         if named is not None:
             assert named in res.stderr
 
-    def test_bad_threads_exits_2(self, tmp_path):
-        assert main(["run-td", "--threads", "0", "--out-dir", str(tmp_path)]) == 2
-
     def test_divergence_exits_3_with_trace(self, tmp_path, small_config, capsys):
         blown = tmp_path / "blown.ini"
         blown.write_text(SMALL_CONFIG.replace("lr = 0.05", "lr = 1e100"))
@@ -311,9 +308,9 @@ class TestCliRuns:
     def test_run_all_reproducible_across_threads(self, tmp_path, small_config):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["run-all", "--config", str(small_config), "--seed", "5",
-                     "--out-dir", str(out1), "--threads", "1"]) == 0
+                     "--out-dir", str(out1)]) == 0
         assert main(["run-all", "--config", str(small_config), "--seed", "5",
-                     "--out-dir", str(out2), "--threads", "4"]) == 0
+                     "--out-dir", str(out2)]) == 0
         assert tree_digest(out1) == tree_digest(out2)
 
     def test_artifacts_independent_of_blas_threads(self, tmp_path):

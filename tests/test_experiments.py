@@ -5,11 +5,14 @@ import pytest
 
 from siglearn.config import load_config
 from siglearn.experiments import (
+    _generator_from_cfg,
     build_scenario,
     derive_seed,
     memory_gain_matrix,
     sample_landmark_signatures,
+    train_scf,
 )
+from siglearn.proxy_flow import TrainConfig, _ensemble_cache, _loss_terms
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -79,3 +82,29 @@ class TestVarianceSweep:
         big = variance_experiment(cfg, sc, n_seeds=30, ensemble_size=256)
         assert small["ratio"] < 1.0
         assert big["ratio"] < small["ratio"]
+
+
+class TestTrainScf:
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_reported_losses_are_the_loss_pass(self, steps):
+        # before is the loss pass at the initial generator and after the one
+        # at the trained weights, bit for bit; with no steps they coincide
+        cfg = small_cfg()
+        cfg["train"]["steps"] = steps
+        sc = build_scenario(cfg, 5)
+        result, diag = train_scf(cfg, sc)
+        tc = TrainConfig(eta_scf=cfg["train"]["eta_scf"],
+                         contraction_reg=cfg["train"]["contraction_reg"])
+        cache = _ensemble_cache(sc.train_ensemble, sc.nmap)
+
+        def losses(gen):
+            parts = _loss_terms(gen, sc.nmap, sc.metrics, cache, tc, 1.0)[0]
+            return {"score": float(parts["score"]), "scf": float(parts["scf"])}
+
+        assert diag["before"] == losses(_generator_from_cfg(cfg, sc))
+        assert diag["after"] == losses(result.params)
+        assert len(result.trace) == steps
+        if steps == 0:
+            assert diag["before"] == diag["after"]
+        else:
+            assert diag["after"] != diag["before"]

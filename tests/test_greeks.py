@@ -203,7 +203,7 @@ class TestMoments:
         ens = generate_ensemble(env, (0.0, np.zeros(1), None), None, grid, 3, 0, cfg)
         sbar = empirical_mean_signature(ens, 0.0, 1.0)
         total = float(ens.rewards[0].sum())
-        mean, var = greeks.return_moments(sbar, reward_channel=-1)
+        mean, var = greeks.return_moments(sbar)
         assert mean == pytest.approx(total, abs=1e-12)
         assert abs(var) < 1e-12
 
@@ -220,7 +220,7 @@ class TestMoments:
         grid = np.linspace(0.0, 1.0, 17)
         ens = generate_ensemble(env, (0.0, np.zeros(1), None), None, grid, 4096, 9, cfg)
         sbar = empirical_mean_signature(ens, 0.0, 1.0)
-        mean, var = greeks.return_moments(sbar, reward_channel=-1)
+        mean, var = greeks.return_moments(sbar)
         totals = ens.rewards.sum(axis=1)
         n = totals.size
         mean_se = totals.std(ddof=1) / np.sqrt(n)
@@ -243,7 +243,7 @@ class TestMoments:
         grid = np.linspace(0.0, 1.0, 9)
         ens = generate_ensemble(env, (0.0, np.zeros(1), None), None, grid, 2, 0, cfg)
         sbar = empirical_mean_signature(ens, 0.0, 1.0)
-        mean, var = greeks.return_moments(sbar, reward_channel=-1)
+        mean, var = greeks.return_moments(sbar)
         assert mean == 0.0 and var == 0.0
 
 

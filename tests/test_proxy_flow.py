@@ -8,11 +8,11 @@ from siglearn.kernelspace import WhitenedMetric, build_nystrom, compress_flat, f
 from siglearn.proxy_flow import (
     TrainConfig,
     _ensemble_cache,
+    _loss_terms,
     _objective,
     empirical_trajectory,
     integrate_flow,
     new_generator,
-    scf_loss,
     score_matching_loss,
     step_targets,
     train_generator,
@@ -208,23 +208,27 @@ class TestLosses:
         assert score_matching_loss(noisy, ens, nmap, metric) > matched + 1e-3
 
     def test_scf_loss_zero_at_match_and_eta_scaling(self):
+        # the scf part of the loss pass: zero when the flow ends on the
+        # ensemble's mean terminal signature, and linear in eta
         rng = np.random.default_rng(12)
         nmap = make_map(rng)
         grid = np.linspace(0.0, 1.0, 9)
+        metric = eye_metric(nmap.n_landmarks)
+
+        def scf(gen, ens, eta):
+            cache = _ensemble_cache(ens, nmap)
+            return _loss_terms(gen, nmap, metric, cache, TrainConfig(eta_scf=eta), 1.0)[0]["scf"]
+
+        still = generate_ensemble(drift_env(0.3), (0.0, np.zeros(1), None),
+                                  None, grid, 4, 1, linear_cfg())
+        assert scf(matched_generator(0.3), still, 0.1) < 1e-24
+
         ens = generate_ensemble(drift_env(0.2, vol=0.3), (0.0, np.zeros(1), None),
                                 None, grid, 16, 1, linear_cfg())
-        from siglearn.jumpdiff import empirical_mean_signature
-
-        sbar = empirical_mean_signature(ens, grid[0], grid[-1])
-        traj = empirical_trajectory(ens, nmap)
-        metric = eye_metric(nmap.n_landmarks)
-        assert scf_loss(traj, sbar, nmap, metric, eta=0.1) < 1e-24
-
         gen = new_generator(C, K, n_proxy_features=4, seed=8, init_scale=0.4)
-        traj2 = integrate_flow(gen, nmap, None, grid)
-        l1 = scf_loss(traj2, sbar, nmap, metric, eta=0.1)
-        l2 = scf_loss(traj2, sbar, nmap, metric, eta=0.2)
-        assert l2 == pytest.approx(2 * l1, rel=1e-12)
+        l1 = scf(gen, ens, 0.1)
+        assert l1 > 1e-6
+        assert scf(gen, ens, 0.2) == pytest.approx(2 * l1, rel=1e-12)
 
 
 class TestTraining:

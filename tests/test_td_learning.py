@@ -10,7 +10,7 @@ from siglearn.errors import DivergenceError, DomainError, InsufficientDataError,
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, compress_flat
 from siglearn.proxy_flow import empirical_trajectory, integrate_flow, new_generator
-from siglearn.signature import SignatureConfig
+from siglearn.signature import SignatureConfig, batch_prefix_signatures
 from tensor_helpers import zero
 
 C, K = 3, 3
@@ -122,6 +122,30 @@ class TestTdError:
         deltas = td.td_error_vector(traj, w_true, 0.95, z, rewards=rewards)
         assert np.max(np.abs(deltas)) < 1e-10
 
+    def test_leading_axis_matches_row_by_row(self):
+        # three flows integrated at once give the errors and realizable
+        # rewards of each flow on its own
+        rng = np.random.default_rng(25)
+        nmap = make_map(rng)
+        gen = new_generator(C, K, n_proxy_features=4, seed=2, init_scale=0.5)
+        grid = np.linspace(0.0, 1.0, 9)
+        thetas = gen.theta() + 0.2 * rng.normal(size=(3, gen.n_params))
+        batch = integrate_flow(gen, nmap, None, grid, theta_rows=thetas)
+        rows = [integrate_flow(gen.with_theta(t), nmap, None, grid) for t in thetas]
+        w, w_R = rng.normal(size=6), rng.normal(size=6)
+        rewards = rng.normal(size=(3, grid.size - 1))
+        gamma, z = 0.9, 0.3
+        for got, want in [
+            (td.td_error_vector(batch, w, gamma, z, w_R=w_R),
+             [td.td_error_vector(t, w, gamma, z, w_R=w_R) for t in rows]),
+            (td.td_error_vector(batch, w, gamma, z, rewards=rewards),
+             [td.td_error_vector(t, w, gamma, z, rewards=r) for t, r in zip(rows, rewards)]),
+            (td.realizable_rewards(batch, w, gamma, z),
+             [td.realizable_rewards(t, w, gamma, z) for t in rows]),
+        ]:
+            assert got.shape == (3, grid.size - 1)
+            assert np.allclose(got, np.array(want), rtol=0, atol=1e-12)
+
     def test_matches_expanded_inner_product_form(self):
         rng = np.random.default_rng(7)
         nmap = make_map(rng)
@@ -220,6 +244,19 @@ class TestSweepAndSolve:
         assert np.allclose(system.A, np.outer(psi0, psi0), atol=1e-12)
         assert np.allclose(system.b, (0.4 + gamma * z) * psi0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [13, 15])
+    def test_system_matches_expanded_form(self, seed):
+        # A = C^T M and b = C^T c0 against C^T C - gamma C[:-1]^T psi[1:-1]
+        # and r C + gamma z C[-1]
+        rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem(seed=seed)
+        system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+        psi = traj.residual_features()
+        cur = psi[:-1]
+        A = cur.T @ cur - gamma * cur[:-1].T @ psi[1:-1]
+        b = rewards @ cur + gamma * z * cur[-1]
+        assert np.max(np.abs(system.A - A)) <= 1e-12 * np.max(np.abs(A))
+        assert np.max(np.abs(system.b - b)) <= 1e-12 * np.max(np.abs(b))
+
     def test_system_positive_definite_on_generic_trajectory(self):
         rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem(seed=13)
         system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
@@ -257,7 +294,7 @@ def oracle_sweep(traj, weights, gamma, alpha, n_iters, rewards):
     the weight norm first passes 1e12.
     """
     psi = traj.residual_features()
-    z = weights.terminal_payoff(traj)
+    z = weights.terminal_const
     w = weights.w_G.copy()
     obj, norms, max_delta = (np.empty(n_iters) for _ in range(3))
     for it in range(n_iters):
@@ -300,13 +337,10 @@ class TestBlockedSweep:
         rewards = rng.normal(size=traj.n_grid - 1)
         w0 = np.zeros(m) if w0_kind == "zero" else rng.normal(size=m)
         weights = td.ValueWeights(
-            w_G=w0,
-            w_R=np.zeros(m),
-            terminal_const=0.3,
-            terminal_weights=rng.normal(size=m) if terminal else None,
+            w_G=w0, w_R=np.zeros(m), terminal_const=0.3 if terminal else 0.0
         )
         system = td.assemble_system(
-            traj, None, gamma, weights.terminal_payoff(traj), rewards=rewards
+            traj, None, gamma, weights.terminal_const, rewards=rewards
         )
         return traj, weights, gamma, rewards, td.stability_bound(system)
 
@@ -371,7 +405,7 @@ class TestBlockedSweep:
         # errors shrink by the reported radius per iteration
         traj, weights, gamma, _, bound = self.problem(m, n_grid=5)
         w_true = np.random.default_rng(41).normal(size=m)
-        rewards = td.realizable_rewards(traj, w_true, gamma, weights.terminal_payoff(traj))
+        rewards = td.realizable_rewards(traj, w_true, gamma, weights.terminal_const)
         res = td.td0_sweep(traj, weights, gamma, 0.5 * bound, 1, rewards=rewards)
         rho = res.spectral_radius
         assert 0.0 < rho < 1.0
@@ -411,18 +445,42 @@ class TestClassicalBaseline:
         assert np.max(np.abs(deltas - anticipated[None, :])) < 1e-10
 
     def test_gamma_zero_is_reward_regression(self):
-        # at gamma = 0 each error is the step reward minus the value read
+        # per path and step: the reward, plus gamma times the next value read
+        # (the payoff z at the horizon), minus the value read, where a value
+        # reads the compressed realized remaining segment; at gamma = 0 each
+        # error is the step reward minus the value read
         rng = np.random.default_rng(21)
         nmap = make_map(rng)
-        ens = zero_noise_ensemble(n_paths=2)
-        w = rng.normal(size=6)
-        deltas = td.classical_td0_baseline(ens, nmap, 0.0, 0.0, w)
-        assert deltas.shape == (2, ens.n_grid - 1)
-        for e in range(2):
-            feats = td.path_residual_features(ens, nmap, e)
-            for s in range(ens.n_grid - 1):
-                delta = ens.rewards[e][s] - w @ feats[s]
-                assert deltas[e, s] == pytest.approx(delta, abs=1e-12)
+        jumpy_env = JumpDiffusionParams(
+            drift_base=np.array([0.1]),
+            vol=np.array([[0.5]]),
+            jump_intensity=3.0,
+            jump_mean=np.array([0.15]),
+            jump_scale=np.array([0.3]),
+            action_exposure=np.zeros(1),
+        )
+        jumpy = generate_ensemble(jumpy_env, (0.0, np.zeros(1), None), None,
+                                  np.linspace(0.0, 1.0, 13), 3, 6,
+                                  SignatureConfig(degree=K, mode="linear"))
+        assert jumpy.jump_flags.any()
+        w, z = rng.normal(size=6), 0.4
+        for ens in (zero_noise_ensemble(n_paths=2), jumpy):
+            for gamma in (0.0, 0.9):
+                deltas = td.classical_td0_baseline(ens, nmap, gamma, z, w)
+                n_steps = ens.n_grid - 1
+                assert deltas.shape == (ens.n_paths, n_steps)
+                for e in range(ens.n_paths):
+                    _, full = batch_prefix_signatures(
+                        ens.sig_config, ens.times, ens.values[e : e + 1],
+                        ens.jump_flags[e : e + 1], keep_paths=True,
+                    )
+                    prefix = full[:, 0, :]
+                    suffix = ta.product_flat(C, K, ta.inverse_flat(C, K, prefix), prefix[-1])
+                    feats = compress_flat(nmap, suffix)
+                    for s in range(n_steps):
+                        v_next = z if s + 1 == n_steps else w @ feats[s + 1]
+                        delta = ens.rewards[e][s] + gamma * v_next - w @ feats[s]
+                        assert deltas[e, s] == pytest.approx(delta, abs=1e-12)
 
 
 class TestVarianceCompare:
