@@ -4,7 +4,7 @@ The package is organized around a small stack:
 
 * :mod:`siglearn.tensor_algebra` - exact truncated tensor algebra.
 * :mod:`siglearn.signature` - Marcus-sense path signatures and filtering.
-* :mod:`siglearn.kernelspace` - signature kernel, landmark compression,
+* :mod:`siglearn.kernelspace` - Nystrom landmark compression and the
   whitening metric.
 * :mod:`siglearn.jumpdiff` - jump-diffusion environment and ensembles.
 * :mod:`siglearn.proxy_flow` - deterministic proxy flow and its training.
@@ -28,7 +28,7 @@ from .jumpdiff import JumpDiffusionParams, PathEnsemble
 from .kernelspace import NystromMap, WhitenedMetric
 from .proxy_flow import GeneratorParams, ProxyTrajectory, TrainConfig
 from .signature import CadlagPath, FilteredProxy, SignatureConfig
-from .td_learning import TdSystem, ValueWeights
+from .td_learning import TdSystem
 from .tensor_algebra import TruncTensor
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "GeneratorParams",
     "ProxyTrajectory",
     "TrainConfig",
-    "ValueWeights",
     "TdSystem",
     "SiglearnError",
     "ConfigError",

@@ -212,7 +212,7 @@ class Runner:
             {
                 "gamma": rep["gamma"],
                 "alpha": rep["alpha"],
-                "w_sweep": sweep.weights.w_G.tolist(),
+                "w_sweep": sweep.w.tolist(),
                 "w_solution": rep["solution"].w.tolist(),
                 "w_true": rep["w_true"].tolist(),
                 "solution_ridged": rep["solution"].ridged,

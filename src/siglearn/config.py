@@ -112,13 +112,20 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 # per-key ranges, checked once the configuration is complete
-_RANGES: dict[tuple[str, str], tuple[Callable[[float], bool], str]] = {
+_RANGES: dict[tuple[str, str], tuple[Callable[[object], bool], str]] = {
     ("td", "gamma"): (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
     ("td", "iters"): (lambda v: v >= 1, "be >= 1"),
+    ("td", "planted_rank"): (lambda v: v >= 0, "be >= 0"),
     ("train", "lr"): (lambda v: v > 0.0, "be > 0"),
     ("flow", "phase_powers"): (lambda v: v >= 0, "be >= 0"),
+    ("flow", "proxy_features"): (lambda v: v >= 0, "be >= 0"),
+    ("flow", "init_scale"): (lambda v: v >= 0.0, "be >= 0"),
+    ("history", "window"): (lambda v: v >= 0.0, "be >= 0"),
     ("risk", "alpha_tail"): (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    ("risk", "action_step"): (lambda v: v > 0.0, "be > 0"),
     ("analysis", "decay_seeds"): (lambda v: v >= 1, "be >= 1"),
+    ("analysis", "stress_groups"): (lambda v: v >= 1, "be >= 1"),
+    ("analysis", "stress_scales"): (lambda v: len(v) > 0, "be non-empty"),
 }
 
 # keys holding one entry per state dimension; env.vol_sub holds dim - 1

@@ -219,10 +219,10 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
     ridge = nys_cfg["ridge"]
     nmap = build_nystrom(
         landmarks,
+        sig_config.channels(boot.values.shape[2]),
+        degree,
         ridge=None if ridge == "auto" else ridge,
         level_weights=level_weights,
-        channels=sig_config.channels(boot.values.shape[2]),
-        degree=degree,
     )
 
     env = env_nomem if gain is None else replace(
@@ -318,19 +318,14 @@ def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
     else:
         w_true = rng.normal(size=scenario.nmap.n_landmarks)
     rewards = td.realizable_rewards(traj, w_true, gamma, z)
-    system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+    system = td.assemble_system(traj, gamma, z, rewards)
     sol = td.solve_fixed_point(system)
     alpha = td_cfg["alpha"]
     if alpha == "auto":
         alpha = 0.9 * td.stability_bound(system)
-    weights = td.ValueWeights(
-        w_G=np.zeros_like(w_true), w_R=np.zeros_like(w_true), terminal_const=z
-    )
-    sweep = td.td0_sweep(traj, weights, gamma, alpha, td_cfg["iters"], rewards=rewards)
-    deltas_at_solution = td.td_error_vector(traj, sol.w, gamma, z, rewards=rewards)
-    rel_gap = float(
-        np.linalg.norm(sweep.weights.w_G - sol.w) / max(np.linalg.norm(sol.w), 1e-300)
-    )
+    sweep = td.td0_sweep(traj, np.zeros_like(w_true), gamma, z, alpha, td_cfg["iters"], rewards)
+    deltas_at_solution = td.td_error_vector(traj, sol.w, gamma, z, rewards)
+    rel_gap = float(np.linalg.norm(sweep.w - sol.w) / max(np.linalg.norm(sol.w), 1e-300))
     return {
         "gamma": gamma,
         "alpha": alpha,
@@ -346,12 +341,7 @@ def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
     }
 
 
-def variance_experiment(
-    cfg: dict,
-    scenario: Scenario,
-    n_seeds: int | None = None,
-    ensemble_size: int | None = None,
-) -> dict:
+def variance_experiment(cfg: dict, scenario: Scenario) -> dict:
     """Anticipatory vs classical TD-error variance across junction seeds.
 
     Per seed: a fresh history fixes the junction; the anticipatory errors are
@@ -360,14 +350,14 @@ def variance_experiment(
     matched weights (the fixed point of the master scenario).
     """
     var_cfg = cfg["variance"]
-    n_seeds = var_cfg["seeds"] if n_seeds is None else n_seeds
-    n_paths = var_cfg["ensemble_size"] if ensemble_size is None else ensemble_size
+    n_seeds = var_cfg["seeds"]
+    n_paths = var_cfg["ensemble_size"]
     gamma = cfg["td"]["gamma"]
     z = cfg["td"]["terminal_payoff"]
 
     ref = empirical_trajectory(scenario.train_ensemble, scenario.nmap)
     ref_rewards = scenario.train_ensemble.rewards.mean(axis=0)
-    system = td.assemble_system(ref, None, gamma, z, rewards=ref_rewards)
+    system = td.assemble_system(ref, gamma, z, ref_rewards)
     w_star = td.solve_fixed_point(system).w
 
     n_steps = scenario.grid.size - 1
@@ -404,9 +394,7 @@ def variance_experiment(
             nmap=scenario.nmap,
         )
         traj = empirical_trajectory(ens, scenario.nmap)
-        delta_a[i] = td.td_error_vector(
-            traj, w_star, gamma, z, rewards=ens.rewards.mean(axis=0)
-        )
+        delta_a[i] = td.td_error_vector(traj, w_star, gamma, z, ens.rewards.mean(axis=0))
         solo = generate_ensemble(
             scenario.env,
             junction,

@@ -67,17 +67,17 @@ def grad_w(traj: ProxyTrajectory, s: float) -> np.ndarray:
     return traj.residual_features()[traj.index_of(s)].copy()
 
 
-def grad_proxy(traj: ProxyTrajectory, w_G: np.ndarray, s: float) -> np.ndarray:
-    """Riesz representative of h -> <w_G, compress(inv(proxy_s) (x) h)>.
+def grad_proxy(traj: ProxyTrajectory, w: np.ndarray, s: float) -> np.ndarray:
+    """Riesz representative of h -> <w, compress(inv(proxy_s) (x) h)>.
 
     Returned in raw flat coordinates, so the directional derivative of the
     value along a raw tensor perturbation h of the terminal proxy is the dot
-    product with flat(h).  It is the pullback of the raw read C^T w_G
+    product with flat(h).  It is the pullback of the raw read C^T w
     through the right factor of inv(proxy_s) (x) proxy_T.
     """
     c, k = traj.channels, traj.degree
     inv_s = ta.inverse_flat(c, k, traj.flats[traj.index_of(s)])
-    v1 = traj.nmap.matrix.T @ np.asarray(w_G, dtype=float)
+    v1 = traj.nmap.matrix.T @ np.asarray(w, dtype=float)
     return ta.product_pullback_flat(c, k, inv_s, traj.flats[-1], v1)[1]
 
 
@@ -86,7 +86,7 @@ def grad_theta(
     nmap: NystromMap,
     junction,
     grid: np.ndarray,
-    w_G: np.ndarray,
+    w: np.ndarray,
     s,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Value gradient in the generator weights by one reverse-mode pass.
@@ -106,14 +106,14 @@ def grad_theta(
     points = np.atleast_1d(np.asarray(s, dtype=float))
     traj = integrate_flow(gen, nmap, junction, grid)
     c, k = gen.channels, gen.degree
-    v1 = nmap.matrix.T @ np.asarray(w_G, dtype=float)
+    v1 = nmap.matrix.T @ np.asarray(w, dtype=float)
     seeds = np.zeros((points.size,) + traj.flats.shape)
     values = np.empty(points.size)
     for r, point in enumerate(points):
         i = traj.index_of(point)
         res = traj.residual_flats()[i]
         values[r] = float(v1 @ res)
-        g_T = grad_proxy(traj, w_G, point)
+        g_T = grad_proxy(traj, w, point)
         seeds[r, -1] += g_T
         seeds[r, i] -= ta.product_pullback_flat(c, k, traj.flats[i], res, g_T)[0]
     grads = _flow_adjoint(gen, nmap, junction, traj, seeds)

@@ -333,14 +333,13 @@ def simulate_history(
     seed: int,
     sig_config: SignatureConfig,
     nmap: NystromMap | None = None,
-    policy: Callable | None = None,
 ) -> tuple[CadlagPath, ta.TruncTensor]:
-    """One observed history segment and its filtered junction signature."""
+    """One observed zero-action history segment and its filtered junction signature."""
     grid = t_start + dt * np.arange(n_steps + 1)
     ens = generate_ensemble(
         params,
         (t_start, np.asarray(x_start, dtype=float), None),
-        policy,
+        None,
         grid,
         1,
         seed,

@@ -30,7 +30,6 @@ __all__ = [
     "fit_metric_family",
     "q_distance",
     "nystrom_to_json",
-    "nystrom_from_json",
 ]
 
 @dataclass(frozen=True)
@@ -60,31 +59,23 @@ def default_ridge(gram: np.ndarray) -> float:
 
 
 def build_nystrom(
-    landmarks,
+    landmarks: npt.ArrayLike,
+    channels: int,
+    degree: int,
     ridge: float | None = None,
     level_weights=None,
-    channels: int | None = None,
-    degree: int | None = None,
 ) -> NystromMap:
     """Whitened landmark feature map from signatures of path segments.
 
-    ``landmarks`` is either a sequence of group-like :class:`TruncTensor` or a
-    (M, flat) array together with explicit ``channels``/``degree``.  The
+    ``landmarks`` is the (M, flat) array of flat landmark signatures.  The
     whitener is the inverse square root of the ridge-regularized landmark
     Gram matrix, computed by symmetric eigendecomposition.
     """
-    if isinstance(landmarks, np.ndarray):
-        if channels is None or degree is None:
-            raise DomainError("array landmarks need explicit channels and degree")
-        Z = np.ascontiguousarray(landmarks, dtype=float)
-    else:
-        landmarks = list(landmarks)
-        if not landmarks:
-            raise DomainError("need at least one landmark")
-        channels, degree = landmarks[0].channels, landmarks[0].degree
-        Z = np.array([t.data for t in landmarks])
+    Z = np.ascontiguousarray(landmarks, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != ta.flat_size(channels, degree):
         raise ShapeMismatchError(f"landmark matrix has shape {Z.shape}")
+    if Z.shape[0] == 0:
+        raise DomainError("need at least one landmark")
 
     w = (
         ta.unit_level_weights(degree)
@@ -207,15 +198,3 @@ def nystrom_to_json(nmap: NystromMap, fh, meta: dict | None = None) -> None:
         "landmarks": [[repr(float(v)) for v in row] for row in nmap.landmarks],
     }
     json.dump(payload, fh, indent=1)
-
-
-def nystrom_from_json(fh) -> NystromMap:
-    payload = json.load(fh)
-    Z = np.array([[float(v) for v in row] for row in payload["landmarks"]])
-    return build_nystrom(
-        Z,
-        ridge=payload["ridge"],
-        level_weights=np.array(payload["level_weights"]),
-        channels=payload["channels"],
-        degree=payload["degree"],
-    )

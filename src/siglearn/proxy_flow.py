@@ -11,15 +11,15 @@ channel always integrates the horizon exactly.
 Training matches the generator tangent to the expected infinitesimal
 signature increment of a stochastic ensemble (score matching) plus a terminal
 self-consistency penalty tying the flow endpoint to the ensemble's empirical
-mean signature.  One loss pass per ensemble (``_loss_terms``) gives the loss
-parts and their cotangents, which training, its before and after losses and
-``score_matching_loss`` all read.  Gradients are exact, by one discrete
-adjoint (reverse mode) over the states the integrator stores: a loss or a
-value is a linear read of the states and tangents, and its cotangent walks
-back through the same log-ODE steps, one row per scalar, whatever the
-number of weights.  The greeks read the same adjoint.  The integrator also
-runs many weight settings at once, one flow per row, for the
-finite-difference oracle.
+mean signature, under one whitening metric per gridpoint.  One loss pass
+(``_loss_terms``) gives the loss parts and their cotangents, which training,
+its before and after losses and ``score_matching_loss`` all read.
+Gradients are exact, by one discrete adjoint (reverse mode) over the states
+the integrator stores: a loss or a value is a linear read of the states and
+tangents, and its cotangent walks back through the same log-ODE steps, one
+row per scalar, whatever the number of weights.  The greeks read the same
+adjoint.  The integrator also runs many weight settings at once, one flow
+per row, for the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -207,28 +207,27 @@ class ProxyTrajectory:
         return compress_flat(self.nmap, self.residual_flats())
 
 
-def _junction_feats(gen: GeneratorParams, nmap: NystromMap, junction) -> np.ndarray:
+def _junction_feats(
+    gen: GeneratorParams, nmap: NystromMap, junction: ta.TruncTensor | None
+) -> np.ndarray:
     if junction is None:
         return np.zeros(gen.n_proxy_features)
-    if isinstance(junction, ta.TruncTensor):
-        return compress(nmap, junction)[: gen.n_proxy_features]
-    return np.asarray(junction, dtype=float)[: gen.n_proxy_features]
+    return compress(nmap, junction)[: gen.n_proxy_features]
 
 
 def integrate_flow(
     gen: GeneratorParams,
     nmap: NystromMap,
-    junction,
+    junction: ta.TruncTensor | None,
     grid: np.ndarray,
     theta_rows: np.ndarray | None = None,
 ) -> ProxyTrajectory:
     """Iterated log-ODE steps phi (x) exp(ds * ell) from the identity along the grid.
 
-    ``junction`` is the filtered history proxy (tensor, compressed vector, or
-    None for an empty history).  ``theta_rows`` of shape (R, n_params)
-    integrates R flows at once, one per row of weights in place of the
-    generator's own; the trajectory's flats and tangents then carry a
-    leading axis of length R.
+    ``junction`` is the filtered history proxy, or None for an empty
+    history.  ``theta_rows`` of shape (R, n_params) integrates R flows at
+    once, one per row of weights in place of the generator's own; the
+    trajectory's flats and tangents then carry a leading axis of length R.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -350,20 +349,14 @@ def step_targets(ens: PathEnsemble) -> np.ndarray:
     return targets
 
 
-def _metric_at(metrics, j: int) -> WhitenedMetric:
-    if isinstance(metrics, WhitenedMetric):
-        return metrics
-    return metrics[j]
-
-
 def score_matching_loss(
-    gen: GeneratorParams, ens: PathEnsemble, nmap: NystromMap, metrics
+    gen: GeneratorParams, ens: PathEnsemble, nmap: NystromMap, metrics: list[WhitenedMetric]
 ) -> float:
     """Mean squared Q-distance between flow tangents and ensemble targets."""
     if ens.n_paths < 1:
         raise DomainError("need a non-empty ensemble")
     cache = _ensemble_cache(ens, nmap)
-    return _loss_terms(gen, nmap, metrics, cache, TrainConfig(), 1.0)[0]["score"]
+    return _loss_terms(gen, nmap, metrics, cache, TrainConfig())[0]["score"]
 
 
 def _ens_junction(ens: PathEnsemble):
@@ -414,14 +407,14 @@ def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
     }
 
 
-def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig, w_ens: float):
-    """One ensemble's weighted loss parts, its flow, and their cotangents.
+def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig):
+    """The ensemble's loss parts, its flow, and their cotangents.
 
     Every term is a Q-norm d^T Q d of a compressed difference d = C y - ref
     that is linear in a tangent or a state y, so its cotangent on y is
-    2 C^T Q d, with Q d shared by loss and gradient.  Returns the parts
-    (score, scf, reg) scaled by ``w_ens``, the flow, and one adjoint row of
-    cotangents on its states and on its tangents.
+    2 C^T Q d, with Q d shared by loss and gradient.  ``metrics`` holds one
+    metric per gridpoint.  Returns the parts (score, scf, reg), the flow,
+    and one adjoint row of cotangents on its states and on its tangents.
     """
     parts = {"score": 0.0, "scf": 0.0, "reg": 0.0}
     C = nmap.matrix
@@ -429,10 +422,10 @@ def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig, w_ens: float):
     n_steps = traj.tangents.shape[0]
     out_cot = np.empty((1,) + traj.tangents.shape)
     state_cot = np.zeros((1,) + traj.flats.shape)
-    wt = w_ens / n_steps
+    wt = 1.0 / n_steps
     for j in range(n_steps):
         d = compress_flat(nmap, traj.tangents[j] - cache["targets"][j])
-        Qd = _metric_at(metrics, j).precision @ d
+        Qd = metrics[j].precision @ d
         parts["score"] += wt * (d @ Qd)
         out_cot[0, j] = 2.0 * wt * (C.T @ Qd)
 
@@ -450,49 +443,34 @@ def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig, w_ens: float):
         ]
     for key, j, weight in tracked:
         e = compress_flat(nmap, traj.flats[j]) - cache["prefix_feats"][j]
-        Qe = _metric_at(metrics, j).precision @ e
-        wt = w_ens * weight
-        parts[key] += wt * (e @ Qe)
-        state_cot[0, j] += 2.0 * wt * (C.T @ Qe)
+        Qe = metrics[j].precision @ e
+        parts[key] += weight * (e @ Qe)
+        state_cot[0, j] += 2.0 * weight * (C.T @ Qe)
     return parts, traj, state_cot, out_cot
 
 
-def _objective(gen, nmap, metrics, caches, cfg: TrainConfig):
-    """Loss components averaged over the ensembles, and the exact gradient.
-
-    Each ensemble's loss pass gives one adjoint row.
-    """
-    parts = dict.fromkeys(("score", "scf", "reg"), 0.0)
-    grad = np.zeros(gen.n_params)
-    for cache in caches:
-        terms, traj, state_cot, out_cot = _loss_terms(
-            gen, nmap, metrics, cache, cfg, 1.0 / len(caches)
-        )
-        for key, value in terms.items():
-            parts[key] += value
-        grad += _flow_adjoint(gen, nmap, cache["junction"], traj, state_cot, out_cot)[0]
+def _objective(gen, nmap, metrics, cache, cfg: TrainConfig):
+    """Loss components and their exact gradient, by one adjoint row."""
+    parts, traj, state_cot, out_cot = _loss_terms(gen, nmap, metrics, cache, cfg)
+    grad = _flow_adjoint(gen, nmap, cache["junction"], traj, state_cot, out_cot)[0]
     return parts, grad
 
 
 def train_generator(
     gen: GeneratorParams,
-    ensembles,
+    ens: PathEnsemble,
     nmap: NystromMap,
-    metrics,
+    metrics: list[WhitenedMetric],
     cfg: TrainConfig | None = None,
 ) -> TrainResult:
     """Adam descent on score matching + self-consistency, exact gradients.
 
-    ``ensembles`` is one PathEnsemble or a sequence; losses and gradients are
-    averaged.  Each ensemble costs one flow and one adjoint pass per step,
-    and one more at the returned weights for ``TrainResult.final``.
+    ``metrics`` holds one metric per gridpoint.  Each step costs one flow
+    and one adjoint pass, and one more at the returned weights for
+    ``TrainResult.final``.
     """
     cfg = cfg or TrainConfig()
-    if isinstance(ensembles, PathEnsemble):
-        ensembles = [ensembles]
-    if not ensembles:
-        raise DomainError("need at least one ensemble")
-    caches = [_ensemble_cache(e, nmap) for e in ensembles]
+    cache = _ensemble_cache(ens, nmap)
 
     theta = gen.theta()
     P = theta.size
@@ -501,7 +479,7 @@ def train_generator(
     trace: list[dict] = []
 
     def losses(theta, step):
-        parts, grad = _objective(gen.with_theta(theta), nmap, metrics, caches, cfg)
+        parts, grad = _objective(gen.with_theta(theta), nmap, metrics, cache, cfg)
         total = parts["score"] + parts["scf"] + parts["reg"]
         if not (np.isfinite(total) and np.all(np.isfinite(grad))):
             raise DivergenceError(

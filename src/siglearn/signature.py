@@ -41,7 +41,6 @@ __all__ = [
     "batch_prefix_signatures",
     "batch_terminal_signatures",
     "paths_to_csv",
-    "paths_from_csv",
 ]
 
 _MODES = ("rectilinear", "linear")
@@ -230,15 +229,12 @@ class FilteredProxy:
 
     config: SignatureConfig
     sig: ta.TruncTensor
-    origin_time: float
     anchor_time: float
     anchor_value: np.ndarray
 
     def __post_init__(self):
         if not self.sig.is_group_like():
             raise DomainError("filtered proxy signature must be group-like")
-        if self.anchor_time < self.origin_time:
-            raise OrderingError("anchor_time must be >= origin_time")
 
 
 def new_filtered_proxy(config: SignatureConfig, t0: float, x0) -> FilteredProxy:
@@ -247,7 +243,6 @@ def new_filtered_proxy(config: SignatureConfig, t0: float, x0) -> FilteredProxy:
     return FilteredProxy(
         config=config,
         sig=ta.identity(c, config.degree),
-        origin_time=float(t0),
         anchor_time=float(t0),
         anchor_value=x0,
     )
@@ -285,6 +280,34 @@ def incremental_update(
 # batched grid-path signatures (shared time grid across an ensemble)
 
 
+def _scan(config: SignatureConfig, times, values, jump_flags):
+    """Running signatures of every path, one array per gridpoint from t_0 on.
+
+    ``values`` has shape (n_paths, n_grid, dim); all paths share ``times``.
+    Yields the (n_paths, flat) signatures over [t_0, t_j] for j = 0, 1, ...
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n_paths, n_grid, dim = values.shape
+    if times.shape != (n_grid,):
+        raise ShapeMismatchError("times length does not match the value grid")
+    if jump_flags is None:
+        jump_flags = np.zeros((n_paths, n_grid), dtype=bool)
+    c = config.channels(dim)
+    sig = np.tile(ta.identity_flat(c, config.degree), (n_paths, 1))
+    yield sig
+    for j in range(1, n_grid):
+        sig = chen_step_flat(
+            config,
+            dim,
+            sig,
+            times[j] - times[j - 1],
+            values[:, j] - values[:, j - 1],
+            jump_flags[:, j],
+        )
+        yield sig
+
+
 def batch_prefix_signatures(
     config: SignatureConfig,
     times: np.ndarray,
@@ -299,33 +322,11 @@ def batch_prefix_signatures(
     (n_grid, flat); with ``keep_paths=True`` additionally returns the full
     (n_grid, n_paths, flat) array.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n_paths, n_grid, dim = values.shape
-    if times.shape != (n_grid,):
-        raise ShapeMismatchError("times length does not match the value grid")
-    if jump_flags is None:
-        jump_flags = np.zeros((n_paths, n_grid), dtype=bool)
-    c = config.channels(dim)
-    k = config.degree
-    n_flat = ta.flat_size(c, k)
-
-    sig = np.tile(ta.identity_flat(c, k), (n_paths, 1))
+    n_paths, n_grid, dim = np.shape(values)
+    n_flat = ta.flat_size(config.channels(dim), config.degree)
     means = np.empty((n_grid, n_flat))
-    means[0] = sig.mean(axis=0)
-    full = None
-    if keep_paths:
-        full = np.empty((n_grid, n_paths, n_flat))
-        full[0] = sig
-    for j in range(1, n_grid):
-        sig = chen_step_flat(
-            config,
-            dim,
-            sig,
-            times[j] - times[j - 1],
-            values[:, j] - values[:, j - 1],
-            jump_flags[:, j],
-        )
+    full = np.empty((n_grid, n_paths, n_flat)) if keep_paths else None
+    for j, sig in enumerate(_scan(config, times, values, jump_flags)):
         means[j] = sig.mean(axis=0)
         if keep_paths:
             full[j] = sig
@@ -341,23 +342,8 @@ def batch_terminal_signatures(
     jump_flags: np.ndarray | None = None,
 ) -> np.ndarray:
     """Terminal flat signatures (n_paths, flat) over the whole grid."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n_paths, n_grid, dim = values.shape
-    if jump_flags is None:
-        jump_flags = np.zeros((n_paths, n_grid), dtype=bool)
-    c = config.channels(dim)
-    k = config.degree
-    sig = np.tile(ta.identity_flat(c, k), (n_paths, 1))
-    for j in range(1, n_grid):
-        sig = chen_step_flat(
-            config,
-            dim,
-            sig,
-            times[j] - times[j - 1],
-            values[:, j] - values[:, j - 1],
-            jump_flags[:, j],
-        )
+    for sig in _scan(config, times, values, jump_flags):
+        pass
     return sig
 
 
@@ -378,19 +364,3 @@ def paths_to_csv(paths, fh, header_lines=()) -> None:
                 + [repr(float(v)) for v in p.values[i]]
                 + [int(p.jump_flags[i])]
             )
-
-
-def paths_from_csv(fh) -> list[CadlagPath]:
-    rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    body = rows[1:]
-    by_id: dict[int, list] = {}
-    for r in body:
-        by_id.setdefault(int(r[0]), []).append(r)
-    paths = []
-    for pid in sorted(by_id):
-        rs = by_id[pid]
-        times = np.array([float(r[1]) for r in rs])
-        values = np.array([[float(v) for v in r[2:-1]] for r in rs])
-        flags = np.array([bool(int(r[-1])) for r in rs])
-        paths.append(CadlagPath(times, values, flags))
-    return paths

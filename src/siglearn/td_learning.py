@@ -17,14 +17,13 @@ weights are read back from the running sum of the errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor_algebra as ta
 from .errors import DivergenceError, DomainError, InsufficientDataError, ShapeMismatchError
 from .jumpdiff import PathEnsemble
-from .kernelspace import NystromMap, compress_flat
+from .kernelspace import NystromMap
 from .proxy_flow import ProxyTrajectory
 from .signature import batch_prefix_signatures
 
@@ -36,11 +35,9 @@ _POWER_STACK_BYTES = 4 << 20
 _CONVERGED_DECAY = math.log(1e-6)
 
 __all__ = [
-    "ValueWeights",
     "TdSystem",
     "SolveResult",
     "SweepResult",
-    "step_features",
     "value_at",
     "td_error_vector",
     "realizable_rewards",
@@ -54,29 +51,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ValueWeights:
-    """Compressed-space weights for value and reward, and the terminal payoff."""
-
-    w_G: np.ndarray
-    w_R: np.ndarray
-    terminal_const: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_G", np.asarray(self.w_G, dtype=float))
-        object.__setattr__(self, "w_R", np.asarray(self.w_R, dtype=float))
-        for arr in (self.w_G, self.w_R):
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("value weights must be finite")
-
-
-@dataclass(frozen=True)
 class TdSystem:
     """One-trajectory linear system: fixed point solves A w = b."""
 
     A: np.ndarray
     b: np.ndarray
-    gamma: float
-    n_steps: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +68,7 @@ class SolveResult:
 
 @dataclass
 class SweepResult:
-    weights: ValueWeights
+    w: np.ndarray
     objective_trace: np.ndarray
     weight_norms: np.ndarray
     max_abs_delta: np.ndarray
@@ -98,29 +77,19 @@ class SweepResult:
     converged: bool
 
 
-def step_features(traj: ProxyTrajectory) -> np.ndarray:
-    """Compressed one-step segment laws inverse(proxy_s) (x) proxy_{s+1}."""
-    c, k = traj.channels, traj.degree
-    inv = ta.inverse_flat(c, k, traj.flats[..., :-1, :])
-    segs = ta.product_flat(c, k, inv, traj.flats[..., 1:, :])
-    return compress_flat(traj.nmap, segs)
-
-
-def value_at(traj: ProxyTrajectory, w_G: np.ndarray, s: float) -> float:
+def value_at(traj: ProxyTrajectory, w: np.ndarray, s: float) -> float:
     """Value as a linear read of the compressed re-centered residual at s."""
     i = traj.index_of(s)
-    return float(np.asarray(w_G, dtype=float) @ traj.residual_features()[i])
+    return float(np.asarray(w, dtype=float) @ traj.residual_features()[i])
 
 
-def _rewards_vector(traj, w_R, rewards):
-    if rewards is not None:
-        rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape[-1:] != (traj.n_grid - 1,):
-            raise ShapeMismatchError(
-                f"rewards must have length {traj.n_grid - 1}, got {rewards.shape}"
-            )
-        return rewards
-    return step_features(traj) @ np.asarray(w_R, dtype=float)
+def _rewards_vector(traj, rewards):
+    rewards = np.asarray(rewards, dtype=float)
+    if rewards.shape[-1:] != (traj.n_grid - 1,):
+        raise ShapeMismatchError(
+            f"rewards must have length {traj.n_grid - 1}, got {rewards.shape}"
+        )
+    return rewards
 
 
 def _td_map(traj: ProxyTrajectory, gamma: float, z: float, r) -> tuple:
@@ -144,16 +113,11 @@ def _td_map(traj: ProxyTrajectory, gamma: float, z: float, r) -> tuple:
 
 
 def td_error_vector(
-    traj: ProxyTrajectory,
-    w_G: np.ndarray,
-    gamma: float,
-    z: float,
-    rewards: np.ndarray | None = None,
-    w_R: np.ndarray | None = None,
+    traj: ProxyTrajectory, w: np.ndarray, gamma: float, z: float, rewards: np.ndarray
 ) -> np.ndarray:
     """All anticipatory TD errors r_s + gamma V(s+1) - V(s) along the grid."""
-    _, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, w_R, rewards))
-    return c0 - M @ np.asarray(w_G, dtype=float)
+    _, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, rewards))
+    return c0 - M @ np.asarray(w, dtype=float)
 
 
 def realizable_rewards(
@@ -166,11 +130,12 @@ def realizable_rewards(
 
 def td0_sweep(
     traj: ProxyTrajectory,
-    weights: ValueWeights,
+    w0: np.ndarray,
     gamma: float,
+    z: float,
     alpha: float,
     n_iters: int,
-    rewards: np.ndarray | None = None,
+    rewards: np.ndarray,
 ) -> SweepResult:
     """Semi-gradient TD(0) over the whole horizon, iterated n_iters times.
 
@@ -196,11 +161,11 @@ def td0_sweep(
         raise DomainError("alpha must be positive")
     if n_iters < 1:
         raise DomainError(f"n_iters must be >= 1, got {n_iters}")
-    cur, M, c0 = _td_map(
-        traj, gamma, weights.terminal_const, _rewards_vector(traj, weights.w_R, rewards)
-    )
+    w0 = np.asarray(w0, dtype=float)
+    if not np.all(np.isfinite(w0)):
+        raise DomainError("initial weights must be finite")
+    cur, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, rewards))
     n, m = cur.shape
-    w0 = weights.w_G
     MC = M @ cur.T
     P = np.eye(n) - alpha * MC
     # the weights move only along Q: their norm is the fixed part of w_0 off
@@ -253,7 +218,7 @@ def td0_sweep(
         T = sums[-1]
         delta = P @ D[-1]
     return SweepResult(
-        weights=replace(weights, w_G=w0 + alpha * (Q @ T)),
+        w=w0 + alpha * (Q @ T),
         objective_trace=obj,
         weight_norms=norms,
         max_abs_delta=max_delta,
@@ -264,15 +229,11 @@ def td0_sweep(
 
 
 def assemble_system(
-    traj: ProxyTrajectory,
-    w_R: np.ndarray | None,
-    gamma: float,
-    z: float,
-    rewards: np.ndarray | None = None,
+    traj: ProxyTrajectory, gamma: float, z: float, rewards: np.ndarray
 ) -> TdSystem:
     """Build A = C^T M and b = C^T c0, so the TD sweep is w <- w + alpha (b - A w)."""
-    cur, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, w_R, rewards))
-    return TdSystem(A=cur.T @ M, b=c0 @ cur, gamma=gamma, n_steps=cur.shape[0])
+    cur, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, rewards))
+    return TdSystem(A=cur.T @ M, b=c0 @ cur)
 
 
 def stability_bound(system: TdSystem) -> float:

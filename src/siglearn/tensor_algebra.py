@@ -10,9 +10,10 @@ products); Lie-like elements carry scalar part exactly 0 (generator outputs,
 logarithms).  The scalar coefficient itself is the flag — no separate
 bookkeeping is stored on the tensor.
 
-The ``*_flat`` functions are the batched engine: they act on arrays whose
-last axis is the flat coefficient vector, broadcasting over any leading axes.
-:class:`TruncTensor` methods wrap them for the single-element case.
+The ``*_flat`` functions are the only engine: they act on arrays whose last
+axis is the flat coefficient vector, broadcasting over any leading axes.
+:class:`TruncTensor` is a checked container for one element; its ``data``
+goes through the same functions.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ __all__ = [
     "flat_size",
     "coefficient_weights",
     "identity",
-    "trunc_product",
-    "trunc_exp",
-    "trunc_log",
-    "group_inverse",
     "product_flat",
     "exp_flat",
     "mul_exp_flat",
@@ -237,7 +234,7 @@ def exp_pullback_flat(channels: int, degree: int, x: np.ndarray, g: np.ndarray) 
 
 
 def log_flat(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
-    """Truncated logarithm of a group-like flat array."""
+    """Truncated logarithm of a group-like flat array (scalar part read as 1)."""
     g = np.asarray(g, dtype=float)
     u = g.copy()
     u[..., 0] = 0.0  # u = g - 1
@@ -292,41 +289,7 @@ class TruncTensor:
     def is_group_like(self) -> bool:
         return self.data[0] == 1.0
 
-    def _like(self, data: np.ndarray) -> "TruncTensor":
-        return TruncTensor(self.channels, self.degree, data)
-
-
-def _check_same_shape(a: TruncTensor, b: TruncTensor) -> None:
-    if a.channels != b.channels or a.degree != b.degree:
-        raise ShapeMismatchError(
-            f"tensor shapes differ: (c={a.channels}, k={a.degree}) vs "
-            f"(c={b.channels}, k={b.degree})"
-        )
-
 
 def identity(channels: int, degree: int) -> TruncTensor:
     """Identity element: scalar part 1, all higher levels zero."""
     return TruncTensor(channels, degree, identity_flat(channels, degree))
-
-
-def trunc_product(a: TruncTensor, b: TruncTensor) -> TruncTensor:
-    _check_same_shape(a, b)
-    return a._like(product_flat(a.channels, a.degree, a.data, b.data))
-
-
-def trunc_exp(x: TruncTensor) -> TruncTensor:
-    if x.data[0] != 0.0:
-        raise DomainError(f"exp requires zero scalar part, got {x.data[0]!r}")
-    return x._like(exp_flat(x.channels, x.degree, x.data))
-
-
-def trunc_log(g: TruncTensor) -> TruncTensor:
-    if g.data[0] != 1.0:
-        raise DomainError(f"log requires scalar part 1, got {g.data[0]!r}")
-    return g._like(log_flat(g.channels, g.degree, g.data))
-
-
-def group_inverse(g: TruncTensor) -> TruncTensor:
-    if g.data[0] != 1.0:
-        raise DomainError(f"inverse requires scalar part 1, got {g.data[0]!r}")
-    return g._like(inverse_flat(g.channels, g.degree, g.data))

@@ -20,10 +20,6 @@ def level(t: ta.TruncTensor, i: int) -> np.ndarray:
     return t.data[level_slice(t.channels, t.degree, i)]
 
 
-def scale(t: ta.TruncTensor, alpha: float) -> ta.TruncTensor:
-    return ta.TruncTensor(t.channels, t.degree, t.data * float(alpha))
-
-
 def graded_inner(a: ta.TruncTensor, b: ta.TruncTensor, level_weights=None) -> float:
     """Sum over levels of level_weights[i] <a_i, b_i>; unit weights by default."""
     if (a.channels, a.degree) != (b.channels, b.degree):

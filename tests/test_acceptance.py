@@ -57,7 +57,7 @@ from siglearn.signature import (
     new_filtered_proxy,
     path_signature,
 )
-from tensor_helpers import scale, zero
+from tensor_helpers import zero
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -92,27 +92,28 @@ def test_criterion_1_algebra_exactness():
         cfg = cfg_by_dim.setdefault((c_sig, k), SignatureConfig(degree=k))
         p = random_jump_path(rng, n_points=6, dim=d)
         mid = p.times[rng.integers(1, p.n_points - 1)]
-        whole = path_signature(cfg, p, p.times[0], p.times[-1])
-        glued = ta.trunc_product(
-            path_signature(cfg, p, p.times[0], mid),
-            path_signature(cfg, p, mid, p.times[-1]),
+        whole = path_signature(cfg, p, p.times[0], p.times[-1]).data
+        glued = ta.product_flat(
+            c_sig, k,
+            path_signature(cfg, p, p.times[0], mid).data,
+            path_signature(cfg, p, mid, p.times[-1]).data,
         )
-        worst = max(worst, float(np.max(np.abs(glued.data - whole.data))))
+        worst = max(worst, float(np.max(np.abs(glued - whole))))
 
-        gi = ta.group_inverse(whole)
+        gi = ta.inverse_flat(c_sig, k, whole)
         ident = ta.identity_flat(c_sig, k)
         worst = max(worst, float(np.max(np.abs(
-            ta.trunc_product(whole, gi).data - ident))))
+            ta.product_flat(c_sig, k, whole, gi) - ident))))
         worst = max(worst, float(np.max(np.abs(
-            ta.trunc_product(gi, whole).data - ident))))
+            ta.product_flat(c_sig, k, gi, whole) - ident))))
 
-        v = zero(c_sig, k)
-        v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
+        v = zero(c_sig, k).data
+        v[1:] = rng.normal(scale=0.4, size=v.size - 1)
         worst = max(worst, float(np.max(np.abs(
-            ta.trunc_log(ta.trunc_exp(v)).data - v.data))))
-        g = ta.trunc_exp(scale(v, 0.5))
+            ta.log_flat(c_sig, k, ta.exp_flat(c_sig, k, v)) - v))))
+        g = ta.exp_flat(c_sig, k, 0.5 * v)
         worst = max(worst, float(np.max(np.abs(
-            ta.trunc_exp(ta.trunc_log(g)).data - g.data))))
+            ta.exp_flat(c_sig, k, ta.log_flat(c_sig, k, g)) - g))))
 
     dim_781 = ta.flat_size(5, 4)
     elapsed = time.time() - start
@@ -151,10 +152,10 @@ def test_criterion_3_nested_residual_identity():
     worst = 0.0
     lms = []
     for _ in range(6):
-        v = zero(3, 3)
-        v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
-        lms.append(ta.trunc_exp(v))
-    nmap = build_nystrom(lms)
+        v = zero(3, 3).data
+        v[1:] = rng.normal(scale=0.4, size=v.size - 1)
+        lms.append(ta.exp_flat(3, 3, v))
+    nmap = build_nystrom(np.array(lms), 3, 3)
     for trial in range(50):
         gen = new_generator(3, 3, n_proxy_features=4, seed=1000 + trial, init_scale=0.5)
         traj = integrate_flow(gen, nmap, None, np.linspace(0.0, 1.0, 13))
@@ -260,14 +261,13 @@ def test_criterion_5_td_fixed_point():
     w_true = rng.normal(size=6)
     gamma, z = 0.99, 0.3
     rewards = td.realizable_rewards(traj, w_true, gamma, z)
-    system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+    system = td.assemble_system(traj, gamma, z, rewards)
     sol = td.solve_fixed_point(system)
-    weights = td.ValueWeights(w_G=np.zeros(6), w_R=np.zeros(6), terminal_const=z)
     sweep = td.td0_sweep(
-        traj, weights, gamma, 0.9 * td.stability_bound(system), 300_000, rewards=rewards
+        traj, np.zeros(6), gamma, z, 0.9 * td.stability_bound(system), 300_000, rewards
     )
-    rel = float(np.linalg.norm(sweep.weights.w_G - sol.w) / np.linalg.norm(sol.w))
-    deltas = td.td_error_vector(traj, sol.w, gamma, z, rewards=rewards)
+    rel = float(np.linalg.norm(sweep.w - sol.w) / np.linalg.norm(sol.w))
+    deltas = td.td_error_vector(traj, sol.w, gamma, z, rewards)
     max_delta = float(np.max(np.abs(deltas)))
     elapsed = time.time() - start
     check(
@@ -280,10 +280,10 @@ def test_criterion_5_td_fixed_point():
 
 def test_criterion_6_variance_reduction():
     start = time.time()
-    cfg = load_config(None)
-    cfg = copy.deepcopy(cfg)
+    cfg = copy.deepcopy(load_config(None))
+    cfg["variance"].update(seeds=100, ensemble_size=512)
     scenario = build_scenario(cfg, 2)
-    report = variance_experiment(cfg, scenario, n_seeds=100, ensemble_size=512)
+    report = variance_experiment(cfg, scenario)
     elapsed = time.time() - start
     check(
         6, "variance reduction",

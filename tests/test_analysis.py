@@ -8,7 +8,6 @@ from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, fit_whitening
 from siglearn.proxy_flow import TrainConfig, new_generator, train_generator
 from siglearn.signature import SignatureConfig
-from tensor_helpers import zero
 
 C, K = 3, 3
 
@@ -18,12 +17,9 @@ def make_metric(rng, m=5):
 
 
 def make_map(rng, n_landmarks=6):
-    lms = []
-    for _ in range(n_landmarks):
-        v = zero(C, K)
-        v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
-        lms.append(ta.trunc_exp(v))
-    return build_nystrom(lms)
+    x = np.zeros((n_landmarks, ta.flat_size(C, K)))
+    x[:, 1:] = rng.normal(scale=0.4, size=(n_landmarks, x.shape[1] - 1))
+    return build_nystrom(ta.exp_flat(C, K, x), C, K)
 
 
 def jump_env(lam=1.5, jump_mean=-0.2, vol=0.25, **kw):
@@ -148,12 +144,13 @@ class TestForecastDecay:
         metric = fit_whitening(feats, lam=1e-4)
         gen0 = new_generator(C, K, n_proxy_features=3, phase_powers=3,
                              seed=10, init_scale=0.05)
+        metrics = [metric] * grid.size
         plain = train_generator(
-            gen0, train_ens, nmap, metric,
+            gen0, train_ens, nmap, metrics,
             TrainConfig(steps=150, lr=0.08, eta_scf=0.0, contraction_reg=0.0),
         ).params
         damped = train_generator(
-            gen0, train_ens, nmap, metric,
+            gen0, train_ens, nmap, metrics,
             TrainConfig(steps=150, lr=0.08, eta_scf=0.3, contraction_reg=40.0),
         ).params
         seeds = [21, 22, 23, 24]

@@ -185,6 +185,14 @@ class TestCliExitCodes:
             ("FLOW__PHASE_POWERS=-1", "flow.phase_powers"),
             ("RISK__ALPHA_TAIL=2", "risk.alpha_tail"),
             ("ANALYSIS__DECAY_SEEDS=0", "analysis.decay_seeds"),
+            ("ANALYSIS__STRESS_SCALES=", "analysis.stress_scales"),
+            ("ANALYSIS__STRESS_GROUPS=0", "analysis.stress_groups"),
+            ("ANALYSIS__STRESS_GROUPS=-8", "analysis.stress_groups"),
+            ("FLOW__PROXY_FEATURES=-1", "flow.proxy_features"),
+            ("RISK__ACTION_STEP=0", "risk.action_step"),
+            ("HISTORY__WINDOW=-1", "history.window"),
+            ("TD__PLANTED_RANK=-2", "td.planted_rank"),
+            ("FLOW__INIT_SCALE=-1", "flow.init_scale"),
         ],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, override, named):

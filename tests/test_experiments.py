@@ -78,8 +78,12 @@ class TestVarianceSweep:
 
         cfg = small_cfg()
         sc = build_scenario(cfg, 11)
-        small = variance_experiment(cfg, sc, n_seeds=30, ensemble_size=16)
-        big = variance_experiment(cfg, sc, n_seeds=30, ensemble_size=256)
+        reports = []
+        for n_paths in (16, 256):
+            run = copy.deepcopy(cfg)
+            run["variance"].update(seeds=30, ensemble_size=n_paths)
+            reports.append(variance_experiment(run, sc))
+        small, big = reports
         assert small["ratio"] < 1.0
         assert big["ratio"] < small["ratio"]
 
@@ -98,7 +102,7 @@ class TestTrainScf:
         cache = _ensemble_cache(sc.train_ensemble, sc.nmap)
 
         def losses(gen):
-            parts = _loss_terms(gen, sc.nmap, sc.metrics, cache, tc, 1.0)[0]
+            parts = _loss_terms(gen, sc.nmap, sc.metrics, cache, tc)[0]
             return {"score": float(parts["score"]), "scf": float(parts["scf"])}
 
         assert diag["before"] == losses(_generator_from_cfg(cfg, sc))

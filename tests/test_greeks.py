@@ -14,18 +14,14 @@ from siglearn.jumpdiff import (
 from siglearn.kernelspace import build_nystrom, compress_flat
 from siglearn.proxy_flow import integrate_flow, new_generator
 from siglearn.signature import SignatureConfig
-from tensor_helpers import zero
 
 C, K = 3, 3
 
 
 def make_map(rng, n_landmarks=6):
-    lms = []
-    for _ in range(n_landmarks):
-        v = zero(C, K)
-        v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
-        lms.append(ta.trunc_exp(v))
-    return build_nystrom(lms)
+    x = np.zeros((n_landmarks, ta.flat_size(C, K)))
+    x[:, 1:] = rng.normal(scale=0.4, size=(n_landmarks, x.shape[1] - 1))
+    return build_nystrom(ta.exp_flat(C, K, x), C, K)
 
 
 def make_setup(seed=0, pinned=True):

@@ -15,7 +15,7 @@ from siglearn.jumpdiff import (
 )
 from siglearn.kernelspace import build_nystrom
 from siglearn.signature import SignatureConfig, path_signature
-from tensor_helpers import level, zero
+from tensor_helpers import level
 
 CFG = SignatureConfig(degree=3, time_scale=1.0)
 
@@ -35,6 +35,12 @@ def make_params(d=2, vol=0.2, lam=0.0, memory=None, **kw):
 
 def unit_grid(n_steps, dt=0.05):
     return dt * np.arange(n_steps + 1)
+
+
+def random_map(rng, n_landmarks=6, channels=4, degree=3):
+    x = np.zeros((n_landmarks, ta.flat_size(channels, degree)))
+    x[:, 1:] = rng.normal(scale=0.3, size=(n_landmarks, x.shape[1] - 1))
+    return build_nystrom(ta.exp_flat(channels, degree, x), channels, degree)
 
 
 def euler_step(params, state, dt, xi, count, eta):
@@ -139,12 +145,7 @@ class TestEnsemble:
 
     def test_memory_coupling_changes_paths_deterministically(self):
         rng = np.random.default_rng(13)
-        lms = []
-        for _ in range(6):
-            v = zero(4, 3)
-            v.data[1:] = rng.normal(scale=0.3, size=v.data.size - 1)
-            lms.append(ta.trunc_exp(v))
-        nmap = build_nystrom(lms)
+        nmap = random_map(rng)
         gain = 0.5 * rng.normal(size=(2, 6))
         params = make_params(vol=0.2, memory=gain)
         grid = unit_grid(6)
@@ -210,12 +211,7 @@ class TestReusedStreams:
     @pytest.mark.parametrize("memory", [False, True])
     def test_ensemble_equals_fresh_generators(self, monkeypatch, seed, n_paths, memory):
         rng = np.random.default_rng(12)
-        lms = []
-        for _ in range(6):
-            v = zero(4, 3)
-            v.data[1:] = rng.normal(scale=0.3, size=v.data.size - 1)
-            lms.append(ta.trunc_exp(v))
-        nmap = build_nystrom(lms)
+        nmap = random_map(rng)
         params = make_params(
             vol=0.3, lam=4.0, jump_mean=np.array([0.1, -0.2]),
             jump_scale=np.array([0.2, 0.1]),

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from tensor_helpers import graded_inner, zero
 def random_group_like(rng, channels=2, degree=3, scale=0.5):
     v = zero(channels, degree)
     v.data[1:] = rng.normal(scale=scale, size=v.data.size - 1)
-    return ta.trunc_exp(v)
+    return ta.TruncTensor(channels, degree, ta.exp_flat(channels, degree, v.data))
 
 
 def make_map(rng, n_landmarks=12, channels=2, degree=3, ridge=None):
-    lms = [random_group_like(rng, channels, degree) for _ in range(n_landmarks)]
-    return ks.build_nystrom(lms, ridge=ridge)
+    lms = np.array([random_group_like(rng, channels, degree).data for _ in range(n_landmarks)])
+    return ks.build_nystrom(lms, channels, degree, ridge=ridge)
 
 
 class TestKernel:
@@ -47,7 +48,7 @@ class TestNystrom:
         rng = np.random.default_rng(2)
         zeta = random_group_like(rng)
         kappa = graded_inner(zeta, zeta)
-        nmap = ks.build_nystrom([zeta], ridge=1e-12)
+        nmap = ks.build_nystrom(zeta.data[None], 2, 3, ridge=1e-12)
         feat = ks.compress(nmap, zeta)
         assert feat.shape == (1,)
         assert feat[0] == pytest.approx(np.sqrt(kappa), rel=1e-6)
@@ -78,8 +79,14 @@ class TestNystrom:
         rng = np.random.default_rng(6)
         zeta = random_group_like(rng)
         with pytest.warns(RuntimeWarning):
-            nmap = ks.build_nystrom([zeta, zeta, random_group_like(rng)])
+            nmap = ks.build_nystrom(
+                np.array([zeta.data, zeta.data, random_group_like(rng).data]), 2, 3
+            )
         assert np.all(np.isfinite(nmap.matrix))
+
+    def test_no_landmarks_rejected(self):
+        with pytest.raises(DomainError, match="need at least one landmark"):
+            ks.build_nystrom(np.empty((0, ta.flat_size(2, 3))), 2, 3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_distance_preservation(self):
@@ -101,9 +108,13 @@ class TestNystrom:
         nmap = make_map(rng, n_landmarks=5)
         buf = io.StringIO()
         ks.nystrom_to_json(nmap, buf, meta={"seed": 1})
-        buf.seek(0)
-        back = ks.nystrom_from_json(buf)
-        assert np.allclose(back.matrix, nmap.matrix, atol=0)
+        payload = json.loads(buf.getvalue())
+        assert payload["_meta"] == {"seed": 1}
+        assert (payload["channels"], payload["degree"]) == (2, 3)
+        assert payload["ridge"] == nmap.ridge
+        assert payload["level_weights"] == nmap.level_weights.tolist()
+        landmarks = np.array(payload["landmarks"], dtype=float)
+        assert np.array_equal(landmarks, nmap.landmarks)
 
 
 class TestWhitenedMetric:

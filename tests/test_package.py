@@ -1,9 +1,17 @@
+import ast
 import importlib
+import io
 import pkgutil
+import re
+import tokenize
+from pathlib import Path
 
 import pytest
 
 import siglearn
+
+SRC = Path(siglearn.__file__).resolve().parent
+BENCH = SRC.parents[1] / "perfbench"
 
 MODULES = ["siglearn"] + [
     f"siglearn.{m.name}" for m in pkgutil.iter_modules(siglearn.__path__)
@@ -15,3 +23,51 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def _definition_lines(tree) -> dict:
+    """Top-level name -> (first, last) line of its def or class."""
+    spans = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            spans[node.name] = (first, node.end_lineno)
+    return spans
+
+
+def _exports(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name must occur as an identifier in the package outside its
+    # own definition (an import counts; the __all__ strings, docstrings and
+    # comments do not), or in the benchmark, whose tracer names functions
+    # in strings
+    sources = {p: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    trees = {p: ast.parse(text) for p, text in sources.items()}
+    spans = {p: _definition_lines(tree) for p, tree in trees.items()}
+    bench = "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
+
+    def read_in(path, name):
+        own = spans[path].get(name)
+        for tok in tokenize.generate_tokens(io.StringIO(sources[path]).readline):
+            if tok.type == tokenize.NAME and tok.string == name:
+                if own is None or not own[0] <= tok.start[0] <= own[1]:
+                    return True
+        return False
+
+    unused = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name in _exports(tree)
+        if not name.startswith("__")
+        and not any(read_in(q, name) for q in sources)
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert not unused

@@ -23,17 +23,19 @@ from tensor_helpers import level, zero
 C, K = 3, 3  # time + 1 state dim + reward channel
 
 
+def random_group_like(rng, scale=0.4):
+    x = np.zeros(ta.flat_size(C, K))
+    x[1:] = rng.normal(scale=scale, size=x.size - 1)
+    return ta.exp_flat(C, K, x)
+
+
 def make_map(rng, n_landmarks=10):
-    lms = []
-    for _ in range(n_landmarks):
-        v = zero(C, K)
-        v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
-        lms.append(ta.trunc_exp(v))
-    return build_nystrom(lms)
+    return build_nystrom(np.array([random_group_like(rng) for _ in range(n_landmarks)]), C, K)
 
 
-def eye_metric(m):
-    return WhitenedMetric(precision=np.eye(m), ridge=1.0)
+def eye_metrics(m, n_grid=9):
+    """The identity metric at every gridpoint."""
+    return [WhitenedMetric(precision=np.eye(m), ridge=1.0)] * n_grid
 
 
 def drift_env(mu=0.3, vol=0.0, lam=0.0, **kw):
@@ -73,7 +75,7 @@ class TestFlowStep:
         W[:, -1] = v.data[1:]
         traj = integrate_flow(gen.with_theta(W.ravel()), make_map(rng), None,
                               np.linspace(0.0, 1.0, 9))
-        assert np.max(np.abs(traj.flats[-1] - ta.trunc_exp(v).data)) < 1e-14
+        assert np.max(np.abs(traj.flats[-1] - ta.exp_flat(C, K, v.data))) < 1e-14
 
     def test_preconditions(self):
         rng = np.random.default_rng(0)
@@ -160,7 +162,7 @@ class TestIntegrateFlow:
         nmap = make_map(rng)
         gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
                             clock_rate=clock, seed=6, init_scale=0.5)
-        jn = rng.normal(size=nmap.n_landmarks) if junction else None
+        jn = ta.TruncTensor(C, K, random_group_like(rng)) if junction else None
         grid = np.linspace(0.0, 1.0, 13)
         thetas = gen.theta() + 0.2 * rng.normal(size=(7, gen.n_params))
         batch = integrate_flow(gen, nmap, jn, grid, theta_rows=thetas)
@@ -193,7 +195,7 @@ class TestLosses:
         ens = generate_ensemble(drift_env(0.3), (0.0, np.zeros(1), None), None,
                                 grid, 4, 0, linear_cfg())
         gen = matched_generator(0.3)
-        loss = score_matching_loss(gen, ens, nmap, eye_metric(nmap.n_landmarks))
+        loss = score_matching_loss(gen, ens, nmap, eye_metrics(nmap.n_landmarks))
         assert loss < 1e-24
 
     def test_random_generator_larger_loss(self):
@@ -202,10 +204,10 @@ class TestLosses:
         grid = np.linspace(0.0, 1.0, 9)
         ens = generate_ensemble(drift_env(0.3), (0.0, np.zeros(1), None), None,
                                 grid, 4, 0, linear_cfg())
-        metric = eye_metric(nmap.n_landmarks)
-        matched = score_matching_loss(matched_generator(0.3), ens, nmap, metric)
+        metrics = eye_metrics(nmap.n_landmarks)
+        matched = score_matching_loss(matched_generator(0.3), ens, nmap, metrics)
         noisy = new_generator(C, K, n_proxy_features=6, seed=7, init_scale=0.5)
-        assert score_matching_loss(noisy, ens, nmap, metric) > matched + 1e-3
+        assert score_matching_loss(noisy, ens, nmap, metrics) > matched + 1e-3
 
     def test_scf_loss_zero_at_match_and_eta_scaling(self):
         # the scf part of the loss pass: zero when the flow ends on the
@@ -213,11 +215,11 @@ class TestLosses:
         rng = np.random.default_rng(12)
         nmap = make_map(rng)
         grid = np.linspace(0.0, 1.0, 9)
-        metric = eye_metric(nmap.n_landmarks)
+        metrics = eye_metrics(nmap.n_landmarks)
 
         def scf(gen, ens, eta):
             cache = _ensemble_cache(ens, nmap)
-            return _loss_terms(gen, nmap, metric, cache, TrainConfig(eta_scf=eta), 1.0)[0]["scf"]
+            return _loss_terms(gen, nmap, metrics, cache, TrainConfig(eta_scf=eta))[0]["scf"]
 
         still = generate_ensemble(drift_env(0.3), (0.0, np.zeros(1), None),
                                   None, grid, 4, 1, linear_cfg())
@@ -241,7 +243,7 @@ class TestTraining:
         gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
                             seed=9, init_scale=0.3)
         cfg = TrainConfig(steps=40, lr=0.02)
-        res = train_generator(gen, ens, nmap, eye_metric(nmap.n_landmarks), cfg)
+        res = train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks), cfg)
         totals = [row["total"] for row in res.trace]
         assert totals[-1] < 0.2 * totals[0]
         increases = sum(b > a * 1.02 + 1e-12 for a, b in zip(totals, totals[1:]))
@@ -255,7 +257,7 @@ class TestTraining:
                                 grid, 4, 0, linear_cfg())
         gen = matched_generator(0.3)
         cfg = TrainConfig(steps=3, lr=0.05)
-        res = train_generator(gen, ens, nmap, eye_metric(nmap.n_landmarks), cfg)
+        res = train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks), cfg)
         assert all(row["update_max"] < 1e-6 for row in res.trace)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -268,7 +270,7 @@ class TestTraining:
                                 None, grid, 8, 2, linear_cfg())
         gen = new_generator(C, K, n_proxy_features=4, seed=9, init_scale=0.3)
         with pytest.raises(DivergenceError):
-            train_generator(gen, ens, nmap, eye_metric(nmap.n_landmarks),
+            train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks),
                             TrainConfig(steps=3, lr=1e308))
 
     def test_targets_shape(self):
@@ -280,31 +282,29 @@ class TestTraining:
         assert np.allclose(t[:, 0], 0.0, atol=0)
 
 
-def reference_loss(gen, refs, nmap, metrics, cfg):
-    """Training loss restated from its definition: score + scf + reg, averaged.
+def reference_loss(gen, ref, nmap, metrics, cfg):
+    """Training loss restated from its definition: score + scf + reg.
 
-    ``refs`` holds (grid, step targets, compressed prefix means) per ensemble.
+    ``ref`` holds the ensemble's grid, step targets and compressed prefix means.
     """
 
     def qn(j, d):
-        m = metrics if isinstance(metrics, WhitenedMetric) else metrics[j]
-        return d @ m.precision @ d
+        return d @ metrics[j].precision @ d
 
-    total = 0.0
-    for grid, targets, means in refs:
-        traj = integrate_flow(gen, nmap, None, grid)
-        n = targets.shape[0]
-        u = (grid - grid[0]) / (grid[-1] - grid[0])
-        loss = sum(qn(j, compress_flat(nmap, traj.tangents[j] - targets[j])) for j in range(n)) / n
-        for j in range(1, n + 1):
-            weight = cfg.eta_scf * (j == n) + cfg.contraction_reg * u[j] ** 2 / n
-            loss += weight * qn(j, compress_flat(nmap, traj.flats[j]) - means[j])
-        total += loss / len(refs)
-    return total
+    grid, targets, means = ref
+    traj = integrate_flow(gen, nmap, None, grid)
+    n = targets.shape[0]
+    u = (grid - grid[0]) / (grid[-1] - grid[0])
+    loss = sum(qn(j, compress_flat(nmap, traj.tangents[j] - targets[j])) for j in range(n)) / n
+    for j in range(1, n + 1):
+        weight = cfg.eta_scf * (j == n) + cfg.contraction_reg * u[j] ** 2 / n
+        loss += weight * qn(j, compress_flat(nmap, traj.flats[j]) - means[j])
+    return loss
 
 
 class TestExactGradient:
-    # (metric family, eta_scf, contraction_reg, clock_rate, ensembles)
+    # (fitted metric family or the identity at every point, eta_scf,
+    # contraction_reg, clock_rate, ensemble seed)
     CASES = [
         (False, 0.1, 0.0, None, 1),
         (True, 0.1, 0.0, None, 1),
@@ -314,31 +314,27 @@ class TestExactGradient:
         (True, 0.1, 40.0, 1.0, 1),
     ]
 
-    @pytest.mark.parametrize("family,eta,reg,clock,n_ens", CASES)
-    def test_matches_central_difference(self, family, eta, reg, clock, n_ens):
+    @pytest.mark.parametrize("family,eta,reg,clock,seed", CASES)
+    def test_matches_central_difference(self, family, eta, reg, clock, seed):
         rng = np.random.default_rng(16)
         nmap = make_map(rng)
         grid = np.linspace(0.0, 1.0, 9)
-        ensembles = [
-            generate_ensemble(drift_env(0.25, vol=0.2, lam=1.0, jump_scale=np.full(1, 0.1)),
-                              (0.0, np.zeros(1), None), None, grid, 16, seed, linear_cfg())
-            for seed in range(n_ens)
-        ]
+        ens = generate_ensemble(
+            drift_env(0.25, vol=0.2, lam=1.0, jump_scale=np.full(1, 0.1)),
+            (0.0, np.zeros(1), None), None, grid, 16, seed, linear_cfg(),
+        )
         if family:
-            _, full = prefix_mean_signatures(ensembles[0], keep_paths=True)
+            _, full = prefix_mean_signatures(ens, keep_paths=True)
             metrics = fit_metric_family(compress_flat(nmap, full), 1e-2)
         else:
-            metrics = eye_metric(nmap.n_landmarks)
+            metrics = eye_metrics(nmap.n_landmarks)
         gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
                             clock_rate=clock, seed=10, init_scale=0.3)
         cfg = TrainConfig(eta_scf=eta, contraction_reg=reg)
-        caches = [_ensemble_cache(e, nmap) for e in ensembles]
-        refs = [
-            (e.times, step_targets(e), compress_flat(nmap, prefix_mean_signatures(e)))
-            for e in ensembles
-        ]
+        cache = _ensemble_cache(ens, nmap)
+        refs = (ens.times, step_targets(ens), compress_flat(nmap, prefix_mean_signatures(ens)))
 
-        parts, grad = _objective(gen, nmap, metrics, caches, cfg)
+        parts, grad = _objective(gen, nmap, metrics, cache, cfg)
         loss = reference_loss(gen, refs, nmap, metrics, cfg)
         assert sum(parts.values()) == pytest.approx(loss, rel=1e-12)
         assert (parts["reg"] == 0.0) == (reg == 0.0)

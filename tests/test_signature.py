@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -11,11 +12,11 @@ from siglearn.signature import (
     _grid_index,
     SignatureConfig,
     batch_prefix_signatures,
+    batch_terminal_signatures,
     chen_step_flat,
     incremental_update,
     new_filtered_proxy,
     path_signature,
-    paths_from_csv,
     paths_to_csv,
     step_factor_flat,
 )
@@ -117,8 +118,8 @@ class TestPathSignature:
                 whole = path_signature(cfg, p, p.times[0], p.times[-1])
                 left = path_signature(cfg, p, p.times[0], mid)
                 right = path_signature(cfg, p, mid, p.times[-1])
-                glued = ta.trunc_product(left, right)
-                assert np.max(np.abs(glued.data - whole.data)) < 1e-12
+                glued = ta.product_flat(3, 3, left.data, right.data)
+                assert np.max(np.abs(glued - whole.data)) < 1e-12
 
     def test_out_of_span_rejected(self):
         rng = np.random.default_rng(23)
@@ -150,9 +151,9 @@ class TestPathSignature:
         # sign-flipped increments in reverse order, time channel excluded
         rng = np.random.default_rng(26)
         p = random_path(rng, n_points=6, jump_prob=0.0)
-        sig = ta.TruncTensor(2, 3, space_signature(p.values))
+        sig = space_signature(p.values)
         sig_rev = space_signature(p.values[::-1])
-        assert np.max(np.abs(ta.group_inverse(sig).data - sig_rev)) < 1e-12
+        assert np.max(np.abs(ta.inverse_flat(2, 3, sig) - sig_rev)) < 1e-12
 
     def test_desk_scale_injectivity(self):
         rng = np.random.default_rng(27)
@@ -237,6 +238,18 @@ class TestBatched:
             assert np.max(np.abs(full[j] - per_path)) < 1e-12
             assert np.max(np.abs(means[j] - per_path.mean(axis=0))) < 1e-12
 
+    def test_terminal_is_last_prefix_bitwise(self):
+        rng = np.random.default_rng(34)
+        cfg = SignatureConfig(degree=3, mode="linear", time_scale=1.5)
+        times = np.linspace(0.0, 1.0, 5)
+        values = np.cumsum(rng.normal(scale=0.3, size=(4, 5, 2)), axis=1)
+        flags = rng.random((4, 5)) < 0.3
+        flags[:, 0] = False
+        _, full = batch_prefix_signatures(cfg, times, values, flags, keep_paths=True)
+        terminal = batch_terminal_signatures(cfg, times, values, flags)
+        assert np.array_equal(terminal, full[-1])
+        assert np.array_equal(batch_terminal_signatures(cfg, times[:1], values[:, :1]), full[0])
+
 
 # (shape, jumps): one path with a scalar dt, a (dim,) increment and a bool
 # flag, or a batch of paths with no, some or all of them jump-flagged
@@ -285,11 +298,14 @@ class TestCsv:
         paths = [random_path(rng) for _ in range(3)]
         buf = io.StringIO()
         paths_to_csv(paths, buf, header_lines=["# test artifact"])
-        buf.seek(0)
-        back = paths_from_csv(buf)
-        assert len(back) == 3
-        for a, b in zip(paths, back):
-            assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.jump_flags, b.jump_flags)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "# test artifact"
+        rows = list(csv.reader(lines[1:]))
+        assert rows[0] == ["path_id", "t", "x_1", "x_2", "jump_flag"]
+        body = np.array(rows[1:], dtype=float)
+        for pid, p in enumerate(paths):
+            mine = body[body[:, 0] == pid]
+            assert np.array_equal(mine[:, 1], p.times)
+            assert np.array_equal(mine[:, 2:-1], p.values)
+            assert np.array_equal(mine[:, -1].astype(bool), p.jump_flags)
 

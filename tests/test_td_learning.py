@@ -1,12 +1,17 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from siglearn import tensor_algebra as ta
 from siglearn import td_learning as td
-from siglearn.errors import DivergenceError, DomainError, InsufficientDataError, RangeError
+from siglearn.errors import (
+    DivergenceError,
+    DomainError,
+    InsufficientDataError,
+    RangeError,
+    ShapeMismatchError,
+)
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, compress_flat
 from siglearn.proxy_flow import empirical_trajectory, integrate_flow, new_generator
@@ -17,12 +22,9 @@ C, K = 3, 3
 
 
 def make_map(rng, n_landmarks=6):
-    lms = []
-    for _ in range(n_landmarks):
-        v = zero(C, K)
-        v.data[1:] = rng.normal(scale=0.4, size=v.data.size - 1)
-        lms.append(ta.trunc_exp(v))
-    return build_nystrom(lms)
+    x = np.zeros((n_landmarks, ta.flat_size(C, K)))
+    x[:, 1:] = rng.normal(scale=0.4, size=(n_landmarks, x.shape[1] - 1))
+    return build_nystrom(ta.exp_flat(C, K, x), C, K)
 
 
 def make_traj(rng, nmap, n_grid=13, init_scale=0.5, seed=0):
@@ -50,7 +52,6 @@ class TestValueAndReward:
         nmap = make_map(rng)
         traj = make_traj(rng, nmap)
         assert td.value_at(traj, np.zeros(6), 0.5) == 0.0
-        assert not np.any(td.step_features(traj) @ np.zeros(6))
 
     def test_value_at_horizon_reads_identity(self):
         rng = np.random.default_rng(1)
@@ -101,7 +102,10 @@ class TestValueAndReward:
         rng = np.random.default_rng(4)
         nmap = make_map(rng)
         traj = make_traj(rng, nmap)
-        assert td.step_features(traj).shape == (traj.n_grid - 1, 6)
+        w = rng.normal(size=6)
+        assert td.realizable_rewards(traj, w, 0.9, 0.0).shape == (traj.n_grid - 1,)
+        with pytest.raises(ShapeMismatchError, match="rewards must have length"):
+            td.td_error_vector(traj, w, 0.9, 0.0, np.zeros(traj.n_grid))
 
 
 class TestTdError:
@@ -109,7 +113,7 @@ class TestTdError:
         rng = np.random.default_rng(5)
         nmap = make_map(rng)
         traj = make_traj(rng, nmap)
-        deltas = td.td_error_vector(traj, np.zeros(6), 0.9, 0.0, w_R=np.zeros(6))
+        deltas = td.td_error_vector(traj, np.zeros(6), 0.9, 0.0, np.zeros(traj.n_grid - 1))
         assert np.array_equal(deltas, np.zeros(traj.n_grid - 1))
 
     def test_realizable_construction_zeroes_every_step(self):
@@ -119,7 +123,7 @@ class TestTdError:
         w_true = rng.normal(size=6)
         z = 0.7
         rewards = td.realizable_rewards(traj, w_true, 0.95, z)
-        deltas = td.td_error_vector(traj, w_true, 0.95, z, rewards=rewards)
+        deltas = td.td_error_vector(traj, w_true, 0.95, z, rewards)
         assert np.max(np.abs(deltas)) < 1e-10
 
     def test_leading_axis_matches_row_by_row(self):
@@ -132,14 +136,14 @@ class TestTdError:
         thetas = gen.theta() + 0.2 * rng.normal(size=(3, gen.n_params))
         batch = integrate_flow(gen, nmap, None, grid, theta_rows=thetas)
         rows = [integrate_flow(gen.with_theta(t), nmap, None, grid) for t in thetas]
-        w, w_R = rng.normal(size=6), rng.normal(size=6)
+        w = rng.normal(size=6)
         rewards = rng.normal(size=(3, grid.size - 1))
         gamma, z = 0.9, 0.3
         for got, want in [
-            (td.td_error_vector(batch, w, gamma, z, w_R=w_R),
-             [td.td_error_vector(t, w, gamma, z, w_R=w_R) for t in rows]),
-            (td.td_error_vector(batch, w, gamma, z, rewards=rewards),
-             [td.td_error_vector(t, w, gamma, z, rewards=r) for t, r in zip(rows, rewards)]),
+            (td.td_error_vector(batch, w, gamma, z, rewards),
+             [td.td_error_vector(t, w, gamma, z, r) for t, r in zip(rows, rewards)]),
+            (td.td_error_vector(batch, w, gamma, z, rewards[0]),
+             [td.td_error_vector(t, w, gamma, z, rewards[0]) for t in rows]),
             (td.realizable_rewards(batch, w, gamma, z),
              [td.realizable_rewards(t, w, gamma, z) for t in rows]),
         ]:
@@ -151,13 +155,12 @@ class TestTdError:
         nmap = make_map(rng)
         traj = make_traj(rng, nmap)
         w = rng.normal(size=6)
-        w_R = rng.normal(size=6)
+        rewards = rng.normal(size=traj.n_grid - 1)
         gamma, z = 0.9, 0.3
-        deltas = td.td_error_vector(traj, w, gamma, z, w_R=w_R)
+        deltas = td.td_error_vector(traj, w, gamma, z, rewards)
         psi = traj.residual_features()
-        segs = td.step_features(traj)
         for s in range(traj.n_grid - 1):
-            r = float(w_R @ segs[s])
+            r = rewards[s]
             v_next = z if s == traj.n_grid - 2 else float(w @ psi[s + 1])
             expected = r + gamma * v_next - float(w @ psi[s])
             assert deltas[s] == pytest.approx(expected, abs=1e-12)
@@ -175,9 +178,16 @@ class TestSweepAndSolve:
 
     def test_fixed_point_start_is_stationary(self):
         rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem()
-        weights = td.ValueWeights(w_G=w_true, w_R=np.zeros(6), terminal_const=z)
-        res = td.td0_sweep(traj, weights, gamma, 0.05, 200, rewards=rewards)
-        assert np.max(np.abs(res.weights.w_G - w_true)) < 1e-10
+        res = td.td0_sweep(traj, w_true, gamma, z, 0.05, 200, rewards)
+        assert np.max(np.abs(res.w - w_true)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem()
+        w0 = np.zeros(6)
+        w0[2] = bad
+        with pytest.raises(DomainError, match="initial weights must be finite"):
+            td.td0_sweep(traj, w0, gamma, z, 0.05, 10, rewards)
 
     def noisy_problem(self, seed, m=4, gamma=0.9, n_paths=8):
         # empirical trajectory of a jumpy ensemble: well-spread features
@@ -203,34 +213,31 @@ class TestSweepAndSolve:
 
     def test_sweep_converges_to_direct_solve(self):
         nmap, traj, w_true, z, rewards, gamma = self.noisy_problem(seed=9)
-        system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+        system = td.assemble_system(traj, gamma, z, rewards)
         sol = td.solve_fixed_point(system)
         assert sol.residual <= 1e-8
         alpha = 0.9 * td.stability_bound(system)
-        weights = td.ValueWeights(w_G=np.zeros(4), w_R=np.zeros(4), terminal_const=z)
-        res = td.td0_sweep(traj, weights, gamma, alpha, 60_000, rewards=rewards)
-        rel = np.linalg.norm(res.weights.w_G - sol.w) / np.linalg.norm(sol.w)
+        res = td.td0_sweep(traj, np.zeros(4), gamma, z, alpha, 60_000, rewards)
+        rel = np.linalg.norm(res.w - sol.w) / np.linalg.norm(sol.w)
         assert rel < 1e-6
         assert res.converged and res.predicted_iters <= 60_000
         assert np.max(np.abs(sol.w - w_true)) < 1e-8
 
     def test_objective_non_increasing_after_burn_in(self):
         nmap, traj, w_true, z, rewards, gamma = self.noisy_problem(seed=10)
-        system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+        system = td.assemble_system(traj, gamma, z, rewards)
         alpha = 0.2 * td.stability_bound(system)
-        weights = td.ValueWeights(w_G=np.zeros(4), w_R=np.zeros(4), terminal_const=z)
-        res = td.td0_sweep(traj, weights, gamma, alpha, 3000, rewards=rewards)
+        res = td.td0_sweep(traj, np.zeros(4), gamma, z, alpha, 3000, rewards)
         tail = res.objective_trace[1500:]
         assert np.all(np.diff(tail) <= 1e-15)
 
     def test_sweep_update_equals_linear_recursion(self):
         rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem(seed=11)
-        system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+        system = td.assemble_system(traj, gamma, z, rewards)
         w0 = rng.normal(size=6)
-        weights = td.ValueWeights(w_G=w0, w_R=np.zeros(6), terminal_const=z)
-        res = td.td0_sweep(traj, weights, gamma, 0.01, 1, rewards=rewards)
+        res = td.td0_sweep(traj, w0, gamma, z, 0.01, 1, rewards)
         expected = w0 + 0.01 * (system.b - system.A @ w0)
-        assert np.allclose(res.weights.w_G, expected, atol=1e-12)
+        assert np.allclose(res.w, expected, atol=1e-12)
 
     def test_single_step_horizon_system(self):
         rng = np.random.default_rng(12)
@@ -239,7 +246,7 @@ class TestSweepAndSolve:
         traj = integrate_flow(gen, nmap, None, np.array([0.0, 1.0]))
         r = np.array([0.4])
         gamma, z = 0.9, 0.6
-        system = td.assemble_system(traj, None, gamma, z, rewards=r)
+        system = td.assemble_system(traj, gamma, z, r)
         psi0 = traj.residual_features()[0]
         assert np.allclose(system.A, np.outer(psi0, psi0), atol=1e-12)
         assert np.allclose(system.b, (0.4 + gamma * z) * psi0, atol=1e-12)
@@ -249,7 +256,7 @@ class TestSweepAndSolve:
         # A = C^T M and b = C^T c0 against C^T C - gamma C[:-1]^T psi[1:-1]
         # and r C + gamma z C[-1]
         rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem(seed=seed)
-        system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+        system = td.assemble_system(traj, gamma, z, rewards)
         psi = traj.residual_features()
         cur = psi[:-1]
         A = cur.T @ cur - gamma * cur[:-1].T @ psi[1:-1]
@@ -259,12 +266,12 @@ class TestSweepAndSolve:
 
     def test_system_positive_definite_on_generic_trajectory(self):
         rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem(seed=13)
-        system = td.assemble_system(traj, None, gamma, z, rewards=rewards)
+        system = td.assemble_system(traj, gamma, z, rewards)
         sym = 0.5 * (system.A + system.A.T)
         assert np.linalg.eigvalsh(sym)[0] > 0
 
     def test_identity_system_solve(self):
-        system = td.TdSystem(A=np.eye(3), b=np.array([1.0, 0, 0]), gamma=0.9, n_steps=3)
+        system = td.TdSystem(A=np.eye(3), b=np.array([1.0, 0, 0]))
         sol = td.solve_fixed_point(system)
         assert not sol.ridged
         assert np.array_equal(sol.w, np.array([1.0, 0, 0]))
@@ -272,20 +279,19 @@ class TestSweepAndSolve:
     def test_singular_system_flagged(self):
         A = np.zeros((2, 2))
         A[0, 0] = 1.0
-        system = td.TdSystem(A=A, b=np.array([1.0, 0.0]), gamma=0.9, n_steps=2)
+        system = td.TdSystem(A=A, b=np.array([1.0, 0.0]))
         sol = td.solve_fixed_point(system)
         assert sol.ridged
 
     def test_sweep_deterministic_bitwise(self):
         rng, nmap, traj, w_true, z, rewards, gamma = self.setup_problem(seed=14)
-        weights = td.ValueWeights(w_G=np.zeros(6), w_R=np.zeros(6), terminal_const=z)
-        a = td.td0_sweep(traj, weights, gamma, 0.02, 500, rewards=rewards)
-        b = td.td0_sweep(traj, weights, gamma, 0.02, 500, rewards=rewards)
-        assert np.array_equal(a.weights.w_G, b.weights.w_G)
+        a = td.td0_sweep(traj, np.zeros(6), gamma, z, 0.02, 500, rewards)
+        b = td.td0_sweep(traj, np.zeros(6), gamma, z, 0.02, 500, rewards)
+        assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.objective_trace, b.objective_trace)
 
 
-def oracle_sweep(traj, weights, gamma, alpha, n_iters, rewards):
+def oracle_sweep(traj, w0, gamma, z, alpha, n_iters, rewards):
     """The sweep as a per-iteration loop in weight space.
 
     Each iteration recomputes every TD error from the current weights and
@@ -294,8 +300,7 @@ def oracle_sweep(traj, weights, gamma, alpha, n_iters, rewards):
     the weight norm first passes 1e12.
     """
     psi = traj.residual_features()
-    z = weights.terminal_const
-    w = weights.w_G.copy()
+    w = w0.copy()
     obj, norms, max_delta = (np.empty(n_iters) for _ in range(3))
     for it in range(n_iters):
         values = psi @ w
@@ -336,13 +341,9 @@ class TestBlockedSweep:
         gamma = 0.9
         rewards = rng.normal(size=traj.n_grid - 1)
         w0 = np.zeros(m) if w0_kind == "zero" else rng.normal(size=m)
-        weights = td.ValueWeights(
-            w_G=w0, w_R=np.zeros(m), terminal_const=0.3 if terminal else 0.0
-        )
-        system = td.assemble_system(
-            traj, None, gamma, weights.terminal_const, rewards=rewards
-        )
-        return traj, weights, gamma, rewards, td.stability_bound(system)
+        z = 0.3 if terminal else 0.0
+        system = td.assemble_system(traj, gamma, z, rewards)
+        return traj, w0, z, gamma, rewards, td.stability_bound(system)
 
     @pytest.mark.parametrize(
         "m, n_iters, w0_kind, terminal",
@@ -358,11 +359,11 @@ class TestBlockedSweep:
         ],
     )
     def test_matches_weight_space_loop(self, m, n_iters, w0_kind, terminal):
-        traj, weights, gamma, rewards, bound = self.problem(m, w0_kind, terminal)
+        traj, w0, z, gamma, rewards, bound = self.problem(m, w0_kind, terminal)
         alpha = 0.5 * bound
-        res = td.td0_sweep(traj, weights, gamma, alpha, n_iters, rewards=rewards)
-        w, obj, norms, max_delta = oracle_sweep(traj, weights, gamma, alpha, n_iters, rewards)
-        assert close(res.weights.w_G, w)
+        res = td.td0_sweep(traj, w0, gamma, z, alpha, n_iters, rewards)
+        w, obj, norms, max_delta = oracle_sweep(traj, w0, gamma, z, alpha, n_iters, rewards)
+        assert close(res.w, w)
         assert close(res.objective_trace, obj)
         assert close(res.weight_norms, norms)
         assert close(res.max_abs_delta, max_delta)
@@ -370,50 +371,47 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("m", [6, 20])
     @pytest.mark.parametrize("scale", [2.5, 50.0, 1e4])
     def test_divergence_at_the_loop_iteration(self, m, scale):
-        traj, weights, gamma, rewards, bound = self.problem(m, "random")
+        traj, w0, z, gamma, rewards, bound = self.problem(m, "random")
         alpha = scale * bound
-        it, norm = oracle_sweep(traj, weights, gamma, alpha, 5000, rewards)
+        it, norm = oracle_sweep(traj, w0, gamma, z, alpha, 5000, rewards)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
-                td.td0_sweep(traj, weights, gamma, alpha, 5000, rewards=rewards)
+                td.td0_sweep(traj, w0, gamma, z, alpha, 5000, rewards)
         assert info.value.context["iteration"] == it
         assert info.value.context["weight_norm"] == pytest.approx(norm, rel=1e-9)
 
     def test_zero_errors_stay_zero_under_a_diverging_rate(self):
         # no reward, no payoff and zero weights give exactly zero errors, so
         # the weights never move, however fast the powers of P grow
-        traj, weights, gamma, rewards, bound = self.problem(6)
-        still = replace(weights, terminal_const=0.0)
+        traj, w0, _, gamma, rewards, bound = self.problem(6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = td.td0_sweep(
-                traj, still, gamma, 1e4 * bound, 600, rewards=np.zeros_like(rewards)
-            )
-        assert not np.any(res.weights.w_G)
+            res = td.td0_sweep(traj, w0, gamma, 0.0, 1e4 * bound, 600, np.zeros_like(rewards))
+        assert not np.any(res.w)
         assert not np.any(res.objective_trace) and not np.any(res.weight_norms)
 
     def test_empty_sweep_rejected(self):
-        traj, weights, gamma, rewards, bound = self.problem(6)
+        traj, w0, z, gamma, rewards, bound = self.problem(6)
         with pytest.raises(DomainError):
-            td.td0_sweep(traj, weights, gamma, 0.5 * bound, 0, rewards=rewards)
+            td.td0_sweep(traj, w0, gamma, z, 0.5 * bound, 0, rewards)
 
     @pytest.mark.parametrize("m", [2, 6])
     def test_spectral_radius_is_the_decay_rate(self, m):
         # on 4 steps, m = 2 and m = 6 put the radius in weight and step
         # space; far into the sweep the slowest mode dominates, and the
         # errors shrink by the reported radius per iteration
-        traj, weights, gamma, _, bound = self.problem(m, n_grid=5)
+        traj, w0, z, gamma, _, bound = self.problem(m, n_grid=5)
         w_true = np.random.default_rng(41).normal(size=m)
-        rewards = td.realizable_rewards(traj, w_true, gamma, weights.terminal_const)
-        res = td.td0_sweep(traj, weights, gamma, 0.5 * bound, 1, rewards=rewards)
+        rewards = td.realizable_rewards(traj, w_true, gamma, z)
+        res = td.td0_sweep(traj, w0, gamma, z, 0.5 * bound, 1, rewards)
         rho = res.spectral_radius
         assert 0.0 < rho < 1.0
         assert res.predicted_iters == int(np.ceil(np.log(1e-6) / np.log(rho)))
         assert not res.converged
         k = min(res.predicted_iters, 20_000)
-        a = td.td0_sweep(traj, weights, gamma, 0.5 * bound, k, rewards=rewards)
-        b = td.td0_sweep(traj, weights, gamma, 0.5 * bound, k + 50, rewards=rewards)
+        a = td.td0_sweep(traj, w0, gamma, z, 0.5 * bound, k, rewards)
+        b = td.td0_sweep(traj, w0, gamma, z, 0.5 * bound, k + 50, rewards)
         ratio = (b.max_abs_delta[-1] / a.max_abs_delta[-1]) ** (1 / 50)
         assert ratio == pytest.approx(rho, rel=1e-6)
         assert b.converged == (res.predicted_iters <= k + 50)
@@ -427,7 +425,7 @@ class TestClassicalBaseline:
         traj = empirical_trajectory(ens, nmap)
         rewards = ens.rewards[0]
         z = 0.0
-        system = td.assemble_system(traj, None, 0.9, z, rewards=rewards)
+        system = td.assemble_system(traj, 0.9, z, rewards)
         sol = td.solve_fixed_point(system)
         deltas = td.classical_td0_baseline(ens, nmap, 0.9, z, sol.w)
         assert np.max(np.var(deltas, axis=0)) == 0.0
@@ -441,7 +439,7 @@ class TestClassicalBaseline:
         traj = empirical_trajectory(ens, nmap)
         w = rng.normal(size=6)
         deltas = td.classical_td0_baseline(ens, nmap, 0.9, 0.0, w)
-        anticipated = td.td_error_vector(traj, w, 0.9, 0.0, rewards=ens.rewards[0])
+        anticipated = td.td_error_vector(traj, w, 0.9, 0.0, ens.rewards[0])
         assert np.max(np.abs(deltas - anticipated[None, :])) < 1e-10
 
     def test_gamma_zero_is_reward_regression(self):
@@ -507,7 +505,9 @@ class TestJunctionContinuity:
         def value_from(eps):
             inc = zero(C, K)
             inc.data[1:4] = [eps, 0.3 * eps, 0.1 * eps]
-            junction = ta.trunc_product(base, ta.trunc_exp(inc))
+            junction = ta.TruncTensor(
+                C, K, ta.product_flat(C, K, base.data, ta.exp_flat(C, K, inc.data))
+            )
             grid = np.linspace(eps, horizon, 9)
             traj = integrate_flow(gen, nmap, junction, grid)
             return td.value_at(traj, w, eps)
