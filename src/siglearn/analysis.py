@@ -11,7 +11,7 @@ construction:
   the measured ratios plainly.
 * ``fixed_point_iterate`` runs the operator to its unique fixed point and
   fits the geometric convergence rate from the distance sequence.
-* ``forecast_decay`` compares the deterministic flow against ensemble mean
+* ``forecast_decay`` compares a deterministic flow against ensemble mean
   signatures over the horizon and fits the late-horizon slope of the log
   error curve (the first half is the ramp away from the shared identity, so
   the fit window is the second half of the grid).
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .jumpdiff import JumpDiffusionParams, generate_ensemble, prefix_mean_signatures
 from .kernelspace import NystromMap, WhitenedMetric, compress_flat, q_distance
-from .proxy_flow import GeneratorParams, integrate_flow
+from .proxy_flow import ProxyTrajectory
 
 __all__ = [
     "ReturnLaw",
@@ -163,24 +163,23 @@ def _fit_rate(distances: np.ndarray) -> float | None:
 
 
 def forecast_decay(
-    gen: GeneratorParams,
-    nmap: NystromMap,
+    traj: ProxyTrajectory,
     metric: WhitenedMetric,
     env_params: JumpDiffusionParams,
     junction,
-    grid: np.ndarray,
     n_paths: int,
     seeds,
     sig_config,
 ) -> dict:
-    """Error curve e(s) between the flow and ensemble means, plus its slope.
+    """Error curve e(s) between a flow and ensemble means, plus its slope.
 
-    e(s) is averaged over seeds; beta is the log-linear slope fitted on the
-    second half of the horizon (e(t) = 0 by construction, so the early ramp
-    is excluded).  Also reports boundedness of the whitened proxy norm.
+    ``traj`` is the flow as ``integrate_flow`` recorded it; the ensembles run
+    on its grid and are compressed by its map.  e(s) is averaged over seeds;
+    beta is the log-linear slope fitted on the second half of the horizon
+    (e(t) = 0 by construction, so the early ramp is excluded).  Also reports
+    boundedness of the whitened proxy norm.
     """
-    grid = np.asarray(grid, dtype=float)
-    traj = integrate_flow(gen, nmap, junction[2], grid)
+    grid, nmap = traj.grid, traj.nmap
     proxy_feats = compress_flat(nmap, traj.flats)
     errors = np.zeros(grid.size)
     for seed in seeds:

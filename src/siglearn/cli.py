@@ -39,9 +39,7 @@ from .experiments import (
     train_scf,
     variance_experiment,
 )
-from .kernelspace import nystrom_to_json
-from .proxy_flow import GeneratorParams, integrate_flow, new_generator
-from .signature import paths_to_csv
+from .proxy_flow import TrainResult, new_generator
 
 SUBCOMMANDS = ("run-scf", "run-td", "run-greeks", "run-analysis", "run-all")
 
@@ -90,8 +88,7 @@ class Runner:
         self.chash = config_hash(cfg)
         self.out.mkdir(parents=True, exist_ok=True)
         self._scenario: Scenario | None = None
-        self._trained: GeneratorParams | None = None
-        self._train_diag = None
+        self._training: tuple[TrainResult, dict] | None = None
 
     def header(self) -> str:
         return _header(self.subcommand, self.chash, self.seed)
@@ -109,18 +106,17 @@ class Runner:
             self._scenario = build_scenario(self.cfg, self.seed)
         return self._scenario
 
-    def trained_generator(self) -> GeneratorParams:
-        if self._trained is None:
-            result, diag = train_scf(self.cfg, self.scenario)
-            self._trained = result.params
-            self._train_diag = (result, diag)
-        return self._trained
+    def training(self) -> tuple[TrainResult, dict]:
+        """The trained generator with its flow, and its first and final losses."""
+        if self._training is None:
+            self._training = train_scf(self.cfg, self.scenario)
+        return self._training
 
     # -- subcommand bodies -------------------------------------------------
 
     def run_scf(self) -> None:
-        gen = self.trained_generator()
-        result, diag = self._train_diag
+        result, diag = self.training()
+        gen, traj = result.params, result.trajectory
         sc = self.scenario
         _write_csv(
             self.out / "scf_trace.csv",
@@ -148,7 +144,6 @@ class Runner:
                 "training_trace_total": [r["total"] for r in result.trace],
             },
         )
-        traj = integrate_flow(gen, sc.nmap, sc.junction_proxy, sc.grid)
         _write_csv(
             self.out / "proxy.csv",
             self.header(),
@@ -159,9 +154,18 @@ class Runner:
                 for s, flat in zip(traj.grid, traj.flats)
             ],
         )
-        with open(self.out / "nystrom.json", "w") as fh:
-            nystrom_to_json(sc.nmap, fh, meta=self.meta())
-            fh.write("\n")
+        nmap = sc.nmap
+        _write_json(
+            self.out / "nystrom.json",
+            self.meta(),
+            {
+                "channels": nmap.channels,
+                "degree": nmap.degree,
+                "ridge": nmap.ridge,
+                "level_weights": nmap.level_weights.tolist(),
+                "landmarks": [[repr(float(v)) for v in row] for row in nmap.landmarks],
+            },
+        )
         term = sc.terminal_metric()
         _write_csv(
             self.out / "metric.csv",
@@ -169,8 +173,16 @@ class Runner:
             [f"q{i}" for i in range(term.dim)],
             [list(row) for row in term.precision],
         )
-        with open(self.out / "history.csv", "w", newline="") as fh:
-            paths_to_csv([sc.history_path], fh, header_lines=[self.header()])
+        hist = sc.history_path
+        _write_csv(
+            self.out / "history.csv",
+            self.header(),
+            ["path_id", "t"] + [f"x_{i + 1}" for i in range(hist.dim)] + ["jump_flag"],
+            [
+                [0, t] + list(x) + [int(flag)]
+                for t, x, flag in zip(hist.times, hist.values, hist.jump_flags)
+            ],
+        )
         ens = sc.train_ensemble
         sample = min(8, ens.n_paths)
         rows = []
@@ -230,8 +242,8 @@ class Runner:
 
     def run_greeks(self) -> None:
         sc = self.scenario
-        if self._trained is not None:
-            gen = self._trained
+        if self._training is not None:
+            gen = self._training[0].params
         else:
             # FD validation is meaningful at any weights; use a seeded
             # random generator rather than paying for training here
@@ -291,9 +303,8 @@ class Runner:
             [[gamma, fp.iterations, fp.fitted_rate]],
         )
 
-        gen = self.trained_generator()
         decay = forecast_decay(
-            gen, sc.nmap, metric, sc.env, sc.junction(), sc.grid,
+            self.training()[0].trajectory, metric, sc.env, sc.junction(),
             int(self.cfg["train"]["ensemble_size"]),
             [derive_seed(self.seed, f"decay-{i}") for i in range(int(cfg_a["decay_seeds"]))],
             sc.sig_config,

@@ -17,6 +17,7 @@ import os
 from typing import Callable
 
 from .errors import ConfigError
+from .signature import _MODES
 
 __all__ = [
     "SCHEMA",
@@ -113,16 +114,35 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 # per-key ranges, checked once the configuration is complete
 _RANGES: dict[tuple[str, str], tuple[Callable[[object], bool], str]] = {
+    ("algebra", "degree"): (lambda v: v >= 1, "be >= 1"),
+    ("algebra", "level_weights"): (
+        lambda v: v in ("unit", "factorial"), "be one of ('unit', 'factorial')"
+    ),
+    ("signature", "mode"): (lambda v: v in _MODES, f"be one of {_MODES}"),
+    ("signature", "history_mode"): (lambda v: v in _MODES, f"be one of {_MODES}"),
+    ("env", "memory_features"): (lambda v: v >= 0, "be >= 0"),
+    ("history", "steps"): (lambda v: v >= 1, "be >= 1"),
+    ("history", "dt"): (lambda v: v > 0.0, "be > 0"),
+    ("horizon", "steps"): (lambda v: v >= 1, "be >= 1"),
+    ("horizon", "dt"): (lambda v: v > 0.0, "be > 0"),
+    ("nystrom", "metric_lambda"): (lambda v: v > 0.0, "be > 0"),
     ("td", "gamma"): (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
     ("td", "iters"): (lambda v: v >= 1, "be >= 1"),
     ("td", "planted_rank"): (lambda v: v >= 0, "be >= 0"),
+    ("train", "steps"): (lambda v: v >= 0, "be >= 0"),
     ("train", "lr"): (lambda v: v > 0.0, "be > 0"),
+    ("train", "eta_scf"): (lambda v: v >= 0.0, "be >= 0"),
+    ("train", "contraction_reg"): (lambda v: v >= 0.0, "be >= 0"),
+    # the metric fit takes a covariance across the ensemble's paths
+    ("train", "ensemble_size"): (lambda v: v >= 2, "be >= 2"),
+    ("variance", "ensemble_size"): (lambda v: v >= 1, "be >= 1"),
     ("flow", "phase_powers"): (lambda v: v >= 0, "be >= 0"),
     ("flow", "proxy_features"): (lambda v: v >= 0, "be >= 0"),
     ("flow", "init_scale"): (lambda v: v >= 0.0, "be >= 0"),
     ("history", "window"): (lambda v: v >= 0.0, "be >= 0"),
     ("risk", "alpha_tail"): (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     ("risk", "action_step"): (lambda v: v > 0.0, "be > 0"),
+    ("analysis", "contraction_trials"): (lambda v: v >= 1, "be >= 1"),
     ("analysis", "decay_seeds"): (lambda v: v >= 1, "be >= 1"),
     ("analysis", "stress_groups"): (lambda v: v >= 1, "be >= 1"),
     ("analysis", "stress_scales"): (lambda v: len(v) > 0, "be non-empty"),

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tensor_algebra as ta
 from . import td_learning as td
-from .errors import ConfigError
 from .greeks import (
     RiskConfig,
     action_sensitivity,
@@ -144,13 +143,10 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
     hor_cfg = cfg["horizon"]
     episode_span = hist_cfg["steps"] * hist_cfg["dt"] + hor_cfg["steps"] * hor_cfg["dt"]
     degree = cfg["algebra"]["degree"]
-    weights_kind = cfg["algebra"]["level_weights"]
-    if weights_kind == "unit":
+    if cfg["algebra"]["level_weights"] == "unit":
         level_weights = ta.unit_level_weights(degree)
-    elif weights_kind == "factorial":
-        level_weights = ta.factorial_level_weights(degree)
     else:
-        raise ConfigError(f"unknown level_weights {weights_kind!r}")
+        level_weights = ta.factorial_level_weights(degree)
 
     sig_config = SignatureConfig(
         degree=degree, time_scale=episode_span, mode=cfg["signature"]["mode"]
@@ -459,7 +455,7 @@ def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> lis
     check_points = [grid[0], grid[len(grid) // 2], grid[-1]]
 
     fd_theta = _fd_grad_theta(gen, nmap, junction, grid, w, check_points)
-    grads_t, _ = grad_theta(gen, nmap, junction, grid, w, check_points)
+    grads_t, _ = grad_theta(gen, traj, w, check_points)
 
     rows = []
     for s, fd_t, grad_t in zip(check_points, fd_theta.T, grads_t):

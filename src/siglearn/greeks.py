@@ -7,6 +7,8 @@ against central finite differences in the tests.  The proxy gradient is the
 pullback of the value's raw read through the residual product; the
 generator-weight gradient seeds the flow's adjoint with it, which is the
 reverse-mode pass that training also uses, one row per gridpoint asked for.
+Every gradient reads a flow its caller has integrated; nothing here
+integrates one.
 
 Return moments are read directly off the reward channel of a signature,
 which is always its last channel: level 1 holds the mean total reward and
@@ -33,7 +35,7 @@ from .jumpdiff import (
     generate_ensemble,
 )
 from .kernelspace import NystromMap
-from .proxy_flow import GeneratorParams, ProxyTrajectory, _flow_adjoint, integrate_flow
+from .proxy_flow import GeneratorParams, ProxyTrajectory, _flow_adjoint
 
 __all__ = [
     "RiskConfig",
@@ -82,14 +84,9 @@ def grad_proxy(traj: ProxyTrajectory, w: np.ndarray, s: float) -> np.ndarray:
 
 
 def grad_theta(
-    gen: GeneratorParams,
-    nmap: NystromMap,
-    junction,
-    grid: np.ndarray,
-    w: np.ndarray,
-    s,
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Value gradient in the generator weights by one reverse-mode pass.
+    gen: GeneratorParams, traj: ProxyTrajectory, w: np.ndarray, points
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value gradients in the generator weights by one reverse-mode pass.
 
     The value at s reads the residual inv(phi_s) (x) phi_T.  With
     d(g^-1) = -g^-1 (x) dg (x) g^-1 its derivative is
@@ -98,17 +95,15 @@ def grad_theta(
     with ``grad_proxy`` at phi_T, minus its pullback through
     h -> h (x) residual_s at phi_s.  At s = T the two seeds cancel exactly.
 
-    ``s`` is one gridpoint or a sequence of them; a sequence shares one flow
-    and one adjoint pass with a row per point.  Returns the gradient (same
-    length as ``gen.theta()``) and the value at s, or for a sequence an
-    array of gradients, one row per point, and an array of values.
+    ``traj`` is the flow of ``gen`` as ``integrate_flow`` recorded it, and
+    ``points`` a sequence of its gridpoints, which share one adjoint pass
+    with a row per point.  Returns the gradients, one row of length
+    ``gen.n_params`` per point, and the values at the points.
     """
-    points = np.atleast_1d(np.asarray(s, dtype=float))
-    traj = integrate_flow(gen, nmap, junction, grid)
     c, k = gen.channels, gen.degree
-    v1 = nmap.matrix.T @ np.asarray(w, dtype=float)
-    seeds = np.zeros((points.size,) + traj.flats.shape)
-    values = np.empty(points.size)
+    v1 = traj.nmap.matrix.T @ np.asarray(w, dtype=float)
+    seeds = np.zeros((len(points),) + traj.flats.shape)
+    values = np.empty(len(points))
     for r, point in enumerate(points):
         i = traj.index_of(point)
         res = traj.residual_flats()[i]
@@ -116,10 +111,7 @@ def grad_theta(
         g_T = grad_proxy(traj, w, point)
         seeds[r, -1] += g_T
         seeds[r, i] -= ta.product_pullback_flat(c, k, traj.flats[i], res, g_T)[0]
-    grads = _flow_adjoint(gen, nmap, junction, traj, seeds)
-    if np.ndim(s) == 0:
-        return grads[0], float(values[0])
-    return grads, values
+    return _flow_adjoint(gen, traj, seeds), values
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ feature sample.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ __all__ = [
     "fit_whitening",
     "fit_metric_family",
     "q_distance",
-    "nystrom_to_json",
 ]
 
 @dataclass(frozen=True)
@@ -182,19 +180,3 @@ def q_distance(metric: WhitenedMetric, u: np.ndarray, v: np.ndarray) -> float:
         )
     d = u - v
     return float(np.sqrt(max(d @ metric.precision @ d, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def nystrom_to_json(nmap: NystromMap, fh, meta: dict | None = None) -> None:
-    payload = {
-        "_meta": dict(meta or {}),
-        "channels": nmap.channels,
-        "degree": nmap.degree,
-        "ridge": nmap.ridge,
-        "level_weights": nmap.level_weights.tolist(),
-        "landmarks": [[repr(float(v)) for v in row] for row in nmap.landmarks],
-    }
-    json.dump(payload, fh, indent=1)

@@ -14,12 +14,16 @@ self-consistency penalty tying the flow endpoint to the ensemble's empirical
 mean signature, under one whitening metric per gridpoint.  One loss pass
 (``_loss_terms``) gives the loss parts and their cotangents, which training,
 its before and after losses and ``score_matching_loss`` all read.
-Gradients are exact, by one discrete adjoint (reverse mode) over the states
-the integrator stores: a loss or a value is a linear read of the states and
+The trajectory ``integrate_flow`` returns is the one record of a flow: its
+states, its tangents and the generator features of each step.  Training,
+the greeks and the forecast check read that record rather than integrate
+the flow again.  Gradients are exact, by one discrete adjoint (reverse
+mode) over the record: a loss or a value is a linear read of the states and
 tangents, and its cotangent walks back through the same log-ODE steps, one
-row per scalar, whatever the number of weights.  The greeks read the same
-adjoint.  The integrator also runs many weight settings at once, one flow
-per row, for the finite-difference oracle.
+row per scalar, whatever the number of weights.  The adjoint reads the
+recorded features, so it is the adjoint of the computation that ran.  The
+integrator also runs many weight settings at once, one flow per row, for
+the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -160,7 +164,10 @@ class ProxyTrajectory:
     """Group-like proxy per gridpoint; element 0 is the identity exactly.
 
     ``flats`` is (n_grid, flat), or (R, n_grid, flat) for R flows integrated
-    at once; ``residual_flats`` follows that leading axis.
+    at once; ``residual_flats`` follows that leading axis.  A flow of the
+    generator also records ``tangents`` (n_steps, flat) and the generator
+    ``features`` (n_steps, n_features) of each step, with the same leading
+    axis.
     """
 
     channels: int
@@ -169,6 +176,7 @@ class ProxyTrajectory:
     flats: np.ndarray
     nmap: NystromMap | None = None
     tangents: np.ndarray | None = None
+    features: np.ndarray | None = None
     _residual_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -207,14 +215,6 @@ class ProxyTrajectory:
         return compress_flat(self.nmap, self.residual_flats())
 
 
-def _junction_feats(
-    gen: GeneratorParams, nmap: NystromMap, junction: ta.TruncTensor | None
-) -> np.ndarray:
-    if junction is None:
-        return np.zeros(gen.n_proxy_features)
-    return compress(nmap, junction)[: gen.n_proxy_features]
-
-
 def integrate_flow(
     gen: GeneratorParams,
     nmap: NystromMap,
@@ -227,7 +227,8 @@ def integrate_flow(
     ``junction`` is the filtered history proxy, or None for an empty
     history.  ``theta_rows`` of shape (R, n_params) integrates R flows at
     once, one per row of weights in place of the generator's own; the
-    trajectory's flats and tangents then carry a leading axis of length R.
+    trajectory's flats, tangents and features then carry a leading axis of
+    length R.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -239,8 +240,9 @@ def integrate_flow(
         )
     c, k = gen.channels, gen.degree
     t, T = grid[0], grid[-1]
-    jfeats = _junction_feats(gen, nmap, junction)
-    proxy_rows = nmap.matrix[: gen.n_proxy_features]
+    p = gen.n_proxy_features
+    jfeats = np.zeros(p) if junction is None else compress(nmap, junction)[:p]
+    proxy_rows = nmap.matrix[:p]
     W = None
     if theta_rows is not None:
         W = np.asarray(theta_rows, dtype=float).reshape(-1, gen.out_dim, gen.n_features)
@@ -248,9 +250,11 @@ def integrate_flow(
 
     flats = np.empty(batch + (grid.size, ta.flat_size(c, k)))
     tangents = np.empty(batch + (grid.size - 1, flats.shape[-1]))
+    features = np.empty(batch + (grid.size - 1, gen.n_features))
     flats[..., 0, :] = ta.identity_flat(c, k)
     for j in range(grid.size - 1):
         feats = gen.features(flats[..., j, :] @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
+        features[..., j, :] = feats
         tangents[..., j, :] = gen.tangent_flat(feats, W)
         ds = grid[j + 1] - grid[j]
         flats[..., j + 1, :] = ta.product_flat(
@@ -262,14 +266,13 @@ def integrate_flow(
                 context={"gridpoint": j + 1, "time": float(grid[j + 1])},
             )
     return ProxyTrajectory(
-        channels=c, degree=k, grid=grid, flats=flats, nmap=nmap, tangents=tangents
+        channels=c, degree=k, grid=grid, flats=flats, nmap=nmap,
+        tangents=tangents, features=features,
     )
 
 
 def _flow_adjoint(
     gen: GeneratorParams,
-    nmap: NystromMap,
-    junction,
     traj: ProxyTrajectory,
     state_cotangents: np.ndarray,
     output_cotangents: np.ndarray | None = None,
@@ -279,24 +282,21 @@ def _flow_adjoint(
     Row r of the result, of length ``gen.n_params``, is the gradient in the
     generator weights of sum_j <state_cotangents[r, j], proxy_j> +
     sum_j <output_cotangents[r, j], ell_j>, where ``traj`` is the flow of
-    ``gen`` and ell_j its flat tangent at step j.  The cotangent lam of the
-    state walks back over the steps phi_(j+1) = phi_j (x) exp(ds * ell_j):
-    through both factors of the product, through the exponential series,
-    past the pinned clock coordinate (which reads no weights), and through
-    the proxy features that feed the generator, lam += C_p^T (W_p^T ell_bar).
+    ``gen`` as ``integrate_flow`` recorded it and ell_j its flat tangent at
+    step j.  The cotangent lam of the state walks back over the steps
+    phi_(j+1) = phi_j (x) exp(ds * ell_j): through both factors of the
+    product, through the exponential series, past the pinned clock
+    coordinate (which reads no weights), and through the proxy features that
+    feed the generator, lam += C_p^T (W_p^T ell_bar).  The weight gradient
+    of step j is ell_bar_j times the recorded features of that step.
     """
     c, k = gen.channels, gen.degree
     p = gen.n_proxy_features
-    grid, flats = traj.grid, traj.flats
-    ds = np.diff(grid)
+    flats = traj.flats
+    ds = np.diff(traj.grid)
     x = ds[:, None] * traj.tangents
     exp_x = ta.exp_flat(c, k, x)
-    proxy_rows = nmap.matrix[:p]
-    u = (grid[:-1] - grid[0]) / (grid[-1] - grid[0])
-    feats = gen.features(
-        flats[:-1] @ proxy_rows.T, u[:, None], _junction_feats(gen, nmap, junction)
-    )
-    feedback = gen.weights[:, :p] @ proxy_rows
+    feedback = gen.weights[:, :p] @ traj.nmap.matrix[:p]
 
     lam = np.array(state_cotangents[:, -1], dtype=float)
     g_out = np.empty((lam.shape[0], ds.size, gen.out_dim))
@@ -309,7 +309,7 @@ def _flow_adjoint(
         if gen.clock_rate is not None:
             g_out[:, j, 0] = 0.0
         lam = g_phi + state_cotangents[:, j] + g_out[:, j] @ feedback
-    return np.einsum("rjo,jf->rof", g_out, feats).reshape(lam.shape[0], gen.n_params)
+    return np.einsum("rjo,jf->rof", g_out, traj.features).reshape(lam.shape[0], gen.n_params)
 
 
 def empirical_trajectory(ens: PathEnsemble, nmap: NystromMap) -> ProxyTrajectory:
@@ -390,11 +390,13 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Trained generator, one loss row per Adam step, and the losses it ends at."""
+    """Trained generator, one loss row per Adam step, the losses it ends at,
+    and its flow from that last loss pass."""
 
     params: GeneratorParams
     trace: list[dict]
     final: dict
+    trajectory: ProxyTrajectory
 
 
 def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
@@ -450,10 +452,9 @@ def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig):
 
 
 def _objective(gen, nmap, metrics, cache, cfg: TrainConfig):
-    """Loss components and their exact gradient, by one adjoint row."""
+    """Loss components, their exact gradient by one adjoint row, and the flow."""
     parts, traj, state_cot, out_cot = _loss_terms(gen, nmap, metrics, cache, cfg)
-    grad = _flow_adjoint(gen, nmap, cache["junction"], traj, state_cot, out_cot)[0]
-    return parts, grad
+    return parts, _flow_adjoint(gen, traj, state_cot, out_cot)[0], traj
 
 
 def train_generator(
@@ -467,7 +468,7 @@ def train_generator(
 
     ``metrics`` holds one metric per gridpoint.  Each step costs one flow
     and one adjoint pass, and one more at the returned weights for
-    ``TrainResult.final``.
+    ``TrainResult.final``, whose flow is ``TrainResult.trajectory``.
     """
     cfg = cfg or TrainConfig()
     cache = _ensemble_cache(ens, nmap)
@@ -479,7 +480,7 @@ def train_generator(
     trace: list[dict] = []
 
     def losses(theta, step):
-        parts, grad = _objective(gen.with_theta(theta), nmap, metrics, cache, cfg)
+        parts, grad, traj = _objective(gen.with_theta(theta), nmap, metrics, cache, cfg)
         total = parts["score"] + parts["scf"] + parts["reg"]
         if not (np.isfinite(total) and np.all(np.isfinite(grad))):
             raise DivergenceError(
@@ -487,10 +488,10 @@ def train_generator(
                 context={"step": step, "trace": trace},
             )
         return {"total": float(total), **{k: float(x) for k, x in parts.items()},
-                "grad_norm": float(np.linalg.norm(grad))}, grad
+                "grad_norm": float(np.linalg.norm(grad))}, grad, traj
 
     for step in range(1, cfg.steps + 1):
-        row, grad = losses(theta, step)
+        row, grad, _ = losses(theta, step)
         if np.max(np.abs(grad)) < _GRAD_TOL:
             update = np.zeros(P)
         else:
@@ -506,5 +507,5 @@ def train_generator(
                     context={"step": step, "trace": trace},
                 )
         trace.append({"step": step, **row, "update_max": float(np.max(np.abs(update)))})
-    final, _ = losses(theta, cfg.steps + 1)
-    return TrainResult(params=gen.with_theta(theta), trace=trace, final=final)
+    final, _, traj = losses(theta, cfg.steps + 1)
+    return TrainResult(params=gen.with_theta(theta), trace=trace, final=final, trajectory=traj)

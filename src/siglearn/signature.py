@@ -21,7 +21,6 @@ step factor is materialised.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "chen_step_flat",
     "batch_prefix_signatures",
     "batch_terminal_signatures",
-    "paths_to_csv",
 ]
 
 _MODES = ("rectilinear", "linear")
@@ -345,22 +343,3 @@ def batch_terminal_signatures(
     for sig in _scan(config, times, values, jump_flags):
         pass
     return sig
-
-
-# ---------------------------------------------------------------------------
-# serialization (paths.csv: path_id, t, x_1..x_d, jump_flag)
-
-
-def paths_to_csv(paths, fh, header_lines=()) -> None:
-    writer = csv.writer(fh)
-    for line in header_lines:
-        fh.write(line if line.endswith("\n") else line + "\n")
-    dim = paths[0].dim
-    writer.writerow(["path_id", "t"] + [f"x_{i + 1}" for i in range(dim)] + ["jump_flag"])
-    for pid, p in enumerate(paths):
-        for i in range(p.n_points):
-            writer.writerow(
-                [pid, repr(float(p.times[i]))]
-                + [repr(float(v)) for v in p.values[i]]
-                + [int(p.jump_flags[i])]
-            )

@@ -292,7 +292,9 @@ def variance_compare(delta_anticipatory: np.ndarray, delta_classical: np.ndarray
     """Sample variances of the two TD-error families and their ratio.
 
     Inputs are (n_seeds, n_steps) arrays of errors at matched weights.  The
-    variance is taken across seeds per step and averaged over steps.
+    variance is taken across seeds per step and averaged over steps.  Raises
+    DivergenceError, naming the family and its first non-finite step, when
+    a variance is not finite.
     """
     da = np.atleast_2d(np.asarray(delta_anticipatory, dtype=float))
     dc = np.atleast_2d(np.asarray(delta_classical, dtype=float))
@@ -300,8 +302,19 @@ def variance_compare(delta_anticipatory: np.ndarray, delta_classical: np.ndarray
         raise InsufficientDataError(
             f"need >= 30 seed samples, got {da.shape[0]} and {dc.shape[0]}"
         )
-    var_a = float(np.mean(np.var(da, axis=0, ddof=1)))
-    var_c = float(np.mean(np.var(dc, axis=0, ddof=1)))
+    per_step = {
+        "anticipatory": np.var(da, axis=0, ddof=1),
+        "classical": np.var(dc, axis=0, ddof=1),
+    }
+    for family, var in per_step.items():
+        if not np.isfinite(np.mean(var)):
+            bad = np.flatnonzero(~np.isfinite(var))
+            raise DivergenceError(
+                f"{family} TD-error variance is not finite",
+                context={"family": family, "step": int(bad[0]) if bad.size else None},
+            )
+    var_a = float(np.mean(per_step["anticipatory"]))
+    var_c = float(np.mean(per_step["classical"]))
     ratio = var_a / var_c if var_c > 0 else (0.0 if var_a == 0 else np.inf)
     return {
         "var_anticipatory": var_a,
@@ -309,7 +322,7 @@ def variance_compare(delta_anticipatory: np.ndarray, delta_classical: np.ndarray
         "ratio": ratio,
         "n_seeds": int(da.shape[0]),
         "n_steps": int(da.shape[1]),
-        "per_step_var_anticipatory": np.var(da, axis=0, ddof=1).tolist(),
-        "per_step_var_classical": np.var(dc, axis=0, ddof=1).tolist(),
+        "per_step_var_anticipatory": per_step["anticipatory"].tolist(),
+        "per_step_var_classical": per_step["classical"].tolist(),
     }
 

@@ -6,7 +6,7 @@ from siglearn import tensor_algebra as ta
 from siglearn.errors import DomainError
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, fit_whitening
-from siglearn.proxy_flow import TrainConfig, new_generator, train_generator
+from siglearn.proxy_flow import TrainConfig, integrate_flow, new_generator, train_generator
 from siglearn.signature import SignatureConfig
 
 C, K = 3, 3
@@ -112,7 +112,8 @@ class TestForecastDecay:
         gen = gen.with_theta(W.ravel())
         grid = np.linspace(0.0, 1.0, 9)
         report = an.forecast_decay(
-            gen, nmap, metric, env, (0.0, np.zeros(1), None), grid, 4, [0, 1], cfg
+            integrate_flow(gen, nmap, None, grid), metric, env,
+            (0.0, np.zeros(1), None), 4, [0, 1], cfg,
         )
         assert report["error"][0] == 0.0
         assert max(report["error"]) < 1e-12
@@ -125,7 +126,8 @@ class TestForecastDecay:
         env = jump_env()
         gen = new_generator(C, K, n_proxy_features=3, seed=9, init_scale=0.3)
         grid = np.linspace(0.0, 1.0, 9)
-        args = (gen, nmap, metric, env, (0.0, np.zeros(1), None), grid, 16, [3, 4], cfg)
+        traj = integrate_flow(gen, nmap, None, grid)
+        args = (traj, metric, env, (0.0, np.zeros(1), None), 16, [3, 4], cfg)
         assert an.forecast_decay(*args)["error"] == an.forecast_decay(*args)["error"]
 
     def test_contractive_regularization_gives_negative_slope(self):
@@ -148,16 +150,14 @@ class TestForecastDecay:
         plain = train_generator(
             gen0, train_ens, nmap, metrics,
             TrainConfig(steps=150, lr=0.08, eta_scf=0.0, contraction_reg=0.0),
-        ).params
+        ).trajectory
         damped = train_generator(
             gen0, train_ens, nmap, metrics,
             TrainConfig(steps=150, lr=0.08, eta_scf=0.3, contraction_reg=40.0),
-        ).params
+        ).trajectory
         seeds = [21, 22, 23, 24]
-        rep_plain = an.forecast_decay(plain, nmap, metric, env, junction, grid,
-                                      512, seeds, cfg)
-        rep_damped = an.forecast_decay(damped, nmap, metric, env, junction, grid,
-                                       512, seeds, cfg)
+        rep_plain = an.forecast_decay(plain, metric, env, junction, 512, seeds, cfg)
+        rep_damped = an.forecast_decay(damped, metric, env, junction, 512, seeds, cfg)
         assert rep_damped["beta"] < 0
         assert rep_damped["beta"] < rep_plain["beta"]
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from siglearn.cli import main
 from siglearn.config import ENV_PREFIX, config_hash, default_config_text, load_config
 from siglearn.errors import ConfigError
+from siglearn.experiments import build_scenario
 
 SMALL_CONFIG = """\
 [algebra]
@@ -170,8 +173,8 @@ class TestCliExitCodes:
         [
             ("TD__GAMMA=nan", "td.gamma"),
             ("ENV__JUMP_INTENSITY=inf", "env.jump_intensity"),
-            ("ALGEBRA__DEGREE=0", None),
-            ("HORIZON__DT=-0.1", None),
+            ("ALGEBRA__DEGREE=0", "algebra.degree"),
+            ("HORIZON__DT=-0.1", "horizon.dt"),
             ("TD__ALPHA=fast", "td.alpha"),
             ("NYSTROM__RIDGE=abc", "nystrom.ridge"),
             ("NYSTROM__RIDGE=nan", "nystrom.ridge"),
@@ -193,15 +196,31 @@ class TestCliExitCodes:
             ("HISTORY__WINDOW=-1", "history.window"),
             ("TD__PLANTED_RANK=-2", "td.planted_rank"),
             ("FLOW__INIT_SCALE=-1", "flow.init_scale"),
+            ("TRAIN__STEPS=-1", "train.steps"),
+            ("TRAIN__ETA_SCF=-1", "train.eta_scf"),
+            ("TRAIN__CONTRACTION_REG=-1", "train.contraction_reg"),
+            ("ENV__MEMORY_FEATURES=-1", "env.memory_features"),
+            ("ANALYSIS__CONTRACTION_TRIALS=0", "analysis.contraction_trials"),
+            ("SIGNATURE__MODE=foo", "signature.mode"),
+            ("SIGNATURE__HISTORY_MODE=foo", "signature.history_mode"),
+            ("ALGEBRA__LEVEL_WEIGHTS=foo", "algebra.level_weights"),
+            ("HISTORY__DT=-1", "history.dt"),
+            ("HORIZON__DT=0", "horizon.dt"),
+            ("HISTORY__STEPS=0", "history.steps"),
+            ("HORIZON__STEPS=0", "horizon.steps"),
+            ("NYSTROM__METRIC_LAMBDA=0", "nystrom.metric_lambda"),
+            ("TRAIN__ENSEMBLE_SIZE=1", "train.ensemble_size"),
+            ("VARIANCE__ENSEMBLE_SIZE=0", "variance.ensemble_size"),
         ],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, override, named):
         name, value = override.split("=")
+        # the row's override comes last, so it wins over the small sizes
         env = {
             **os.environ,
-            f"{ENV_PREFIX}{name}": value,
             f"{ENV_PREFIX}TRAIN__STEPS": "1",
             f"{ENV_PREFIX}TRAIN__ENSEMBLE_SIZE": "16",
+            f"{ENV_PREFIX}{name}": value,
         }
         res = subprocess.run(
             [sys.executable, "-m", "siglearn.cli", "run-scf", "--out-dir", str(tmp_path)],
@@ -209,8 +228,7 @@ class TestCliExitCodes:
         )
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
-        if named is not None:
-            assert named in res.stderr
+        assert named in res.stderr
 
     def test_divergence_exits_3_with_trace(self, tmp_path, small_config, capsys):
         blown = tmp_path / "blown.ini"
@@ -220,6 +238,17 @@ class TestCliExitCodes:
         assert code == 3
         err = json.loads((out / "error.json").read_text())
         assert "error" in err
+
+    def test_non_finite_variance_exits_3(self, tmp_path, small_config, monkeypatch):
+        # a payoff near the float limit makes the TD-error variances overflow;
+        # variance.json would hold Infinity and NaN, which is not JSON
+        monkeypatch.setenv(f"{ENV_PREFIX}TD__TERMINAL_PAYOFF", "1e308")
+        out = tmp_path / "oinf"
+        code = main(["run-td", "--config", str(small_config), "--out-dir", str(out), "--seed", "1"])
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["context"] == {"family": "anticipatory", "step": 0}
+        assert not (out / "variance.json").exists()
 
     def test_print_config(self, capsys):
         assert main(["print-config"]) == 0
@@ -343,6 +372,42 @@ class TestCliRuns:
         main(["run-scf", "--config", str(small_config), "--seed", "1", "--out-dir", str(out1)])
         main(["run-scf", "--config", str(small_config), "--seed", "2", "--out-dir", str(out2)])
         assert tree_digest(out1) != tree_digest(out2)
+
+
+@pytest.fixture(scope="module")
+def small_scf_run(tmp_path_factory):
+    """A small run-scf output directory and the scenario it was written from."""
+    root = tmp_path_factory.mktemp("scf")
+    config = root / "small.ini"
+    config.write_text(SMALL_CONFIG)
+    out = root / "out"
+    assert main(["run-scf", "--config", str(config), "--seed", "2", "--out-dir", str(out)]) == 0
+    return out, build_scenario(load_config(str(config)), 2)
+
+
+class TestWrittenArtifacts:
+    def test_history_csv_round_trip(self, small_scf_run):
+        out, sc = small_scf_run
+        path = sc.history_path
+        lines = (out / "history.csv").read_text().splitlines()
+        assert lines[0].startswith("# subcommand=run-scf")
+        rows = list(csv.reader(lines[1:]))
+        assert rows[0] == ["path_id", "t"] + [f"x_{i + 1}" for i in range(path.dim)] + ["jump_flag"]
+        body = np.array(rows[1:], dtype=float)
+        assert np.array_equal(body[:, 0], np.zeros(path.n_points))
+        assert np.array_equal(body[:, 1], path.times)
+        assert np.array_equal(body[:, 2:-1], path.values)
+        assert np.array_equal(body[:, -1].astype(bool), path.jump_flags)
+
+    def test_nystrom_json_round_trip(self, small_scf_run):
+        out, sc = small_scf_run
+        payload = json.loads((out / "nystrom.json").read_text())
+        assert payload["_meta"]["seed"] == 2
+        assert (payload["channels"], payload["degree"]) == (sc.nmap.channels, sc.nmap.degree)
+        assert payload["ridge"] == sc.nmap.ridge
+        assert payload["level_weights"] == sc.nmap.level_weights.tolist()
+        landmarks = np.array(payload["landmarks"], dtype=float)
+        assert np.array_equal(landmarks, sc.nmap.landmarks)
 
 
 class TestDefaultConfigCriteria:

@@ -100,7 +100,7 @@ class TestGradTheta:
     @pytest.mark.parametrize("s", [0.0, 0.5])
     def test_fd_agreement_all_entries(self, s):
         rng, nmap, gen, grid, traj, w = make_setup(seed=5)
-        grad, value = greeks.grad_theta(gen, nmap, None, grid, w, s)
+        (grad,), (value,) = greeks.grad_theta(gen, traj, w, [s])
         theta0 = gen.theta()
         h = 1e-6
         fd = np.empty_like(theta0)
@@ -124,7 +124,7 @@ class TestGradTheta:
     def test_constant_value_at_horizon_has_zero_gradient(self):
         # inverse(proxy_T) (x) proxy_T is the identity whatever theta is
         rng, nmap, gen, grid, traj, w = make_setup(seed=5)
-        grad, value = greeks.grad_theta(gen, nmap, None, grid, w, 1.0)
+        (grad,), _ = greeks.grad_theta(gen, traj, w, [1.0])
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_horizon_value_bitwise_constant_in_theta(self):
@@ -144,7 +144,7 @@ class TestGradTheta:
 
     def test_masked_clock_row_has_zero_gradient(self):
         rng, nmap, gen, grid, traj, w = make_setup(seed=6, pinned=True)
-        grad, _ = greeks.grad_theta(gen, nmap, None, grid, w, 0.5)
+        (grad,), _ = greeks.grad_theta(gen, traj, w, [0.5])
         F = gen.n_features
         assert np.array_equal(grad[:F], np.zeros(F))
 
@@ -152,10 +152,10 @@ class TestGradTheta:
         # a sequence of points gives the rows of the one-point calls
         rng, nmap, gen, grid, traj, w = make_setup(seed=8, pinned=False)
         points = [0.0, 0.5, 1.0]
-        grads, values = greeks.grad_theta(gen, nmap, None, grid, w, points)
+        grads, values = greeks.grad_theta(gen, traj, w, points)
         assert grads.shape == (3, gen.n_params) and values.shape == (3,)
         for s, grad, value in zip(points, grads, values):
-            one, one_value = greeks.grad_theta(gen, nmap, None, grid, w, s)
+            (one,), (one_value,) = greeks.grad_theta(gen, traj, w, [s])
             assert np.max(np.abs(grad - one)) <= 1e-14 * max(np.max(np.abs(one)), 1e-300)
             assert value == one_value
         assert not np.any(grads[-1])
@@ -164,7 +164,7 @@ class TestGradTheta:
         rng, nmap, gen, grid, traj, w = make_setup(seed=7)
         from siglearn.td_learning import value_at
 
-        _, value = greeks.grad_theta(gen, nmap, None, grid, w, 0.5)
+        _, (value,) = greeks.grad_theta(gen, traj, w, [0.5])
         assert value == pytest.approx(value_at(traj, w, 0.5), abs=1e-12)
 
 
@@ -179,7 +179,7 @@ class TestFdOracle:
         fd = experiments._fd_grad_theta(gen, nmap, None, grid, w, points)
         assert fd.shape == (gen.n_params, 3)
         assert np.array_equal(fd[:, -1], np.zeros(gen.n_params))
-        grads, _ = greeks.grad_theta(gen, nmap, None, grid, w, points)
+        grads, _ = greeks.grad_theta(gen, traj, w, points)
         scale = np.max(np.abs(grads))
         assert np.max(np.abs(grads - fd.T)) <= 1e-6 * scale
 

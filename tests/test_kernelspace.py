@@ -1,6 +1,3 @@
-import io
-import json
-
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -102,19 +99,6 @@ class TestNystrom:
                 comp.append(np.linalg.norm(feats[i] - feats[j]))
         rho = spearmanr(raw, comp).statistic
         assert rho > 0.95
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(8)
-        nmap = make_map(rng, n_landmarks=5)
-        buf = io.StringIO()
-        ks.nystrom_to_json(nmap, buf, meta={"seed": 1})
-        payload = json.loads(buf.getvalue())
-        assert payload["_meta"] == {"seed": 1}
-        assert (payload["channels"], payload["degree"]) == (2, 3)
-        assert payload["ridge"] == nmap.ridge
-        assert payload["level_weights"] == nmap.level_weights.tolist()
-        landmarks = np.array(payload["landmarks"], dtype=float)
-        assert np.array_equal(landmarks, nmap.landmarks)
 
 
 class TestWhitenedMetric:

@@ -175,6 +175,27 @@ class TestIntegrateFlow:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert np.array_equal(batch.residual_flats()[r, -1], ta.identity_flat(C, K))
 
+    def test_tangents_are_the_recorded_feature_rows(self):
+        # the adjoint reads traj.features in place of rebuilding them, so
+        # each tangent must be the generator's map of its recorded row
+        rng = np.random.default_rng(12)
+        nmap = make_map(rng)
+        gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
+                            clock_rate=1.0, seed=6, init_scale=0.5)
+        jn = ta.TruncTensor(C, K, random_group_like(rng))
+        grid = np.linspace(0.0, 1.0, 9)
+        thetas = gen.theta() + 0.2 * rng.normal(size=(5, gen.n_params))
+        one = integrate_flow(gen, nmap, jn, grid)
+        batch = integrate_flow(gen, nmap, jn, grid, theta_rows=thetas)
+        assert one.features.shape == (8, gen.n_features)
+        assert batch.features.shape == (5, 8, gen.n_features)
+        for row, tangent in zip(one.features, one.tangents):
+            assert np.array_equal(tangent, gen.tangent_flat(row))
+        weights = thetas.reshape(-1, gen.out_dim, gen.n_features)
+        for feats, tangents, W in zip(batch.features, batch.tangents, weights):
+            for row, tangent in zip(feats, tangents):
+                assert np.array_equal(tangent, gen.tangent_flat(row, W))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_error(self):
         rng = np.random.default_rng(9)
@@ -248,6 +269,20 @@ class TestTraining:
         assert totals[-1] < 0.2 * totals[0]
         increases = sum(b > a * 1.02 + 1e-12 for a, b in zip(totals, totals[1:]))
         assert increases <= len(totals) // 10
+
+    def test_trajectory_is_the_flow_at_the_returned_weights(self):
+        rng = np.random.default_rng(13)
+        nmap = make_map(rng)
+        grid = np.linspace(0.0, 1.0, 9)
+        junction = ta.TruncTensor(C, K, random_group_like(rng))
+        ens = generate_ensemble(drift_env(0.25, vol=0.1), (0.0, np.zeros(1), junction),
+                                None, grid, 16, 2, linear_cfg())
+        gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
+                            seed=9, init_scale=0.3)
+        res = train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks),
+                              TrainConfig(steps=3, lr=0.02))
+        fresh = integrate_flow(res.params, nmap, junction, grid)
+        assert np.array_equal(res.trajectory.flats, fresh.flats)
 
     def test_stationary_at_optimum(self):
         rng = np.random.default_rng(14)
@@ -334,7 +369,7 @@ class TestExactGradient:
         cache = _ensemble_cache(ens, nmap)
         refs = (ens.times, step_targets(ens), compress_flat(nmap, prefix_mean_signatures(ens)))
 
-        parts, grad = _objective(gen, nmap, metrics, cache, cfg)
+        parts, grad, _ = _objective(gen, nmap, metrics, cache, cfg)
         loss = reference_loss(gen, refs, nmap, metrics, cfg)
         assert sum(parts.values()) == pytest.approx(loss, rel=1e-12)
         assert (parts["reg"] == 0.0) == (reg == 0.0)

@@ -1,6 +1,3 @@
-import csv
-import io
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -17,7 +14,6 @@ from siglearn.signature import (
     incremental_update,
     new_filtered_proxy,
     path_signature,
-    paths_to_csv,
     step_factor_flat,
 )
 from tensor_helpers import level, level_slice
@@ -290,22 +286,3 @@ class TestFusedStep:
         got = chen_step_flat(cfg, dim, sig, dt, dx, jumped)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14
-
-
-class TestCsv:
-    def test_round_trip(self):
-        rng = np.random.default_rng(31)
-        paths = [random_path(rng) for _ in range(3)]
-        buf = io.StringIO()
-        paths_to_csv(paths, buf, header_lines=["# test artifact"])
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# test artifact"
-        rows = list(csv.reader(lines[1:]))
-        assert rows[0] == ["path_id", "t", "x_1", "x_2", "jump_flag"]
-        body = np.array(rows[1:], dtype=float)
-        for pid, p in enumerate(paths):
-            mine = body[body[:, 0] == pid]
-            assert np.array_equal(mine[:, 1], p.times)
-            assert np.array_equal(mine[:, 2:-1], p.values)
-            assert np.array_equal(mine[:, -1].astype(bool), p.jump_flags)
-

@@ -492,6 +492,16 @@ class TestVarianceCompare:
         assert report["var_classical"] == 0.0
         assert report["ratio"] == 0.0
 
+    @pytest.mark.parametrize("family", ["anticipatory", "classical"])
+    def test_non_finite_variance_raises_divergence(self, family):
+        deltas = {"anticipatory": np.ones((32, 4)), "classical": np.ones((32, 4))}
+        # step 2 overflows the variance, step 3 is NaN; step 2 comes first
+        deltas[family][:2, 2] = [1e308, -1e308]
+        deltas[family][0, 3] = np.nan
+        with pytest.raises(DivergenceError) as info:
+            td.variance_compare(deltas["anticipatory"], deltas["classical"])
+        assert info.value.context == {"family": family, "step": 2}
+
 
 class TestJunctionContinuity:
     def test_value_moves_linearly_with_junction_shift(self):
