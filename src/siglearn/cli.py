@@ -39,7 +39,7 @@ from .experiments import (
     train_scf,
     variance_experiment,
 )
-from .proxy_flow import TrainResult, new_generator
+from .proxy_flow import TrainResult, integrate_flow, new_generator
 
 SUBCOMMANDS = ("run-scf", "run-td", "run-greeks", "run-analysis", "run-all")
 
@@ -244,6 +244,7 @@ class Runner:
         sc = self.scenario
         if self._training is not None:
             gen = self._training[0].params
+            traj = self._training[0].trajectory
         else:
             # FD validation is meaningful at any weights; use a seeded
             # random generator rather than paying for training here
@@ -258,7 +259,8 @@ class Runner:
                 seed=derive_seed(self.seed, "greeks-generator"),
                 init_scale=0.3,
             )
-        rows = greeks_fd_report(self.cfg, sc, gen)
+            traj = integrate_flow(gen, sc.nmap, sc.junction_proxy, sc.grid)
+        rows = greeks_fd_report(self.cfg, sc, gen, traj)
         _write_csv(
             self.out / "greeks.csv",
             self.header(),

@@ -116,22 +116,33 @@ class Scenario:
 def sample_landmark_signatures(
     ens: PathEnsemble, n_landmarks: int, seed: int
 ) -> np.ndarray:
-    """Signatures of random path segments of the ensemble (seed-controlled)."""
+    """Signatures of random path segments of the ensemble (seed-controlled).
+
+    Segments whose time increments are bitwise equal go through one batched
+    terminal scan; a scan treats its rows independently, so each signature
+    is the one a scan of its segment alone gives.
+    """
     rng = np.random.default_rng(seed)
     n_grid = ens.n_grid
-    sigs = []
+    draws = []
     for _ in range(n_landmarks):
         i = int(rng.integers(ens.n_paths))
         a = int(rng.integers(0, n_grid - 1))
         b = int(rng.integers(a + 1, n_grid))
-        values = ens.values[i : i + 1, a : b + 1]
-        flags = ens.jump_flags[i : i + 1, a : b + 1].copy()
+        draws.append((i, a, b))
+    groups: dict[bytes, list[int]] = {}
+    for d, (_, a, b) in enumerate(draws):
+        groups.setdefault(np.diff(ens.times[a : b + 1]).tobytes(), []).append(d)
+    sigs = [None] * n_landmarks
+    for members in groups.values():
+        segs = [draws[d] for d in members]
+        values = np.stack([ens.values[i, a : b + 1] for i, a, b in segs])
+        flags = np.stack([ens.jump_flags[i, a : b + 1] for i, a, b in segs])
         flags[:, 0] = False
-        sigs.append(
-            batch_terminal_signatures(
-                ens.sig_config, ens.times[a : b + 1], values, flags
-            )[0]
-        )
+        _, a, b = segs[0]
+        rows = batch_terminal_signatures(ens.sig_config, ens.times[a : b + 1], values, flags)
+        for d, row in zip(members, rows):
+            sigs[d] = row
     return np.array(sigs)
 
 
@@ -444,13 +455,18 @@ def _fd_grad_theta(gen, nmap, junction, grid, w, check_points) -> np.ndarray:
     return (values[: theta0.size] - values[theta0.size :]) / (2 * h_t)
 
 
-def greeks_fd_report(cfg: dict, scenario: Scenario, gen: GeneratorParams) -> list[dict]:
-    """FD cross-checks of the three gradient families along the horizon."""
+def greeks_fd_report(
+    cfg: dict, scenario: Scenario, gen: GeneratorParams, traj: ProxyTrajectory
+) -> list[dict]:
+    """FD cross-checks of the three gradient families along the horizon.
+
+    ``traj`` is the flow of ``gen`` from the scenario's junction proxy over
+    its grid, as ``integrate_flow`` returns it.
+    """
     rng = np.random.default_rng(derive_seed(scenario.seed, "greeks"))
     nmap = scenario.nmap
     grid = scenario.grid
     junction = scenario.junction_proxy
-    traj = integrate_flow(gen, nmap, junction, grid)
     w = rng.normal(size=nmap.n_landmarks)
     check_points = [grid[0], grid[len(grid) // 2], grid[-1]]
 

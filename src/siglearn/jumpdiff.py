@@ -40,7 +40,6 @@ __all__ = [
     "simulate_history",
     "empirical_mean_signature",
     "prefix_mean_signatures",
-    "zero_policy",
 ]
 
 _STREAMS_PER_PATH = 4  # diffusion, jump counts, jump sizes, spare
@@ -125,7 +124,7 @@ class JumpDiffusionParams:
         return self.drift_memory_gain is not None and np.any(self.drift_memory_gain != 0.0)
 
 
-def zero_policy(t, states, proxies):
+def _zero_policy(t, states, proxies):
     states = np.atleast_2d(states)
     return np.zeros(states.shape[0])
 
@@ -252,7 +251,7 @@ def generate_ensemble(
         raise DomainError("n_paths must be >= 1")
     d = params.dim
     if policy is None:
-        policy = zero_policy
+        policy = _zero_policy
 
     n_steps = grid.size - 1
     lam_dt_all = params.jump_intensity * np.diff(grid)

@@ -14,13 +14,26 @@ The ``*_flat`` functions are the only engine: they act on arrays whose last
 axis is the flat coefficient vector, broadcasting over any leading axes.
 :class:`TruncTensor` is a checked container for one element; its ``data``
 goes through the same functions.
+
+The product and its exp, log and inverse series work rows-last.  The
+operands are cut into blocks of rows, and each block is transposed to a
+(flat + 1, block) array whose extra last row is zero, small enough that a
+series step works in cache.  A whole series runs inside its block, so a call
+pays one transpose in and one out.  One cached slot table drives every
+product: slot s of a level-n coefficient gathers the term a_i b_(n-i) with
+i = s - (k - n), and the first k - n slots pair the zero row with itself.
+Each coefficient is thus summed as 0 + t_0 + ... + t_n, the same terms in
+the same order as a loop over levels and their i + j = n blocks; a padding
+term adds 0 * 0 to the +0.0 start and leaves it +0.0.  The results are
+therefore the level loop's bit for bit, signed zeros and non-finite values
+included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -107,45 +120,112 @@ def identity_flat(channels: int, degree: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _product_slots(channels: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot table (ia, ib) of the product, each of shape (degree + 1, flat).
+
+    Slot s of level-n coefficient e indexes the factors of its term
+    a_i b_(n-i), i = s - (degree - n); padding slots index the zero row.
+    """
+    offs = level_offsets(channels, degree)
+    sizes = level_sizes(channels, degree)
+    flat = offs[-1]
+    ia = np.full((degree + 1, flat), flat, dtype=np.intp)
+    ib = np.full((degree + 1, flat), flat, dtype=np.intp)
+    for n in range(degree + 1):
+        e = np.arange(sizes[n])
+        for i in range(n + 1):
+            j = n - i
+            s = degree - n + i
+            ia[s, offs[n] : offs[n + 1]] = offs[i] + e // sizes[j]
+            ib[s, offs[n] : offs[n + 1]] = offs[j] + e % sizes[j]
+    ia.flags.writeable = ib.flags.writeable = False
+    return ia, ib
+
+
+def _product_t(slots, at: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """a (x) b on rows-last (flat + 1, rows) operands whose last row is zero.
+
+    The result keeps the zero last row.
+    """
+    ia, ib = slots
+    out = np.zeros_like(at)
+    acc = out[:-1]
+    for s in range(ia.shape[0]):
+        term = at[ia[s]]
+        term *= bt[ib[s]]
+        acc += term
+    return out
+
+
+# A rows-last operand block stays within this many bytes, so that the
+# per-slot temporaries of a series stay in cache.  Blocks of 128 KiB were
+# too large: in a fresh process on Linux, freeing those temporaries handed
+# memory back to the system, and a 134-row product then took ~130 page
+# faults per call.
+_BLOCK_BYTES = 64 * 1024
+
+
+def _by_blocks(kernel, *arrays: np.ndarray) -> np.ndarray:
+    """Apply a rows-last kernel to flat arrays, broadcasting leading axes.
+
+    The operands are broadcast and flattened to (rows, flat).  Each block
+    of rows is transposed into fresh (flat + 1, block) arrays with a zero
+    last row, which the kernel may overwrite; its (flat + 1, block) result
+    is transposed back.
+    """
+    shapes = {x.shape for x in arrays}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    flat = shape[-1]
+    rows = prod(shape[:-1])
+    mats = [
+        (x if x.shape == shape else np.broadcast_to(x, shape)).reshape(rows, flat)
+        for x in arrays
+    ]
+    out = np.empty((rows, flat))
+    block = max(1, _BLOCK_BYTES // (8 * (flat + 1)))
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        ts = []
+        for m in mats:
+            t = np.zeros((flat + 1, hi - lo))
+            t[:flat] = m[lo:hi].T
+            ts.append(t)
+        out[lo:hi] = kernel(*ts)[:flat].T
+    return out.reshape(shape)
+
+
 def product_flat(channels: int, degree: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated tensor product on flat arrays, broadcasting leading axes.
 
     Level n of the result is sum over i+j=n of a_i (x) b_j; terms above the
     truncation degree are dropped.
     """
-    offs = level_offsets(channels, degree)
-    sizes = level_sizes(channels, degree)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(batch + (offs[-1],))
-    for n in range(degree + 1):
-        acc = out[..., offs[n] : offs[n + 1]]
-        for i in range(n + 1):
-            j = n - i
-            ai = a[..., offs[i] : offs[i + 1]]
-            bj = b[..., offs[j] : offs[j + 1]]
-            if i == 0:
-                acc += ai * bj
-            elif j == 0:
-                acc += ai * bj
-            else:
-                blk = np.einsum("...i,...j->...ij", ai, bj)
-                acc += blk.reshape(batch + (sizes[n],))
-    return out
+    slots = _product_slots(channels, degree)
+    return _by_blocks(
+        lambda at, bt: _product_t(slots, at, bt),
+        np.asarray(a, dtype=float),
+        np.asarray(b, dtype=float),
+    )
 
 
 def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
     """Truncated exponential of a Lie-like flat array (scalar part ignored)."""
-    x = np.asarray(x, dtype=float)
-    out = identity_flat(channels, degree) + np.zeros_like(x)
-    term = x.copy()
-    term[..., 0] = 0.0
-    out = out + term
-    for i in range(2, degree + 1):
-        term = product_flat(channels, degree, term, x) / i
-        out = out + term
-    return out
+    slots = _product_slots(channels, degree)
+
+    def kernel(xt):
+        out = np.zeros_like(xt)
+        out[0] = 1.0
+        term = xt.copy()
+        term[0] = 0.0
+        out += term
+        for i in range(2, degree + 1):
+            term = _product_t(slots, term, xt)
+            term /= i
+            out += term
+        return out
+
+    return _by_blocks(kernel, np.asarray(x, dtype=float))
 
 
 def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -235,28 +315,37 @@ def exp_pullback_flat(channels: int, degree: int, x: np.ndarray, g: np.ndarray) 
 
 def log_flat(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
     """Truncated logarithm of a group-like flat array (scalar part read as 1)."""
-    g = np.asarray(g, dtype=float)
-    u = g.copy()
-    u[..., 0] = 0.0  # u = g - 1
-    out = u.copy()
-    term = u
-    for i in range(2, degree + 1):
-        term = product_flat(channels, degree, term, u)
-        out = out + ((-1) ** (i + 1)) * term / i
-    return out
+    slots = _product_slots(channels, degree)
+
+    def kernel(u):
+        u[0] = 0.0  # u = g - 1
+        out = u.copy()
+        term = u
+        for i in range(2, degree + 1):
+            term = _product_t(slots, term, u)
+            out += ((-1) ** (i + 1)) * term / i
+        return out
+
+    return _by_blocks(kernel, np.asarray(g, dtype=float))
 
 
 def inverse_flat(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
     """Group inverse via the finite geometric series, exact in truncation."""
-    g = np.asarray(g, dtype=float)
-    u = -g
-    u[..., 0] = 0.0  # u = 1 - g
-    out = identity_flat(channels, degree) + u
-    term = u
-    for _ in range(2, degree + 1):
-        term = product_flat(channels, degree, term, u)
-        out = out + term
-    return out
+    slots = _product_slots(channels, degree)
+
+    def kernel(u):
+        np.negative(u, out=u)
+        u[0] = 0.0  # u = 1 - g
+        out = np.zeros_like(u)
+        out[0] = 1.0
+        out += u
+        term = u
+        for _ in range(2, degree + 1):
+            term = _product_t(slots, term, u)
+            out += term
+        return out
+
+    return _by_blocks(kernel, np.asarray(g, dtype=float))
 
 
 # ---------------------------------------------------------------------------

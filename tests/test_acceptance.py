@@ -308,7 +308,8 @@ def test_criterion_7_greeks_fd_agreement():
         seed=derive_seed(3, "acc-greeks"),
         init_scale=0.3,
     )
-    rows = greeks_fd_report(cfg, scenario, gen)
+    traj = integrate_flow(gen, scenario.nmap, scenario.junction_proxy, scenario.grid)
+    rows = greeks_fd_report(cfg, scenario, gen, traj)
     w_err = max(r["grad_w_fd_rel_err"] for r in rows)
     p_err = max(r["grad_proxy_fd_rel_err"] for r in rows)
     t_err = max(r["grad_theta_fd_rel_err"] for r in rows)

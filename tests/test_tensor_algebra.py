@@ -3,6 +3,7 @@ import pytest
 
 from siglearn import tensor_algebra as ta
 from siglearn.errors import ConfigError, DomainError, ShapeMismatchError
+import tensor_helpers as th
 from tensor_helpers import graded_inner, level, zero
 
 
@@ -222,6 +223,80 @@ class TestBatchedEngine:
         Ginv = ta.inverse_flat(2, 3, G)
         prod = ta.product_flat(2, 3, G, Ginv)
         assert np.max(np.abs(prod - ta.identity_flat(2, 3))) < 1e-12
+
+
+KERNELS = {
+    "product": (ta.product_flat, th.product_ref, 2),
+    "exp": (ta.exp_flat, th.exp_ref, 1),
+    "log": (ta.log_flat, th.log_ref, 1),
+    "inverse": (ta.inverse_flat, th.inverse_ref, 1),
+}
+DIMS = [(1, 5), (2, 3), (3, 4), (4, 2), (5, 1)]
+
+
+def batch_shapes(flat: int) -> dict[str, tuple[tuple, tuple]]:
+    """Leading shapes of the two product factors; the series take the first."""
+    block = max(1, ta._BLOCK_BYTES // (8 * (flat + 1)))
+    return {
+        "()": ((), ()),
+        "(0,)": ((0,), (0,)),
+        "(1,)": ((1,), (1,)),
+        "(13,)": ((13,), (13,)),
+        "block": ((block,), (block,)),
+        "block+1": ((block + 1,), (block + 1,)),
+        "(300,)": ((300,), (300,)),
+        "(F,)x(5,F)": ((), (5,)),
+        "(4,1,F)x(3,F)": ((4, 1), (3,)),
+    }
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def check_against_level_loop(name, c, k, args):
+    fast, ref, _ = KERNELS[name]
+    before = [x.copy() for x in args]
+    got = fast(c, k, *args)
+    for x, x0 in zip(args, before):
+        assert np.array_equal(x.view(np.uint64), x0.view(np.uint64))
+    assert_same_bits(got, ref(c, k, *args))
+
+
+class TestLevelLoopOracle:
+    """The rows-last kernels against the level-loop reference forms, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(batch_shapes(1)))
+    @pytest.mark.parametrize("c,k", DIMS)
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_batch_shapes(self, name, c, k, case):
+        flat = ta.flat_size(c, k)
+        shapes = batch_shapes(flat)[case][: KERNELS[name][2]]
+        rng = np.random.default_rng(17)
+        args = [rng.normal(scale=0.5, size=s + (flat,)) for s in shapes]
+        check_against_level_loop(name, c, k, args)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["strided", "signed_zero", "non_finite"])
+    @pytest.mark.parametrize("c,k", DIMS)
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_special_inputs(self, name, c, k, variant):
+        flat = ta.flat_size(c, k)
+        rng = np.random.default_rng(18)
+        flats = rng.normal(scale=0.5, size=(2, 13, 3, flat))
+        if variant == "signed_zero":
+            flats[rng.random(flats.shape) < 0.3] = -0.0
+            flats[rng.random(flats.shape) < 0.2] = 0.0
+        elif variant == "non_finite":
+            for v in (np.inf, -np.inf, np.nan):
+                flats[rng.random(flats.shape) < 0.03] = v
+        args = [flats[i, :, 1, :] for i in range(KERNELS[name][2])]
+        if variant != "strided":
+            args = [np.ascontiguousarray(x) for x in args]
+        check_against_level_loop(name, c, k, args)
 
 
 class TestMulExp:
