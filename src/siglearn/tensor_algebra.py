@@ -15,17 +15,20 @@ axis is the flat coefficient vector, broadcasting over any leading axes.
 :class:`TruncTensor` is a checked container for one element; its ``data``
 goes through the same functions.
 
-The product and its exp, log and inverse series work rows-last.  The
-operands are cut into blocks of rows, and each block is transposed to a
-(flat + 1, block) array whose extra last row is zero, small enough that a
-series step works in cache.  A whole series runs inside its block, so a call
-pays one transpose in and one out.  One cached slot table drives every
-product: slot s of a level-n coefficient gathers the term a_i b_(n-i) with
-i = s - (k - n), and the first k - n slots pair the zero row with itself.
-Each coefficient is thus summed as 0 + t_0 + ... + t_n, the same terms in
-the same order as a loop over levels and their i + j = n blocks; a padding
-term adds 0 * 0 to the +0.0 start and leaves it +0.0.  The results are
-therefore the level loop's bit for bit, signed zeros and non-finite values
+The product, its exp, log and inverse series, and the Horner step
+a (x) exp(v) work rows-last.  The operands are cut into blocks of rows, and
+each block is transposed to a (width + 1, block) array whose extra last row
+is zero, small enough that a series step works in cache.  A whole series
+runs inside its block, so a call pays one transpose in and one out.
+
+One cached slot table drives every product: slot s of a level-n
+coefficient gathers the term a_i b_(n-i) with i = s - (k - n), and the
+first k - n slots pair the zero row with itself.  Each coefficient is thus
+summed as 0 + t_0 + ... + t_n, the same terms in the same order as a loop
+over levels and their i + j = n blocks; a padding term adds 0 * 0 to the
++0.0 start and leaves it +0.0.  The Horner step runs the elementwise
+operations of its level loop in their order too.  The results are
+therefore the level loops' bit for bit, signed zeros and non-finite values
 included.
 """
 
@@ -167,32 +170,33 @@ _BLOCK_BYTES = 64 * 1024
 
 
 def _by_blocks(kernel, *arrays: np.ndarray) -> np.ndarray:
-    """Apply a rows-last kernel to flat arrays, broadcasting leading axes.
+    """Apply a rows-last kernel to arrays, broadcasting their leading axes.
 
-    The operands are broadcast and flattened to (rows, flat).  Each block
-    of rows is transposed into fresh (flat + 1, block) arrays with a zero
-    last row, which the kernel may overwrite; its (flat + 1, block) result
-    is transposed back.
+    The operands are broadcast and flattened to (rows, width).  Each block
+    of rows is transposed into fresh (width + 1, block) arrays with a zero
+    last row, which the kernel may overwrite; its result, whose leading
+    rows are those of the first operand, is transposed back.
     """
-    shapes = {x.shape for x in arrays}
-    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-    flat = shape[-1]
-    rows = prod(shape[:-1])
+    batches = {x.shape[:-1] for x in arrays}
+    batch = batches.pop() if len(batches) == 1 else np.broadcast_shapes(*batches)
+    rows = prod(batch)
     mats = [
-        (x if x.shape == shape else np.broadcast_to(x, shape)).reshape(rows, flat)
+        (x if x.shape[:-1] == batch else np.broadcast_to(x, batch + x.shape[-1:]))
+        .reshape(rows, x.shape[-1])
         for x in arrays
     ]
+    flat = arrays[0].shape[-1]
     out = np.empty((rows, flat))
     block = max(1, _BLOCK_BYTES // (8 * (flat + 1)))
     for lo in range(0, rows, block):
         hi = min(lo + block, rows)
         ts = []
         for m in mats:
-            t = np.zeros((flat + 1, hi - lo))
-            t[:flat] = m[lo:hi].T
+            t = np.zeros((m.shape[1] + 1, hi - lo))
+            t[:-1] = m[lo:hi].T
             ts.append(t)
         out[lo:hi] = kernel(*ts)[:flat].T
-    return out.reshape(shape)
+    return out.reshape(batch + (flat,))
 
 
 def product_flat(channels: int, degree: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,20 +241,22 @@ def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np
     """
     offs = level_offsets(channels, degree)
     sizes = level_sizes(channels, degree)
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    batch = np.broadcast_shapes(a.shape[:-1], v.shape[:-1])
-    out = np.array(np.broadcast_to(a, batch + (offs[-1],)))
-    v = v[..., None, :]
-    v_over = [None] + [v / i for i in range(1, degree + 1)]
-    for n in range(1, degree + 1):
-        g = a[..., :1]
-        for m in range(1, n + 1):
-            g = (g[..., :, None] * v_over[n - m + 1]).reshape(batch + (sizes[m],))
-            if m < n:
-                g += a[..., offs[m] : offs[m + 1]]
-        out[..., offs[n] : offs[n + 1]] += g
-    return out
+
+    def kernel(at, vt):
+        n_rows = at.shape[1]
+        out = at.copy()
+        v = vt[None, :channels]
+        v_over = [None] + [v / i for i in range(1, degree + 1)]
+        for n in range(1, degree + 1):
+            g = at[:1]
+            for m in range(1, n + 1):
+                g = (g[:, None] * v_over[n - m + 1]).reshape(sizes[m], n_rows)
+                if m < n:
+                    g += at[offs[m] : offs[m + 1]]
+            out[offs[n] : offs[n + 1]] += g
+        return out
+
+    return _by_blocks(kernel, np.asarray(a, dtype=float), np.asarray(v, dtype=float))
 
 
 def product_pullback_flat(

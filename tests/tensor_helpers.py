@@ -29,9 +29,9 @@ def graded_inner(a: ta.TruncTensor, b: ta.TruncTensor, level_weights=None) -> fl
     return float(np.einsum("...i,...i->...", a.data * cw, b.data))
 
 
-# Level-loop reference forms of the product and its series.  The kernels in
-# tensor_algebra must agree with these bit for bit: they add the same terms
-# in the same order.
+# Level-loop reference forms of the product, its series and the Horner step
+# a (x) exp(v).  The kernels in tensor_algebra must agree with these bit for
+# bit: they run the same operations in the same order.
 
 
 def product_ref(channels: int, degree: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,4 +88,23 @@ def inverse_ref(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
     for _ in range(2, degree + 1):
         term = product_ref(channels, degree, term, u)
         out = out + term
+    return out
+
+
+def mul_exp_ref(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    offs = ta.level_offsets(channels, degree)
+    sizes = ta.level_sizes(channels, degree)
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
+    batch = np.broadcast_shapes(a.shape[:-1], v.shape[:-1])
+    out = np.array(np.broadcast_to(a, batch + (offs[-1],)))
+    v = v[..., None, :]
+    v_over = [None] + [v / i for i in range(1, degree + 1)]
+    for n in range(1, degree + 1):
+        g = a[..., :1]
+        for m in range(1, n + 1):
+            g = (g[..., :, None] * v_over[n - m + 1]).reshape(batch + (sizes[m],))
+            if m < n:
+                g += a[..., offs[m] : offs[m + 1]]
+        out[..., offs[n] : offs[n + 1]] += g
     return out

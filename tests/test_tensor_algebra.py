@@ -225,11 +225,13 @@ class TestBatchedEngine:
         assert np.max(np.abs(prod - ta.identity_flat(2, 3))) < 1e-12
 
 
+# kernel, its level-loop reference, and the last-axis width of each operand
 KERNELS = {
-    "product": (ta.product_flat, th.product_ref, 2),
-    "exp": (ta.exp_flat, th.exp_ref, 1),
-    "log": (ta.log_flat, th.log_ref, 1),
-    "inverse": (ta.inverse_flat, th.inverse_ref, 1),
+    "product": (ta.product_flat, th.product_ref, ("flat", "flat")),
+    "exp": (ta.exp_flat, th.exp_ref, ("flat",)),
+    "log": (ta.log_flat, th.log_ref, ("flat",)),
+    "inverse": (ta.inverse_flat, th.inverse_ref, ("flat",)),
+    "mul_exp": (ta.mul_exp_flat, th.mul_exp_ref, ("flat", "channels")),
 }
 DIMS = [(1, 5), (2, 3), (3, 4), (4, 2), (5, 1)]
 
@@ -257,6 +259,10 @@ def assert_same_bits(got, want):
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
+def operand_widths(name, c, k):
+    return [{"flat": ta.flat_size(c, k), "channels": c}[w] for w in KERNELS[name][2]]
+
+
 def check_against_level_loop(name, c, k, args):
     fast, ref, _ = KERNELS[name]
     before = [x.copy() for x in args]
@@ -267,16 +273,16 @@ def check_against_level_loop(name, c, k, args):
 
 
 class TestLevelLoopOracle:
-    """The rows-last kernels against the level-loop reference forms, bit for bit."""
+    """The rows-last kernels against their level-loop reference forms, bit for bit."""
 
     @pytest.mark.parametrize("case", list(batch_shapes(1)))
     @pytest.mark.parametrize("c,k", DIMS)
     @pytest.mark.parametrize("name", KERNELS)
     def test_batch_shapes(self, name, c, k, case):
-        flat = ta.flat_size(c, k)
-        shapes = batch_shapes(flat)[case][: KERNELS[name][2]]
+        widths = operand_widths(name, c, k)
+        shapes = batch_shapes(ta.flat_size(c, k))[case]
         rng = np.random.default_rng(17)
-        args = [rng.normal(scale=0.5, size=s + (flat,)) for s in shapes]
+        args = [rng.normal(scale=0.5, size=s + (w,)) for s, w in zip(shapes, widths)]
         check_against_level_loop(name, c, k, args)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -284,18 +290,18 @@ class TestLevelLoopOracle:
     @pytest.mark.parametrize("c,k", DIMS)
     @pytest.mark.parametrize("name", KERNELS)
     def test_special_inputs(self, name, c, k, variant):
-        flat = ta.flat_size(c, k)
         rng = np.random.default_rng(18)
-        flats = rng.normal(scale=0.5, size=(2, 13, 3, flat))
-        if variant == "signed_zero":
-            flats[rng.random(flats.shape) < 0.3] = -0.0
-            flats[rng.random(flats.shape) < 0.2] = 0.0
-        elif variant == "non_finite":
-            for v in (np.inf, -np.inf, np.nan):
-                flats[rng.random(flats.shape) < 0.03] = v
-        args = [flats[i, :, 1, :] for i in range(KERNELS[name][2])]
-        if variant != "strided":
-            args = [np.ascontiguousarray(x) for x in args]
+        args = []
+        for w in operand_widths(name, c, k):
+            flats = rng.normal(scale=0.5, size=(13, 3, w))
+            if variant == "signed_zero":
+                flats[rng.random(flats.shape) < 0.3] = -0.0
+                flats[rng.random(flats.shape) < 0.2] = 0.0
+            elif variant == "non_finite":
+                for v in (np.inf, -np.inf, np.nan):
+                    flats[rng.random(flats.shape) < 0.03] = v
+            x = flats[:, 1, :]
+            args.append(x if variant == "strided" else np.ascontiguousarray(x))
         check_against_level_loop(name, c, k, args)
 
 
