@@ -13,6 +13,7 @@ from siglearn.experiments import (
     train_scf,
 )
 from siglearn.proxy_flow import TrainConfig, _ensemble_cache, _loss_terms
+from siglearn.signature import batch_terminal_signatures
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -70,6 +71,24 @@ class TestScenario:
         c = sample_landmark_signatures(sc.train_ensemble, 5, 4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_landmarks_are_one_segment_scans(self):
+        # segments with equal time increments share a batched scan; each
+        # row must be what scanning its segment alone gives, bit for bit
+        sc = build_scenario(small_cfg(), 7)
+        ens = sc.train_ensemble
+        got = sample_landmark_signatures(ens, 40, 5)
+        rng = np.random.default_rng(5)
+        for row in got:
+            i = int(rng.integers(ens.n_paths))
+            a = int(rng.integers(0, ens.n_grid - 1))
+            b = int(rng.integers(a + 1, ens.n_grid))
+            flags = ens.jump_flags[i : i + 1, a : b + 1].copy()
+            flags[:, 0] = False
+            want = batch_terminal_signatures(
+                ens.sig_config, ens.times[a : b + 1], ens.values[i : i + 1, a : b + 1], flags
+            )[0]
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 class TestVarianceSweep:
