@@ -119,7 +119,6 @@ class FixedPointResult:
     law: ReturnLaw
     iterations: int
     fitted_rate: float | None
-    distances: np.ndarray
 
 
 def fixed_point_iterate(
@@ -143,9 +142,7 @@ def fixed_point_iterate(
         d = law_distance(metric, nxt, law)
         law = nxt
         if d < tol:
-            distances = np.array(distances)
-            rate = _fit_rate(distances)
-            return FixedPointResult(law, it, rate, distances)
+            return FixedPointResult(law, it, _fit_rate(np.array(distances)))
         distances.append(d)
     raise DivergenceError(
         "fixed-point iteration did not converge",

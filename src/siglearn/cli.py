@@ -39,7 +39,7 @@ from .experiments import (
     train_scf,
     variance_experiment,
 )
-from .proxy_flow import TrainResult, integrate_flow, new_generator
+from .proxy_flow import TrainResult
 
 SUBCOMMANDS = ("run-scf", "run-td", "run-greeks", "run-analysis", "run-all")
 
@@ -242,25 +242,8 @@ class Runner:
 
     def run_greeks(self) -> None:
         sc = self.scenario
-        if self._training is not None:
-            gen = self._training[0].params
-            traj = self._training[0].trajectory
-        else:
-            # FD validation is meaningful at any weights; use a seeded
-            # random generator rather than paying for training here
-            flow_cfg = self.cfg["flow"]
-            gen = new_generator(
-                sc.channels,
-                sc.degree,
-                lie_degree=int(flow_cfg["lie_degree"]),
-                n_proxy_features=int(flow_cfg["proxy_features"]),
-                phase_powers=int(flow_cfg["phase_powers"]),
-                clock_rate=1.0 / sc.sig_config.time_scale,
-                seed=derive_seed(self.seed, "greeks-generator"),
-                init_scale=0.3,
-            )
-            traj = integrate_flow(gen, sc.nmap, sc.junction_proxy, sc.grid)
-        rows = greeks_fd_report(self.cfg, sc, gen, traj)
+        result, _ = self.training()
+        rows = greeks_fd_report(sc, result.params, result.trajectory)
         _write_csv(
             self.out / "greeks.csv",
             self.header(),

@@ -456,7 +456,7 @@ def _fd_grad_theta(gen, nmap, junction, grid, w, check_points) -> np.ndarray:
 
 
 def greeks_fd_report(
-    cfg: dict, scenario: Scenario, gen: GeneratorParams, traj: ProxyTrajectory
+    scenario: Scenario, gen: GeneratorParams, traj: ProxyTrajectory
 ) -> list[dict]:
     """FD cross-checks of the three gradient families along the horizon.
 

@@ -205,7 +205,7 @@ class PathEnsemble:
     jump_flags: np.ndarray
     rewards: np.ndarray
     state_dim: int
-    junction_proxy: np.ndarray | None = None
+    junction_proxy: ta.TruncTensor | None = None
 
     @property
     def n_paths(self) -> int:
@@ -319,7 +319,7 @@ def generate_ensemble(
         jump_flags=flags,
         rewards=rewards,
         state_dim=d,
-        junction_proxy=None if proxy0 is None else np.array(proxy0.data),
+        junction_proxy=proxy0,
     )
 
 

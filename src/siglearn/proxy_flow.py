@@ -359,13 +359,6 @@ def score_matching_loss(
     return _loss_terms(gen, nmap, metrics, cache, TrainConfig())[0]["score"]
 
 
-def _ens_junction(ens: PathEnsemble):
-    if ens.junction_proxy is None:
-        return None
-    c = ens.sig_config.channels(ens.values.shape[2])
-    return ta.TruncTensor(c, ens.sig_config.degree, ens.junction_proxy.copy())
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -402,7 +395,7 @@ class TrainResult:
 def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
     means = prefix_mean_signatures(ens)
     return {
-        "junction": _ens_junction(ens),
+        "junction": ens.junction_proxy,
         "targets": step_targets(ens),
         "prefix_feats": compress_flat(nmap, means),
         "grid": ens.times,

@@ -289,8 +289,6 @@ def _scan(config: SignatureConfig, times, values, jump_flags):
     n_paths, n_grid, dim = values.shape
     if times.shape != (n_grid,):
         raise ShapeMismatchError("times length does not match the value grid")
-    if jump_flags is None:
-        jump_flags = np.zeros((n_paths, n_grid), dtype=bool)
     c = config.channels(dim)
     sig = np.tile(ta.identity_flat(c, config.degree), (n_paths, 1))
     yield sig
@@ -310,7 +308,7 @@ def batch_prefix_signatures(
     config: SignatureConfig,
     times: np.ndarray,
     values: np.ndarray,
-    jump_flags: np.ndarray | None = None,
+    jump_flags: np.ndarray,
     keep_paths: bool = False,
 ):
     """Signatures over [t_0, t_j] for every gridpoint j, batched over paths.
@@ -337,7 +335,7 @@ def batch_terminal_signatures(
     config: SignatureConfig,
     times: np.ndarray,
     values: np.ndarray,
-    jump_flags: np.ndarray | None = None,
+    jump_flags: np.ndarray,
 ) -> np.ndarray:
     """Terminal flat signatures (n_paths, flat) over the whole grid."""
     for sig in _scan(config, times, values, jump_flags):

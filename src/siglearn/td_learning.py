@@ -31,7 +31,7 @@ from .signature import batch_prefix_signatures
 # within a few MiB on long horizons
 _BLOCK = 256
 _POWER_STACK_BYTES = 4 << 20
-# a sweep counts as converged once its slowest mode has decayed by 1e-6
+# predicted_iters: iterations until the sweep's slowest mode has decayed by 1e-6
 _CONVERGED_DECAY = math.log(1e-6)
 
 __all__ = [
@@ -74,7 +74,6 @@ class SweepResult:
     max_abs_delta: np.ndarray
     spectral_radius: float
     predicted_iters: int | None
-    converged: bool
 
 
 def value_at(traj: ProxyTrajectory, w: np.ndarray, s: float) -> float:
@@ -224,7 +223,6 @@ def td0_sweep(
         max_abs_delta=max_delta,
         spectral_radius=rho,
         predicted_iters=predicted,
-        converged=predicted is not None and predicted <= n_iters,
     )
 
 

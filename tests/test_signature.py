@@ -244,7 +244,8 @@ class TestBatched:
         _, full = batch_prefix_signatures(cfg, times, values, flags, keep_paths=True)
         terminal = batch_terminal_signatures(cfg, times, values, flags)
         assert np.array_equal(terminal, full[-1])
-        assert np.array_equal(batch_terminal_signatures(cfg, times[:1], values[:, :1]), full[0])
+        no_jumps = np.zeros((4, 1), dtype=bool)
+        assert np.array_equal(batch_terminal_signatures(cfg, times[:1], values[:, :1], no_jumps), full[0])
 
 
 # (shape, jumps): one path with a scalar dt, a (dim,) increment and a bool
