@@ -309,6 +309,39 @@ def test_perturbed_baseline_keeps_exit_contract(overrides):
     assert "Traceback" not in err.getvalue()
 
 
+def _without_meta(text: str) -> str:
+    payload = json.loads(text)
+    del payload["_meta"]
+    return json.dumps(payload)
+
+
+def _artifact_numbers(out: Path) -> dict:
+    """Every number each written file holds, by file name."""
+    found = {}
+    for p in out.rglob("*"):
+        if p.suffix == ".csv":
+            rows = list(csv.reader(p.read_text().splitlines()[2:]))
+            found[p.name] = [float(v) for row in rows for v in row]
+        elif p.suffix == ".json":
+            payload = json.loads(p.read_text())
+            del payload["_meta"]
+            found[p.name] = list(_json_numbers(payload))
+    return found
+
+
+def _json_numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _json_numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield float(node)
+    elif isinstance(node, str):
+        # nystrom.json writes its landmarks as repr strings
+        yield float(node)
+
+
 class TestCliRuns:
     def test_run_all_artifacts_and_headers(self, tmp_path, small_config):
         out = tmp_path / "out"
@@ -341,6 +374,57 @@ class TestCliRuns:
                 meta = json.loads(content)["_meta"]
                 assert meta["config_hash"] == chash
                 assert meta["seed"] == 3
+
+        # each subcommand writes its own slice of run-all: the same bytes
+        # below the CSV header line, the same JSON apart from _meta
+        written = []
+        for sub in ("run-scf", "run-td", "run-greeks", "run-analysis"):
+            part = tmp_path / sub
+            assert main([sub, "--config", str(small_config), "--seed", "3",
+                         "--out-dir", str(part)]) == 0
+            names = [str(p.relative_to(part)) for p in part.rglob("*") if p.is_file()]
+            assert names, sub
+            written += names
+            for name in names:
+                mine, full = (part / name).read_text(), (out / name).read_text()
+                if name.endswith(".csv"):
+                    assert mine.split("\n", 1)[1] == full.split("\n", 1)[1], (sub, name)
+                else:
+                    assert _without_meta(mine) == _without_meta(full), (sub, name)
+        assert sorted(written) == sorted(expected)
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("run-scf", {"ALGEBRA__LEVEL_WEIGHTS": "factorial"}),
+            ("run-scf", {
+                "ENV__DIM": "2", "ENV__DRIFT_BASE": "0.08, 0.05",
+                "ENV__VOL_DIAG": "0.3, 0.2", "ENV__VOL_SUB": "0.1",
+                "ENV__JUMP_MEAN": "-0.15, 0.1", "ENV__JUMP_SCALE": "0.1, 0.05",
+                "ENV__ACTION_EXPOSURE": "0.05, 0.02", "ENV__REWARD_COEFFS": "1.0, 0.5",
+                "ENV__REWARD_ACTION_EXPOSURE": "0.5, 0.5",
+            }),
+            ("run-td", {"TD__PLANTED_RANK": "0"}),
+            ("run-scf", {"FLOW__PIN_CLOCK": "false"}),
+        ],
+        ids=["factorial-level-weights", "dim-2-vol-sub", "planted-rank-0", "unpinned-clock"],
+    )
+    def test_rarely_set_values_run_and_stay_finite(
+        self, tmp_path, small_config, monkeypatch, subcommand, overrides
+    ):
+        for key, value in overrides.items():
+            monkeypatch.setenv(f"{ENV_PREFIX}{key}", value)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(small_config), "--seed", "2",
+                     "--out-dir", str(out)]) == 0
+        numbers = _artifact_numbers(out)
+        assert numbers
+        for name, values in numbers.items():
+            assert np.all(np.isfinite(values)), name
+        if subcommand == "run-scf":
+            generator = json.loads((out / "generator.json").read_text())
+            pinned = overrides.get("FLOW__PIN_CLOCK") != "false"
+            assert (generator["clock_rate"] is not None) == pinned
 
     def test_run_all_reproducible_across_threads(self, tmp_path, small_config):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
