@@ -157,7 +157,9 @@ class TestPathSignature:
             p = random_path(rng, n_points=5, jump_prob=0.0)
             sigs.append(path_signature(CFG, p, p.times[0], p.times[-1]).data)
         sigs = np.array(sigs)
-        nearest = min(np.linalg.norm(sigs[i + 1 :] - sigs[i], axis=1).min() for i in range(len(sigs) - 1))
+        nearest = min(
+            np.linalg.norm(sigs[i + 1 :] - sigs[i], axis=1).min() for i in range(len(sigs) - 1)
+        )
         assert nearest > 1e-8
 
 
@@ -245,7 +247,8 @@ class TestBatched:
         terminal = batch_terminal_signatures(cfg, times, values, flags)
         assert np.array_equal(terminal, full[-1])
         no_jumps = np.zeros((4, 1), dtype=bool)
-        assert np.array_equal(batch_terminal_signatures(cfg, times[:1], values[:, :1], no_jumps), full[0])
+        one_point = batch_terminal_signatures(cfg, times[:1], values[:, :1], no_jumps)
+        assert np.array_equal(one_point, full[0])
 
 
 # (shape, jumps): one path with a scalar dt, a (dim,) increment and a bool
