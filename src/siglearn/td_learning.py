@@ -32,7 +32,7 @@ from .signature import batch_prefix_signatures
 _BLOCK = 256
 _POWER_STACK_BYTES = 4 << 20
 # predicted_iters: iterations until the sweep's slowest mode has decayed by 1e-6
-_CONVERGED_DECAY = math.log(1e-6)
+_TARGET_DECAY = math.log(1e-6)
 
 __all__ = [
     "TdSystem",
@@ -176,7 +176,7 @@ def td0_sweep(
     small = MC if n <= m else cur.T @ M
     rho = float(np.max(np.abs(1.0 - alpha * np.linalg.eigvals(small))))
     predicted = (
-        math.ceil(_CONVERGED_DECAY / math.log(max(rho, 1e-300))) if rho < 1.0 else None
+        math.ceil(_TARGET_DECAY / math.log(max(rho, 1e-300))) if rho < 1.0 else None
     )
 
     # P^0..P^(B-1), cut short before a power leaves the safe float range so
