@@ -30,6 +30,7 @@ from .errors import DivergenceError, DomainError
 from .jumpdiff import JumpDiffusionParams, generate_ensemble, prefix_mean_signatures
 from .kernelspace import NystromMap, WhitenedMetric, compress_flat, q_distance
 from .proxy_flow import ProxyTrajectory
+from .signature import batch_terminal_signatures
 
 __all__ = [
     "ReturnLaw",
@@ -190,8 +191,7 @@ def forecast_decay(
     if not np.all(np.isfinite(errors)):
         raise DivergenceError("forecast error curve diverged", context={})
 
-    half = grid.size // 2
-    window = np.arange(half, grid.size)
+    window = np.arange(grid.size // 2, grid.size)
     pos = window[errors[window] > 0]
     beta = None
     if pos.size >= 3:
@@ -201,7 +201,6 @@ def forecast_decay(
         "s": grid.tolist(),
         "error": errors.tolist(),
         "beta": beta,
-        "fit_window_start": float(grid[half]),
         "max_q_norm": float(q_norms.max()),
         "q_norms": q_norms.tolist(),
     }
@@ -240,8 +239,6 @@ def whitened_norm_stress(
         ens = generate_ensemble(
             params, junction, None, grid, n_paths, seed, sig_config, nmap=nmap
         )
-        from .signature import batch_terminal_signatures
-
         sigs = batch_terminal_signatures(
             ens.sig_config, ens.times, ens.values, ens.jump_flags
         )

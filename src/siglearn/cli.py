@@ -44,23 +44,10 @@ from .proxy_flow import TrainResult
 SUBCOMMANDS = ("run-scf", "run-td", "run-greeks", "run-analysis", "run-all")
 
 
-def _header(subcommand: str, chash: str, seed: int) -> str:
-    return f"# subcommand={subcommand} config={chash} seed={seed}"
-
-
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-def _write_csv(path: Path, header: str, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path: Path, header_meta: dict, payload: dict) -> None:
@@ -90,15 +77,35 @@ class Runner:
         self._scenario: Scenario | None = None
         self._training: tuple[TrainResult, dict] | None = None
 
-    def header(self) -> str:
-        return _header(self.subcommand, self.chash, self.seed)
-
     def meta(self) -> dict:
         return {
             "subcommand": self.subcommand,
             "config_hash": self.chash,
             "seed": self.seed,
         }
+
+    # -- artifact writers: a name under the output directory, and the header
+    # line or _meta block that names this run
+
+    def _path(self, name: str) -> Path:
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
+
+    def _csv(self, name: str, columns, rows) -> None:
+        with open(self._path(name), "w", newline="") as fh:
+            fh.write(f"# subcommand={self.subcommand} config={self.chash} seed={self.seed}\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+
+    def _dict_rows(self, name: str, rows: list[dict]) -> None:
+        """A CSV whose columns are the keys of the first row."""
+        self._csv(name, list(rows[0]), [list(r.values()) for r in rows])
+
+    def _json(self, name: str, payload: dict) -> None:
+        _write_json(self._path(name), self.meta(), payload)
 
     @property
     def scenario(self) -> Scenario:
@@ -118,9 +125,8 @@ class Runner:
         result, diag = self.training()
         gen, traj = result.params, result.trajectory
         sc = self.scenario
-        _write_csv(
-            self.out / "scf_trace.csv",
-            self.header(),
+        self._csv(
+            "scf_trace.csv",
             ["step", "total", "score", "scf", "reg", "grad_norm", "update_max"],
             [
                 [r["step"], r["total"], r["score"], r["scf"], r["reg"],
@@ -128,9 +134,8 @@ class Runner:
                 for r in result.trace
             ],
         )
-        _write_json(
-            self.out / "generator.json",
-            self.meta(),
+        self._json(
+            "generator.json",
             {
                 "channels": gen.channels,
                 "degree": gen.degree,
@@ -144,9 +149,8 @@ class Runner:
                 "training_trace_total": [r["total"] for r in result.trace],
             },
         )
-        _write_csv(
-            self.out / "proxy.csv",
-            self.header(),
+        self._csv(
+            "proxy.csv",
             ["s", "channels", "degree"]
             + [f"c{i}" for i in range(traj.flats.shape[1])],
             [
@@ -155,9 +159,8 @@ class Runner:
             ],
         )
         nmap = sc.nmap
-        _write_json(
-            self.out / "nystrom.json",
-            self.meta(),
+        self._json(
+            "nystrom.json",
             {
                 "channels": nmap.channels,
                 "degree": nmap.degree,
@@ -167,16 +170,14 @@ class Runner:
             },
         )
         term = sc.terminal_metric()
-        _write_csv(
-            self.out / "metric.csv",
-            self.header(),
+        self._csv(
+            "metric.csv",
             [f"q{i}" for i in range(term.dim)],
             [list(row) for row in term.precision],
         )
         hist = sc.history_path
-        _write_csv(
-            self.out / "history.csv",
-            self.header(),
+        self._csv(
+            "history.csv",
             ["path_id", "t"] + [f"x_{i + 1}" for i in range(hist.dim)] + ["jump_flag"],
             [
                 [0, t] + list(x) + [int(flag)]
@@ -195,9 +196,8 @@ class Runner:
                     + [int(ens.jump_flags[pid, j]), reward]
                 )
         dim = ens.values.shape[2]
-        _write_csv(
-            self.out / "ensemble.csv",
-            self.header(),
+        self._csv(
+            "ensemble.csv",
             ["path_id", "t"] + [f"x_{i + 1}" for i in range(dim)] + ["jump_flag", "reward"],
             rows,
         )
@@ -208,9 +208,8 @@ class Runner:
         n = sweep.objective_trace.size
         # dense early trace, thinned tail, always the final iteration
         kept = [i for i in range(n) if i < 1000 or (i + 1) % 100 == 0 or i == n - 1]
-        _write_csv(
-            self.out / "td_trace.csv",
-            self.header(),
+        self._csv(
+            "td_trace.csv",
             ["iter", "objective", "weight_norm", "max_abs_delta"],
             [
                 [i + 1, sweep.objective_trace[i], sweep.weight_norms[i],
@@ -218,9 +217,8 @@ class Runner:
                 for i in kept
             ],
         )
-        _write_json(
-            self.out / "weights.json",
-            self.meta(),
+        self._json(
+            "weights.json",
             {
                 "gamma": rep["gamma"],
                 "alpha": rep["alpha"],
@@ -237,26 +235,18 @@ class Runner:
                 "final_objective": rep["final_objective"],
             },
         )
-        var_report = variance_experiment(self.cfg, self.scenario)
-        _write_json(self.out / "variance.json", self.meta(), var_report)
+        self._json("variance.json", variance_experiment(self.cfg, self.scenario))
 
     def run_greeks(self) -> None:
         sc = self.scenario
         result, _ = self.training()
         rows = greeks_fd_report(sc, result.params, result.trajectory)
-        _write_csv(
-            self.out / "greeks.csv",
-            self.header(),
-            list(rows[0].keys()),
-            [list(r.values()) for r in rows],
-        )
-        _write_json(self.out / "risk.json", self.meta(), risk_report(self.cfg, sc))
+        self._dict_rows("greeks.csv", rows)
+        self._json("risk.json", risk_report(self.cfg, sc))
 
     def run_analysis(self) -> None:
         sc = self.scenario
         cfg_a = self.cfg["analysis"]
-        out = self.out / "analysis"
-        out.mkdir(parents=True, exist_ok=True)
         gamma = float(self.cfg["td"]["gamma"])
         metric = sc.terminal_metric()
 
@@ -265,12 +255,7 @@ class Runner:
             n_trials=int(cfg_a["contraction_trials"]),
             seed=derive_seed(self.seed, "contraction"),
         )
-        _write_csv(
-            out / "contraction.csv",
-            self.header(),
-            list(con.keys()),
-            [list(con.values())],
-        )
+        self._dict_rows("analysis/contraction.csv", [con])
 
         rng = np.random.default_rng(derive_seed(self.seed, "fixed-point"))
         fp = fixed_point_iterate(
@@ -281,9 +266,8 @@ class Runner:
             metric=metric,
             tol=float(cfg_a["fixed_point_tol"]),
         )
-        _write_csv(
-            out / "fixed_point.csv",
-            self.header(),
+        self._csv(
+            "analysis/fixed_point.csv",
             ["gamma", "iterations", "fitted_rate"],
             [[gamma, fp.iterations, fp.fitted_rate]],
         )
@@ -294,9 +278,8 @@ class Runner:
             [derive_seed(self.seed, f"decay-{i}") for i in range(int(cfg_a["decay_seeds"]))],
             sc.sig_config,
         )
-        _write_csv(
-            out / "forecast_decay.csv",
-            self.header(),
+        self._csv(
+            "analysis/forecast_decay.csv",
             ["s", "error", "q_norm"],
             list(zip(decay["s"], decay["error"], decay["q_norms"])),
         )
@@ -309,12 +292,7 @@ class Runner:
             scales=tuple(cfg_a["stress_scales"]),
             n_groups=int(cfg_a["stress_groups"]),
         )
-        _write_csv(
-            out / "norm_stress.csv",
-            self.header(),
-            list(stress[0].keys()),
-            [list(r.values()) for r in stress],
-        )
+        self._dict_rows("analysis/norm_stress.csv", stress)
 
         lam = lyapunov_estimate(
             sc.env, sc.junction(), sc.grid,
@@ -344,7 +322,7 @@ class Runner:
             },
             "lyapunov_exponent": lam,
         }
-        _write_json(self.out / "summary.json", self.meta(), summary)
+        self._json("summary.json", summary)
 
     def run_all(self) -> None:
         self.run_scf()

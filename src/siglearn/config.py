@@ -1,11 +1,13 @@
 """Flat INI-style configuration with schema validation and hashing.
 
-Sections and keys are fixed by ``SCHEMA``; every value is typed.  Overrides
-can come from the environment as ``SIGLEARN_<SECTION>__<KEY>=value`` (applied
-after the file).  Per-key ranges and keys that must agree with each other
-(list lengths against ``env.dim``, landmark and Lie degree bounds) are
-checked once the configuration is complete.  The effective configuration is
-hashed so every artifact can name the exact inputs that produced it.
+Sections and keys are fixed by ``SCHEMA``, one row per key holding its
+kind, its default and its range rule.  Overrides can come from the
+environment as ``SIGLEARN_<SECTION>__<KEY>=value`` (applied after the file).
+Once the configuration is complete, each value is checked against its row
+(per-dimension lists against ``env.dim`` too), then the few rules that read
+two keys are checked.  Every failure names its ``section.key``.  The
+effective configuration is hashed so every artifact can name the exact
+inputs that produced it.
 """
 
 from __future__ import annotations
@@ -31,129 +33,122 @@ ENV_PREFIX = "SIGLEARN_"
 
 _REQ = object()
 
-# key -> (type, default); _REQ marks keys a config file must provide unless
-# the built-in default text is used.  A "float_or_auto" value is the string
-# "auto" or a finite float.
-SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+# A rule takes a parsed value and returns the requirement it breaks, or None.
+
+
+def _at_least(lo):
+    return lambda v: None if v >= lo else f"be >= {lo}"
+
+
+def _above(lo):
+    return lambda v: None if v > lo else f"be > {lo}"
+
+
+def _closed(lo, hi):
+    return lambda v: None if lo <= v <= hi else f"lie in [{lo}, {hi}]"
+
+
+def _open(lo, hi):
+    return lambda v: None if lo < v < hi else f"lie in ({lo}, {hi})"
+
+
+def _one_of(options):
+    return lambda v: None if v in options else f"be one of {options}"
+
+
+def _each(rule, non_empty=False):
+    """A list rule: ``rule`` holds for every entry, and one exists if ``non_empty``."""
+    def check(values):
+        if non_empty and not values:
+            return "be non-empty"
+        return next((f"{b} in every entry" for b in map(rule, values) if b), None)
+    return check
+
+
+# key -> (kind, default, rule).  _REQ marks keys a config file must provide
+# unless the built-in default text is used.  A "float_or_auto" value is the
+# string "auto" or a finite float, and its rule applies to the float.  A
+# "dimlist" is a float list with one entry per state dimension (env.dim).
+SCHEMA: dict[str, dict[str, tuple[str, object, Callable | None]]] = {
     "algebra": {
-        "degree": ("int", _REQ),
-        "level_weights": ("str", "unit"),
+        "degree": ("int", _REQ, _at_least(1)),
+        "level_weights": ("str", "unit", _one_of(("unit", "factorial"))),
     },
     "signature": {
-        "mode": ("str", "linear"),
-        "history_mode": ("str", "rectilinear"),
+        "mode": ("str", "linear", _one_of(_MODES)),
+        "history_mode": ("str", "rectilinear", _one_of(_MODES)),
     },
     "env": {
-        "dim": ("int", _REQ),
-        "drift_base": ("floatlist", _REQ),
-        "vol_diag": ("floatlist", _REQ),
-        "vol_sub": ("floatlist", None),
-        "jump_intensity": ("float", _REQ),
-        "jump_mean": ("floatlist", _REQ),
-        "jump_scale": ("floatlist", _REQ),
-        "action_exposure": ("floatlist", _REQ),
-        "reward_coeffs": ("floatlist", _REQ),
-        "reward_action_exposure": ("floatlist", None),
-        "memory_gain_scale": ("float", 0.0),
-        "memory_features": ("int", 4),
+        "dim": ("int", _REQ, _at_least(1)),
+        "drift_base": ("dimlist", _REQ, None),
+        "vol_diag": ("dimlist", _REQ, _each(_at_least(0))),
+        # dim - 1 entries, checked against env.dim with the cross-key rules
+        "vol_sub": ("floatlist", None, None),
+        "jump_intensity": ("float", _REQ, _at_least(0)),
+        "jump_mean": ("dimlist", _REQ, None),
+        "jump_scale": ("dimlist", _REQ, _each(_at_least(0))),
+        "action_exposure": ("dimlist", _REQ, None),
+        "reward_coeffs": ("dimlist", _REQ, None),
+        "reward_action_exposure": ("dimlist", None, None),
+        "memory_gain_scale": ("float", 0.0, None),
+        "memory_features": ("int", 4, _at_least(0)),
     },
     "history": {
-        "steps": ("int", _REQ),
-        "dt": ("float", _REQ),
-        "x0": ("floatlist", None),
+        "steps": ("int", _REQ, _at_least(1)),
+        "dt": ("float", _REQ, _above(0)),
+        "x0": ("dimlist", None, None),
         # look-back window for the filtered junction signature; 0 = full
-        "window": ("float", 0.0),
+        "window": ("float", 0.0, _at_least(0)),
     },
     "horizon": {
-        "steps": ("int", _REQ),
-        "dt": ("float", _REQ),
+        "steps": ("int", _REQ, _at_least(1)),
+        "dt": ("float", _REQ, _above(0)),
     },
     "nystrom": {
-        "landmarks": ("int", _REQ),
-        "ridge": ("float_or_auto", "auto"),
-        "metric_lambda": ("float", 1e-4),
+        "landmarks": ("int", _REQ, _at_least(1)),
+        "ridge": ("float_or_auto", "auto", _above(0)),
+        "metric_lambda": ("float", 1e-4, _above(0)),
     },
     "flow": {
-        "lie_degree": ("int", 2),
-        "proxy_features": ("int", 4),
-        "phase_powers": ("int", 2),
-        "pin_clock": ("bool", True),
-        "init_scale": ("float", 0.01),
+        "lie_degree": ("int", 2, None),
+        "proxy_features": ("int", 4, _at_least(0)),
+        "phase_powers": ("int", 2, _at_least(0)),
+        "pin_clock": ("bool", True, None),
+        "init_scale": ("float", 0.01, _at_least(0)),
     },
     "train": {
-        "steps": ("int", _REQ),
-        "lr": ("float", 0.05),
-        "eta_scf": ("float", 0.1),
-        "contraction_reg": ("float", 0.0),
-        "ensemble_size": ("int", _REQ),
+        "steps": ("int", _REQ, _at_least(0)),
+        "lr": ("float", 0.05, _above(0)),
+        "eta_scf": ("float", 0.1, _at_least(0)),
+        "contraction_reg": ("float", 0.0, _at_least(0)),
+        # the metric fit takes a covariance across the ensemble's paths
+        "ensemble_size": ("int", _REQ, _at_least(2)),
     },
     "td": {
-        "gamma": ("float", _REQ),
-        "alpha": ("float_or_auto", "auto"),
-        "iters": ("int", _REQ),
-        "terminal_payoff": ("float", 0.0),
-        "planted_rank": ("int", 3),
+        "gamma": ("float", _REQ, _closed(0, 1)),
+        "alpha": ("float_or_auto", "auto", _above(0)),
+        "iters": ("int", _REQ, _at_least(1)),
+        "terminal_payoff": ("float", 0.0, None),
+        "planted_rank": ("int", 3, _at_least(0)),
     },
     "variance": {
-        "seeds": ("int", 40),
-        "ensemble_size": ("int", 256),
+        # the variance ratio needs a sample of at least 30 seeds
+        "seeds": ("int", 40, _at_least(30)),
+        "ensemble_size": ("int", 256, _at_least(1)),
     },
     "risk": {
-        "alpha_tail": ("float", 0.05),
-        "beta": ("float", 1.0),
-        "action_step": ("float", 1e-3),
+        "alpha_tail": ("float", 0.05, _open(0, 1)),
+        "beta": ("float", 1.0, _at_least(0)),
+        "action_step": ("float", 1e-3, _above(0)),
     },
     "analysis": {
-        "contraction_trials": ("int", 1000),
-        "stress_scales": ("floatlist", [1.0, 3.0, 10.0]),
-        "stress_groups": ("int", 8),
-        "decay_seeds": ("int", 4),
-        "fixed_point_tol": ("float", 1e-12),
+        "contraction_trials": ("int", 1000, _at_least(1)),
+        "stress_scales": ("floatlist", [1.0, 3.0, 10.0], _each(_at_least(0), non_empty=True)),
+        "stress_groups": ("int", 8, _at_least(1)),
+        "decay_seeds": ("int", 4, _at_least(1)),
+        "fixed_point_tol": ("float", 1e-12, _above(0)),
     },
 }
-
-# per-key ranges, checked once the configuration is complete
-_RANGES: dict[tuple[str, str], tuple[Callable[[object], bool], str]] = {
-    ("algebra", "degree"): (lambda v: v >= 1, "be >= 1"),
-    ("algebra", "level_weights"): (
-        lambda v: v in ("unit", "factorial"), "be one of ('unit', 'factorial')"
-    ),
-    ("signature", "mode"): (lambda v: v in _MODES, f"be one of {_MODES}"),
-    ("signature", "history_mode"): (lambda v: v in _MODES, f"be one of {_MODES}"),
-    ("env", "memory_features"): (lambda v: v >= 0, "be >= 0"),
-    ("history", "steps"): (lambda v: v >= 1, "be >= 1"),
-    ("history", "dt"): (lambda v: v > 0.0, "be > 0"),
-    ("horizon", "steps"): (lambda v: v >= 1, "be >= 1"),
-    ("horizon", "dt"): (lambda v: v > 0.0, "be > 0"),
-    ("nystrom", "metric_lambda"): (lambda v: v > 0.0, "be > 0"),
-    ("td", "gamma"): (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
-    ("td", "iters"): (lambda v: v >= 1, "be >= 1"),
-    ("td", "planted_rank"): (lambda v: v >= 0, "be >= 0"),
-    ("train", "steps"): (lambda v: v >= 0, "be >= 0"),
-    ("train", "lr"): (lambda v: v > 0.0, "be > 0"),
-    ("train", "eta_scf"): (lambda v: v >= 0.0, "be >= 0"),
-    ("train", "contraction_reg"): (lambda v: v >= 0.0, "be >= 0"),
-    # the metric fit takes a covariance across the ensemble's paths
-    ("train", "ensemble_size"): (lambda v: v >= 2, "be >= 2"),
-    ("variance", "ensemble_size"): (lambda v: v >= 1, "be >= 1"),
-    ("flow", "phase_powers"): (lambda v: v >= 0, "be >= 0"),
-    ("flow", "proxy_features"): (lambda v: v >= 0, "be >= 0"),
-    ("flow", "init_scale"): (lambda v: v >= 0.0, "be >= 0"),
-    ("history", "window"): (lambda v: v >= 0.0, "be >= 0"),
-    ("risk", "alpha_tail"): (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    ("risk", "action_step"): (lambda v: v > 0.0, "be > 0"),
-    ("analysis", "contraction_trials"): (lambda v: v >= 1, "be >= 1"),
-    ("analysis", "decay_seeds"): (lambda v: v >= 1, "be >= 1"),
-    ("analysis", "stress_groups"): (lambda v: v >= 1, "be >= 1"),
-    ("analysis", "stress_scales"): (lambda v: len(v) > 0, "be non-empty"),
-}
-
-# keys holding one entry per state dimension; env.vol_sub holds dim - 1
-_PER_DIM = [
-    ("env", key)
-    for key, (kind, _) in SCHEMA["env"].items()
-    if kind == "floatlist" and key != "vol_sub"
-] + [("history", "x0")]
 
 _DEFAULT_TEXT = """\
 # siglearn baseline configuration (jump-diffusion desk scale)
@@ -257,7 +252,7 @@ def _convert(raw: str, kind: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(raw)
-    if kind == "floatlist":
+    if kind in ("floatlist", "dimlist"):
         return [float(v) for v in raw.replace(",", " ").split()]
     if kind == "float_or_auto":
         return raw if raw == "auto" else float(raw)
@@ -289,7 +284,7 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            kind, _ = SCHEMA[section][key]
+            kind = SCHEMA[section][key][0]
             cfg[section][key] = _parse_value(raw, kind, f"{section}.{key}")
 
     environ = os.environ if environ is None else environ
@@ -302,32 +297,41 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
         section, key = rest.lower().split("__", 1)
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"environment override names unknown key {section}.{key}")
-        kind, _ = SCHEMA[section][key]
+        kind = SCHEMA[section][key][0]
         cfg.setdefault(section, {})[key] = _parse_value(raw, kind, f"{section}.{key} (from {name})")
 
     for section, keys in SCHEMA.items():
         cfg.setdefault(section, {})
-        for key, (kind, default) in keys.items():
+        for key, (_, default, _) in keys.items():
             if key in cfg[section]:
                 continue
             if default is _REQ:
                 raise ConfigError(f"missing required config key {section}.{key}")
             if default is not None:
                 cfg[section][key] = default
+    _check_rows(cfg)
     _check_cross_keys(cfg)
     return cfg
 
 
-def _check_cross_keys(cfg: dict) -> None:
-    for (section, key), (ok, rule) in _RANGES.items():
-        value = cfg[section][key]
-        if not ok(value):
-            raise ConfigError(f"{section}.{key} = {value} must {rule}")
+def _check_rows(cfg: dict) -> None:
+    """Each value against the rule of its row, and each dimlist against env.dim."""
     dim = cfg["env"]["dim"]
-    for section, key in _PER_DIM:
-        value = cfg[section].get(key)
-        if value is not None and len(value) != dim:
-            raise ConfigError(f"{section}.{key} has {len(value)} entries but env.dim = {dim}")
+    for section, keys in SCHEMA.items():
+        for key, (kind, _, rule) in keys.items():
+            value = cfg[section].get(key)
+            if value is None or (kind == "float_or_auto" and value == "auto"):
+                continue
+            broken = rule(value) if rule else None
+            if broken:
+                raise ConfigError(f"{section}.{key} = {value} must {broken}")
+            if kind == "dimlist" and len(value) != dim:
+                raise ConfigError(f"{section}.{key} has {len(value)} entries but env.dim = {dim}")
+
+
+def _check_cross_keys(cfg: dict) -> None:
+    """Rules that read two keys; each value already meets its own row's rule."""
+    dim = cfg["env"]["dim"]
     sub = cfg["env"].get("vol_sub")
     if sub is not None and len(sub) != dim - 1:
         raise ConfigError(
@@ -338,9 +342,21 @@ def _check_cross_keys(cfg: dict) -> None:
         raise ConfigError(
             f"nystrom.landmarks = {landmarks} is below env.memory_features = {n_mem}"
         )
+    proxy = cfg["flow"]["proxy_features"]
+    if proxy > landmarks:
+        raise ConfigError(
+            f"flow.proxy_features = {proxy} exceeds nystrom.landmarks = {landmarks}"
+        )
     lie, degree = cfg["flow"]["lie_degree"], cfg["algebra"]["degree"]
     if not 1 <= lie <= degree:
         raise ConfigError(f"flow.lie_degree = {lie} must lie in [1, algebra.degree = {degree}]")
+    # the norm-stress check splits the training ensemble into equal groups
+    n_paths, groups = cfg["train"]["ensemble_size"], cfg["analysis"]["stress_groups"]
+    if n_paths % groups:
+        raise ConfigError(
+            f"train.ensemble_size = {n_paths} is not divisible by "
+            f"analysis.stress_groups = {groups}"
+        )
 
 
 def config_hash(cfg: dict) -> str:

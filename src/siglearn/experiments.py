@@ -138,7 +138,6 @@ def sample_landmark_signatures(
         segs = [draws[d] for d in members]
         values = np.stack([ens.values[i, a : b + 1] for i, a, b in segs])
         flags = np.stack([ens.jump_flags[i, a : b + 1] for i, a, b in segs])
-        flags[:, 0] = False
         _, a, b = segs[0]
         rows = batch_terminal_signatures(ens.sig_config, ens.times[a : b + 1], values, flags)
         for d, row in zip(members, rows):
@@ -336,8 +335,6 @@ def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
     return {
         "gamma": gamma,
         "alpha": alpha,
-        "trajectory": traj,
-        "rewards": rewards,
         "w_true": w_true,
         "sweep": sweep,
         "solution": sol,

@@ -353,27 +353,18 @@ def simulate_history(
     return path, ta.TruncTensor(c, sig_config.degree, sig)
 
 
-def _sub_ensemble_arrays(ens: PathEnsemble, t0: float, t1: float):
+def empirical_mean_signature(ens: PathEnsemble, t0: float, t1: float) -> ta.TruncTensor:
+    """Arithmetic mean of per-path signatures over [t0, t1]."""
     i0, i1 = ens.grid_index(t0), ens.grid_index(t1)
     if i1 < i0:
         raise RangeError("t1 must not precede t0")
-    return (
-        ens.times[i0 : i1 + 1],
-        ens.values[:, i0 : i1 + 1],
-        ens.jump_flags[:, i0 : i1 + 1].copy(),
-        i0,
-        i1,
-    )
-
-
-def empirical_mean_signature(ens: PathEnsemble, t0: float, t1: float) -> ta.TruncTensor:
-    """Arithmetic mean of per-path signatures over [t0, t1]."""
-    times, values, flags, i0, _ = _sub_ensemble_arrays(ens, t0, t1)
-    flags[:, 0] = False
+    times, values = ens.times[i0 : i1 + 1], ens.values[:, i0 : i1 + 1]
     c = ens.sig_config.channels(values.shape[2])
     if times.size == 1:
         return ta.identity(c, ens.sig_config.degree)
-    sigs = batch_terminal_signatures(ens.sig_config, times, values, flags)
+    sigs = batch_terminal_signatures(
+        ens.sig_config, times, values, ens.jump_flags[:, i0 : i1 + 1]
+    )
     return ta.TruncTensor(c, ens.sig_config.degree, sigs.mean(axis=0))
 
 

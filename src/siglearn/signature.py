@@ -283,6 +283,7 @@ def _scan(config: SignatureConfig, times, values, jump_flags):
 
     ``values`` has shape (n_paths, n_grid, dim); all paths share ``times``.
     Yields the (n_paths, flat) signatures over [t_0, t_j] for j = 0, 1, ...
+    The flag of the first point is never read: no increment ends there.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -211,17 +211,38 @@ class TestCliExitCodes:
             ("NYSTROM__METRIC_LAMBDA=0", "nystrom.metric_lambda"),
             ("TRAIN__ENSEMBLE_SIZE=1", "train.ensemble_size"),
             ("VARIANCE__ENSEMBLE_SIZE=0", "variance.ensemble_size"),
+            # values the library rejected only once a run reached them, or
+            # not at all; the config now names them before any work
+            ("ENV__JUMP_INTENSITY=-1", "env.jump_intensity"),
+            ("ENV__VOL_DIAG=-0.25", "env.vol_diag"),
+            ("ENV__JUMP_SCALE=-0.15", "env.jump_scale"),
+            ("ANALYSIS__STRESS_SCALES=1, -3", "analysis.stress_scales"),
+            ("NYSTROM__LANDMARKS=0;ENV__MEMORY_FEATURES=0", "nystrom.landmarks"),
+            ("NYSTROM__RIDGE=0", "nystrom.ridge"),
+            ("TD__ALPHA=-0.1", "td.alpha"),
+            ("RISK__BETA=-1", "risk.beta"),
+            ("ANALYSIS__FIXED_POINT_TOL=0", "analysis.fixed_point_tol"),
+            ("VARIANCE__SEEDS=29", "variance.seeds"),
+            ("ANALYSIS__STRESS_GROUPS=3", "analysis.stress_groups"),
+            ("FLOW__PROXY_FEATURES=200", "flow.proxy_features"),
+            (
+                "ENV__DIM=0;ENV__DRIFT_BASE=;ENV__VOL_DIAG=;ENV__JUMP_MEAN=;"
+                "ENV__JUMP_SCALE=;ENV__ACTION_EXPOSURE=;ENV__REWARD_COEFFS=;"
+                "ENV__REWARD_ACTION_EXPOSURE=",
+                "env.dim",
+            ),
         ],
     )
     def test_bad_value_exits_2_without_traceback(self, tmp_path, override, named):
-        name, value = override.split("=")
-        # the row's override comes last, so it wins over the small sizes
+        # the row's overrides come last, so they win over the small sizes
         env = {
             **os.environ,
             f"{ENV_PREFIX}TRAIN__STEPS": "1",
             f"{ENV_PREFIX}TRAIN__ENSEMBLE_SIZE": "16",
-            f"{ENV_PREFIX}{name}": value,
         }
+        for item in override.split(";"):
+            name, value = item.split("=")
+            env[f"{ENV_PREFIX}{name}"] = value
         res = subprocess.run(
             [sys.executable, "-m", "siglearn.cli", "run-scf", "--out-dir", str(tmp_path)],
             env=env, capture_output=True, text=True,

@@ -250,6 +250,26 @@ class TestBatched:
         one_point = batch_terminal_signatures(cfg, times[:1], values[:, :1], no_jumps)
         assert np.array_equal(one_point, full[0])
 
+    @pytest.mark.parametrize("mode", ["linear", "rectilinear"])
+    def test_first_flag_is_never_read(self, mode):
+        # segments cut from an ensemble start at any point, flagged or not
+        rng = np.random.default_rng(35)
+        cfg = SignatureConfig(degree=3, mode=mode, time_scale=1.5)
+        times = np.linspace(0.0, 1.0, 5)
+        values = np.cumsum(rng.normal(scale=0.3, size=(4, 5, 2)), axis=1)
+        flags = rng.random((4, 5)) < 0.3
+        flags[:, 0] = False
+        flipped = flags.copy()
+        flipped[:, 0] = True
+        means, full = batch_prefix_signatures(cfg, times, values, flags, keep_paths=True)
+        f_means, f_full = batch_prefix_signatures(cfg, times, values, flipped, keep_paths=True)
+        assert np.array_equal(f_means, means)
+        assert np.array_equal(f_full, full)
+        assert np.array_equal(
+            batch_terminal_signatures(cfg, times, values, flipped),
+            batch_terminal_signatures(cfg, times, values, flags),
+        )
+
 
 # (shape, jumps): one path with a scalar dt, a (dim,) increment and a bool
 # flag, or a batch of paths with no, some or all of them jump-flagged
