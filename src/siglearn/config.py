@@ -57,7 +57,7 @@ def _one_of(options):
 
 
 def _each(rule, non_empty=False):
-    """A list rule: ``rule`` holds for every entry, and one exists if ``non_empty``."""
+    """A list rule: ``rule`` holds for every entry; with ``non_empty``, [] fails."""
     def check(values):
         if non_empty and not values:
             return "be non-empty"
