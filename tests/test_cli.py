@@ -211,8 +211,8 @@ class TestCliExitCodes:
             ("NYSTROM__METRIC_LAMBDA=0", "nystrom.metric_lambda"),
             ("TRAIN__ENSEMBLE_SIZE=1", "train.ensemble_size"),
             ("VARIANCE__ENSEMBLE_SIZE=0", "variance.ensemble_size"),
-            # values the library rejected only once a run reached them, or
-            # not at all; the config now names them before any work
+            # values the library rejects only once a run reaches them, or
+            # never; the config names them before any work
             ("ENV__JUMP_INTENSITY=-1", "env.jump_intensity"),
             ("ENV__VOL_DIAG=-0.25", "env.vol_diag"),
             ("ENV__JUMP_SCALE=-0.15", "env.jump_scale"),
