@@ -247,12 +247,12 @@ class Runner:
     def run_analysis(self) -> None:
         sc = self.scenario
         cfg_a = self.cfg["analysis"]
-        gamma = float(self.cfg["td"]["gamma"])
+        gamma = self.cfg["td"]["gamma"]
         metric = sc.terminal_metric()
 
         con = contraction_check(
             metric, gamma,
-            n_trials=int(cfg_a["contraction_trials"]),
+            n_trials=cfg_a["contraction_trials"],
             seed=derive_seed(self.seed, "contraction"),
         )
         self._dict_rows("analysis/contraction.csv", [con])
@@ -264,7 +264,7 @@ class Runner:
             next_features=rng.normal(size=metric.dim),
             eta0=ReturnLaw(rng.normal(), rng.normal(size=metric.dim)),
             metric=metric,
-            tol=float(cfg_a["fixed_point_tol"]),
+            tol=cfg_a["fixed_point_tol"],
         )
         self._csv(
             "analysis/fixed_point.csv",
@@ -274,8 +274,8 @@ class Runner:
 
         decay = forecast_decay(
             self.training()[0].trajectory, metric, sc.env, sc.junction(),
-            int(self.cfg["train"]["ensemble_size"]),
-            [derive_seed(self.seed, f"decay-{i}") for i in range(int(cfg_a["decay_seeds"]))],
+            self.cfg["train"]["ensemble_size"],
+            [derive_seed(self.seed, f"decay-{i}") for i in range(cfg_a["decay_seeds"])],
             sc.sig_config,
         )
         self._csv(
@@ -286,11 +286,11 @@ class Runner:
 
         stress = whitened_norm_stress(
             sc.env, sc.junction(), sc.grid,
-            int(self.cfg["train"]["ensemble_size"]),
+            self.cfg["train"]["ensemble_size"],
             derive_seed(self.seed, "stress"),
             sc.sig_config, sc.nmap, metric,
-            scales=tuple(cfg_a["stress_scales"]),
-            n_groups=int(cfg_a["stress_groups"]),
+            scales=cfg_a["stress_scales"],
+            n_groups=cfg_a["stress_groups"],
         )
         self._dict_rows("analysis/norm_stress.csv", stress)
 

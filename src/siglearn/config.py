@@ -44,12 +44,12 @@ def _above(lo):
     return lambda v: None if v > lo else f"be > {lo}"
 
 
-def _closed(lo, hi):
-    return lambda v: None if lo <= v <= hi else f"lie in [{lo}, {hi}]"
-
-
 def _open(lo, hi):
     return lambda v: None if lo < v < hi else f"lie in ({lo}, {hi})"
+
+
+def _half_open(lo, hi):
+    return lambda v: None if lo <= v < hi else f"lie in [{lo}, {hi})"
 
 
 def _one_of(options):
@@ -125,7 +125,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object, Callable | None]]] = {
         "ensemble_size": ("int", _REQ, _at_least(2)),
     },
     "td": {
-        "gamma": ("float", _REQ, _closed(0, 1)),
+        "gamma": ("float", _REQ, _half_open(0, 1)),
         "alpha": ("float_or_auto", "auto", _above(0)),
         "iters": ("int", _REQ, _at_least(1)),
         "terminal_payoff": ("float", 0.0, None),

@@ -248,17 +248,21 @@ def integrate_flow(
         W = np.asarray(theta_rows, dtype=float).reshape(-1, gen.out_dim, gen.n_features)
     batch = () if W is None else W.shape[:1]
 
+    n_steps = grid.size - 1
     flats = np.empty(batch + (grid.size, ta.flat_size(c, k)))
-    tangents = np.empty(batch + (grid.size - 1, flats.shape[-1]))
-    features = np.empty(batch + (grid.size - 1, gen.n_features))
+    tangents = np.empty(batch + (n_steps, flats.shape[-1]))
+    features = np.empty(batch + (n_steps, gen.n_features))
+    # the phase, junction and bias columns do not depend on the state
+    phase = ((grid[:-1] - t) / (T - t))[:, None]
+    features[...] = gen.features(np.zeros((n_steps, p)), phase, jfeats)
+    ds = np.diff(grid)
     flats[..., 0, :] = ta.identity_flat(c, k)
-    for j in range(grid.size - 1):
-        feats = gen.features(flats[..., j, :] @ proxy_rows.T, (grid[j] - t) / (T - t), jfeats)
-        features[..., j, :] = feats
+    for j in range(n_steps):
+        feats = features[..., j, :]
+        feats[..., :p] = flats[..., j, :] @ proxy_rows.T
         tangents[..., j, :] = gen.tangent_flat(feats, W)
-        ds = grid[j + 1] - grid[j]
         flats[..., j + 1, :] = ta.product_flat(
-            c, k, flats[..., j, :], ta.exp_flat(c, k, ds * tangents[..., j, :])
+            c, k, flats[..., j, :], ta.exp_flat(c, k, ds[j] * tangents[..., j, :])
         )
         if not np.all(np.isfinite(flats[..., j + 1, :])):
             raise DivergenceError(

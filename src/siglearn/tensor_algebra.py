@@ -19,7 +19,9 @@ The product, its exp, log and inverse series, and the Horner step
 a (x) exp(v) work rows-last.  The operands are cut into blocks of rows, and
 each block is transposed to a (width + 1, block) array whose extra last row
 is zero, small enough that a series step works in cache.  A whole series
-runs inside its block, so a call pays one transpose in and one out.
+runs inside its block, so a call pays one transpose in and one out.  A
+single row is copied straight into a (width + 1, 1) column, without the
+broadcast and the blocks.
 
 One cached slot table drives every product: slot s of a level-n
 coefficient gathers the term a_i b_(n-i) with i = s - (k - n), and the
@@ -30,6 +32,16 @@ over levels and their i + j = n blocks; a padding term adds 0 * 0 to the
 operations of its level loop in their order too.  The results are
 therefore the level loops' bit for bit, signed zeros and non-finite values
 included.
+
+The exponential's series reads x's scalar part as zero, and its products
+skip each slot whose level of x (slot s reads level k - s of the right
+factor) is zero in every row of the block; the scalar slot is always
+skipped.  A generator step ds * ell has no levels above its Lie degree, so
+most slots go.  The skip is exact: with finite factors a skipped term is
++-0, and adding +-0 leaves an accumulator that started at +0.0 unchanged,
+because a sum is -0 only when both addends are.  A non-finite factor would
+have made a skipped term NaN; it also reaches the result, which is then
+not finite, and the block runs the full series again.
 """
 
 from __future__ import annotations
@@ -146,17 +158,21 @@ def _product_slots(channels: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return ia, ib
 
 
-def _product_t(slots, at: np.ndarray, bt: np.ndarray) -> np.ndarray:
+def _product_t(slots, at: np.ndarray, bt: np.ndarray, skip=()) -> np.ndarray:
     """a (x) b on rows-last (flat + 1, rows) operands whose last row is zero.
 
-    The result keeps the zero last row.
+    The result keeps the zero last row.  The slots in ``skip`` are left out;
+    slot s reads level degree - s of b, so a level of b that is all zero
+    makes its slot's terms +-0.
     """
     ia, ib = slots
     out = np.zeros_like(at)
     acc = out[:-1]
     for s in range(ia.shape[0]):
-        term = at[ia[s]]
-        term *= bt[ib[s]]
+        if s in skip:
+            continue
+        term = at.take(ia[s], axis=0)
+        term *= bt.take(ib[s], axis=0)
         acc += term
     return out
 
@@ -175,17 +191,25 @@ def _by_blocks(kernel, *arrays: np.ndarray) -> np.ndarray:
     The operands are broadcast and flattened to (rows, width).  Each block
     of rows is transposed into fresh (width + 1, block) arrays with a zero
     last row, which the kernel may overwrite; its result, whose leading
-    rows are those of the first operand, is transposed back.
+    rows are those of the first operand, is transposed back.  A single row
+    is copied straight into a (width + 1, 1) column.
     """
     batches = {x.shape[:-1] for x in arrays}
     batch = batches.pop() if len(batches) == 1 else np.broadcast_shapes(*batches)
     rows = prod(batch)
+    flat = arrays[0].shape[-1]
+    if rows == 1:
+        ts = []
+        for x in arrays:
+            t = np.zeros((x.shape[-1] + 1, 1))
+            t[:-1, 0] = x.reshape(-1)
+            ts.append(t)
+        return kernel(*ts)[:flat, 0].reshape(batch + (flat,))
     mats = [
         (x if x.shape[:-1] == batch else np.broadcast_to(x, batch + x.shape[-1:]))
         .reshape(rows, x.shape[-1])
         for x in arrays
     ]
-    flat = arrays[0].shape[-1]
     out = np.empty((rows, flat))
     block = max(1, _BLOCK_BYTES // (8 * (flat + 1)))
     for lo in range(0, rows, block):
@@ -214,19 +238,33 @@ def product_flat(channels: int, degree: int, a: np.ndarray, b: np.ndarray) -> np
 
 
 def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
-    """Truncated exponential of a Lie-like flat array (scalar part ignored)."""
-    slots = _product_slots(channels, degree)
+    """Truncated exponential of a Lie-like flat array (scalar part ignored).
 
-    def kernel(xt):
+    The series skips the product slots that read a level of x that is zero
+    in every row of the block, and runs in full again where the result is
+    not finite, so the result is the full series' bit for bit.
+    """
+    slots = _product_slots(channels, degree)
+    starts = level_offsets(channels, degree)[:-1]
+
+    def series(xt, skip):
         out = np.zeros_like(xt)
         out[0] = 1.0
-        term = xt.copy()
-        term[0] = 0.0
-        out += term
+        out += xt
+        term = xt
         for i in range(2, degree + 1):
-            term = _product_t(slots, term, xt)
+            term = _product_t(slots, term, xt, skip)
             term /= i
             out += term
+        return out
+
+    def kernel(xt):
+        xt[0] = 0.0
+        used = np.logical_or.reduceat(xt[:-1].any(axis=1), starts)
+        skip = [s for s in range(degree + 1) if not used[degree - s]]
+        out = series(xt, skip)
+        if not np.isfinite(out).all():
+            out = series(xt, ())
         return out
 
     return _by_blocks(kernel, np.asarray(x, dtype=float))

@@ -56,10 +56,10 @@ def product_ref(channels: int, degree: int, a: np.ndarray, b: np.ndarray) -> np.
 
 
 def exp_ref(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
+    x[..., 0] = 0.0
     out = ta.identity_flat(channels, degree) + np.zeros_like(x)
-    term = x.copy()
-    term[..., 0] = 0.0
+    term = x
     out = out + term
     for i in range(2, degree + 1):
         term = product_ref(channels, degree, term, x) / i

@@ -225,6 +225,7 @@ class TestCliExitCodes:
             ("VARIANCE__SEEDS=29", "variance.seeds"),
             ("ANALYSIS__STRESS_GROUPS=3", "analysis.stress_groups"),
             ("FLOW__PROXY_FEATURES=200", "flow.proxy_features"),
+            ("TD__GAMMA=1", "td.gamma"),
             (
                 "ENV__DIM=0;ENV__DRIFT_BASE=;ENV__VOL_DIAG=;ENV__JUMP_MEAN=;"
                 "ENV__JUMP_SCALE=;ENV__ACTION_EXPOSURE=;ENV__REWARD_COEFFS=;"

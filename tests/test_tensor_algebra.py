@@ -329,3 +329,77 @@ class TestMulExp:
         assert np.array_equal(a, ta.identity_flat(2, 3))
         assert v.tolist() == [0.5, -0.25]
 
+
+
+def with_levels(c, k, x, fills):
+    """A copy of x whose level j is set to fills[j] wherever fills has j."""
+    offs = ta.level_offsets(c, k)
+    x = np.array(x)
+    for j, fill in fills.items():
+        x[..., offs[j] : offs[j + 1]] = fill
+    return x
+
+
+class TestExpSkip:
+    """exp_flat ignores x's scalar part and skips the zero levels of x, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scalar", [5.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("rows", [(), (13,)])
+    @pytest.mark.parametrize("c,k", DIMS)
+    def test_scalar_part_is_ignored(self, c, k, rows, scalar):
+        rng = np.random.default_rng(19)
+        x = with_levels(c, k, rng.normal(scale=0.5, size=rows + (ta.flat_size(c, k),)), {0: 0.0})
+        want = ta.exp_flat(c, k, x)
+        got = ta.exp_flat(c, k, with_levels(c, k, x, {0: scalar}))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_scalar_one_leaves_level_one(self):
+        x = level_one(2, 3, [0.3, -0.7])
+        x[0] = 1.0
+        assert level(ta.TruncTensor(2, 3, ta.exp_flat(2, 3, x)), 1).tolist() == [0.3, -0.7]
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0])
+    @pytest.mark.parametrize("top", [1, 2])
+    @pytest.mark.parametrize("rows", [(), (1,), (13,), (300,)])
+    @pytest.mark.parametrize("c,k", DIMS)
+    def test_levels_above_top_are_zero(self, c, k, rows, top, fill):
+        rng = np.random.default_rng(20)
+        x = rng.normal(scale=0.5, size=rows + (ta.flat_size(c, k),))
+        x = with_levels(c, k, x, {j: fill for j in range(top + 1, k + 1)})
+        check_against_level_loop("exp", c, k, [x])
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("c,k", DIMS)
+    def test_signed_zero_levels_anywhere(self, c, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=0.5, size=(13, ta.flat_size(c, k)))
+        fills = {j: rng.choice([0.0, -0.0]) for j in range(k + 1) if rng.random() < 0.5}
+        check_against_level_loop("exp", c, k, [with_levels(c, k, x, fills)])
+
+    @pytest.mark.parametrize("c,k", DIMS)
+    def test_zero_level_in_some_rows_of_a_block(self, c, k):
+        flat = ta.flat_size(c, k)
+        block = max(1, ta._BLOCK_BYTES // (8 * (flat + 1)))
+        rng = np.random.default_rng(21)
+        x = with_levels(c, k, rng.normal(scale=0.5, size=(3 * block, flat)),
+                        {j: 0.0 for j in range(2, k + 1)})
+        dense = rng.normal(scale=0.5, size=x.shape)
+        # block 0 keeps its zero levels; in block 1 one row fills them, in block 2 every other row
+        x[block + 5] = dense[block + 5]
+        x[2 * block :: 2] = dense[2 * block :: 2]
+        check_against_level_loop("exp", c, k, [x])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [(), (13,)])
+    @pytest.mark.parametrize("c,k", DIMS)
+    def test_overflowing_series(self, c, k, rows):
+        # level-1 entries near 1e100 overflow the higher terms; where an
+        # infinite term meets a zero level of x the level loop makes NaN
+        rng = np.random.default_rng(22)
+        x = rng.choice([-1.0, 1.0], size=rows + (ta.flat_size(c, k),))
+        x *= 1e100 * rng.uniform(0.5, 2.0, size=x.shape)
+        x = with_levels(c, k, x, {j: 0.0 for j in range(2, k + 1)})
+        check_against_level_loop("exp", c, k, [x])
+        if k >= 5:
+            assert np.isnan(th.exp_ref(c, k, x)).any()
