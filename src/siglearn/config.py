@@ -1,7 +1,10 @@
 """Flat INI-style configuration with schema validation and hashing.
 
 Sections and keys are fixed by ``SCHEMA``, one row per key holding its
-kind, its default and its range rule.  Overrides can come from the
+kind, its default and its range rule.  The built-in baseline is written
+once: ``default_config_text()`` builds its INI text from the rows' defaults
+and the ``_BASELINE`` overlay, ``print-config`` prints that text and
+``load_config(None)`` parses it.  Overrides can come from the
 environment as ``SIGLEARN_<SECTION>__<KEY>=value`` (applied after the file).
 Once the configuration is complete, each value is checked against its row
 (per-dimension lists against ``env.dim`` too), then the few rules that read
@@ -65,10 +68,11 @@ def _each(rule, non_empty=False):
     return check
 
 
-# key -> (kind, default, rule).  _REQ marks keys a config file must provide
-# unless the built-in default text is used.  A "float_or_auto" value is the
-# string "auto" or a finite float, and its rule applies to the float.  A
-# "dimlist" is a float list with one entry per state dimension (env.dim).
+# key -> (kind, default, rule).  _REQ marks keys a config file must
+# provide; the built-in baseline gives them in _BASELINE.  A "float_or_auto"
+# value is the string "auto" or a finite float, and its rule applies to the
+# float.  A "dimlist" is a float list with one entry per state dimension
+# (env.dim).
 SCHEMA: dict[str, dict[str, tuple[str, object, Callable | None]]] = {
     "algebra": {
         "degree": ("int", _REQ, _at_least(1)),
@@ -150,83 +154,54 @@ SCHEMA: dict[str, dict[str, tuple[str, object, Callable | None]]] = {
     },
 }
 
-_DEFAULT_TEXT = """\
-# siglearn baseline configuration (jump-diffusion desk scale)
-[algebra]
-degree = 4
-level_weights = unit
+# The baseline's values that are not a row's default: every required key,
+# and two keys the baseline sets away from their defaults.
+_BASELINE: dict[str, dict[str, object]] = {
+    "algebra": {"degree": 4},
+    "env": {
+        "dim": 1,
+        "drift_base": [0.08],
+        "vol_diag": [0.25],
+        "jump_intensity": 1.2,
+        "jump_mean": [-0.2],
+        "jump_scale": [0.15],
+        "action_exposure": [0.05],
+        "reward_coeffs": [1.0],
+        "reward_action_exposure": [0.5],
+        "memory_gain_scale": 0.3,
+    },
+    "history": {"steps": 16, "dt": 0.02},
+    "horizon": {"steps": 12, "dt": 0.02},
+    "nystrom": {"landmarks": 128},
+    "train": {"steps": 40, "ensemble_size": 256},
+    "td": {"gamma": 0.99, "iters": 150000},
+}
 
-[signature]
-mode = linear
-history_mode = rectilinear
 
-[env]
-dim = 1
-drift_base = 0.08
-vol_diag = 0.25
-jump_intensity = 1.2
-jump_mean = -0.2
-jump_scale = 0.15
-action_exposure = 0.05
-reward_coeffs = 1.0
-reward_action_exposure = 0.5
-memory_gain_scale = 0.3
-memory_features = 4
-
-[history]
-steps = 16
-dt = 0.02
-
-[horizon]
-steps = 12
-dt = 0.02
-
-[nystrom]
-landmarks = 128
-ridge = auto
-metric_lambda = 1e-4
-
-[flow]
-lie_degree = 2
-proxy_features = 4
-phase_powers = 2
-pin_clock = true
-init_scale = 0.01
-
-[train]
-steps = 40
-lr = 0.05
-eta_scf = 0.1
-contraction_reg = 0.0
-ensemble_size = 256
-
-[td]
-gamma = 0.99
-alpha = auto
-iters = 150000
-planted_rank = 3
-terminal_payoff = 0.0
-
-[variance]
-seeds = 40
-ensemble_size = 256
-
-[risk]
-alpha_tail = 0.05
-beta = 1.0
-action_step = 1e-3
-
-[analysis]
-contraction_trials = 1000
-stress_scales = 1, 3, 10
-stress_groups = 8
-decay_seeds = 4
-fixed_point_tol = 1e-12
-"""
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ", ".join(map(str, value))
+    return str(value)
 
 
 def default_config_text() -> str:
-    return _DEFAULT_TEXT
+    """The baseline configuration as INI text, one section per SCHEMA section.
+
+    Each key takes its ``_BASELINE`` value, else its row's default, in
+    SCHEMA's row order; a key whose value is None is left out.
+    ``load_config(None)`` parses exactly this text.
+    """
+    blocks = []
+    for section, keys in SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, (_, default, _) in keys.items():
+            value = _BASELINE.get(section, {}).get(key, default)
+            if value is not None:
+                lines.append(f"{key} = {_format(value)}")
+        blocks.append("\n".join(lines) + "\n")
+    return "# siglearn baseline configuration (jump-diffusion desk scale)\n" + "\n".join(blocks)
 
 
 def _parse_value(raw: str, kind: str, where: str):
@@ -262,14 +237,14 @@ def _convert(raw: str, kind: str):
 def load_config(path: str | None = None, environ: dict | None = None) -> dict:
     """Parse, default-fill, env-override, and validate a configuration.
 
-    With ``path=None`` the built-in baseline text is used.  Raises
+    With ``path=None`` the text of ``default_config_text()`` is used.  Raises
     ConfigError naming the exact section.key on a missing required key, an
     unknown entry, a value that does not parse, is not a finite number or
     lies outside its range, or keys that contradict each other.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is None:
-        parser.read_string(_DEFAULT_TEXT)
+        parser.read_string(default_config_text())
     else:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")

@@ -30,7 +30,6 @@ from .greeks import (
 from .jumpdiff import (
     JumpDiffusionParams,
     PathEnsemble,
-    empirical_mean_signature,
     generate_ensemble,
     prefix_mean_signatures,
     simulate_history,
@@ -96,6 +95,8 @@ class Scenario:
     nmap: NystromMap
     metrics: list[WhitenedMetric]
     train_ensemble: PathEnsemble
+    # the training ensemble's mean signature from the junction to each gridpoint
+    train_law: ProxyTrajectory
     seed: int
 
     @property
@@ -245,7 +246,8 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         sig_config,
         nmap=nmap,
     )
-    _, full = prefix_mean_signatures(train_ens, keep_paths=True)
+    means, full = prefix_mean_signatures(train_ens, keep_paths=True)
+    train_law = ProxyTrajectory(nmap.channels, degree, grid, means, nmap=nmap)
     feats_per_point = compress_flat(nmap, full)
     metrics = fit_metric_family(feats_per_point, nys_cfg["metric_lambda"])
     return Scenario(
@@ -260,6 +262,7 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         nmap=nmap,
         metrics=metrics,
         train_ensemble=train_ens,
+        train_law=train_law,
         seed=seed,
     )
 
@@ -313,7 +316,7 @@ def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
     td_cfg = cfg["td"]
     gamma = td_cfg["gamma"]
     z = td_cfg["terminal_payoff"]
-    traj = empirical_trajectory(scenario.train_ensemble, scenario.nmap)
+    traj = scenario.train_law
     rng = np.random.default_rng(derive_seed(scenario.seed, "planted-weights"))
     rank = td_cfg["planted_rank"]
     if rank > 0:
@@ -359,7 +362,7 @@ def variance_experiment(cfg: dict, scenario: Scenario) -> dict:
     gamma = cfg["td"]["gamma"]
     z = cfg["td"]["terminal_payoff"]
 
-    ref = empirical_trajectory(scenario.train_ensemble, scenario.nmap)
+    ref = scenario.train_law
     ref_rewards = scenario.train_ensemble.rewards.mean(axis=0)
     system = td.assemble_system(ref, gamma, z, ref_rewards)
     w_star = td.solve_fixed_point(system).w
@@ -520,7 +523,7 @@ def risk_report(cfg: dict, scenario: Scenario) -> dict:
     risk_cfg = cfg["risk"]
     alpha_tail = risk_cfg["alpha_tail"]
     ens = scenario.train_ensemble
-    sbar = empirical_mean_signature(ens, scenario.grid[0], scenario.grid[-1])
+    sbar = scenario.train_law.terminal()
     mean, variance = return_moments(sbar)
     totals = ens.rewards.sum(axis=1)
     q = np.quantile(totals, alpha_tail)

@@ -52,7 +52,8 @@ class JumpDiffusionParams:
     """Coefficients of the generative jump-diffusion.
 
     ``drift_memory_gain`` has shape (d, m) and multiplies the compressed
-    history proxy; the action scales ``action_exposure`` into the drift.
+    history proxy, so m is the landmark count of the compression map; the
+    action scales ``action_exposure`` into the drift.
     Volatility is a state-independent lower-triangular matrix, so the Marcus
     and Ito readings of the diffusion term coincide.
 
@@ -265,6 +266,11 @@ def generate_ensemble(
     track_memory = params.has_memory
     if track_memory and nmap is None:
         raise DomainError("drift_memory_gain is set: a NystromMap is required")
+    if track_memory and params.drift_memory_gain.shape[1] != nmap.n_landmarks:
+        raise ShapeMismatchError(
+            f"drift_memory_gain has {params.drift_memory_gain.shape[1]} columns but the "
+            f"map compresses to {nmap.n_landmarks} features"
+        )
 
     d_sig = d + 1  # state columns, then the cumulative reward
     values = np.empty((n_paths, n_steps + 1, d_sig))

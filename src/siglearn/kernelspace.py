@@ -3,8 +3,8 @@
 Every distance used elsewhere in the package runs through the compressed
 coordinates produced here: ``compress`` maps a truncated tensor to the
 whitened kernel features against a fixed landmark set, and
-:class:`WhitenedMetric` supplies the Mahalanobis-style geometry fitted on a
-feature sample.
+:class:`WhitenedMetric` supplies the whitening operator fitted on a feature
+sample, read through two quadratic forms (see its docstring).
 """
 
 from __future__ import annotations
@@ -130,7 +130,14 @@ def compress_flat(nmap: NystromMap, flats: npt.ArrayLike) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WhitenedMetric:
-    """Whitening geometry (sample covariance + ridge)^(-1/2) on features."""
+    """Whitening operator P = (sample covariance S + ridge I)^(-1/2) on features.
+
+    ``precision`` is P, and the package reads two different quadratic forms
+    from it.  ``q_distance`` and the training loss take d^T P d.  ``norm`` is
+    |P x|, whose square x^T P^2 x = x^T (S + ridge I)^(-1) x is the
+    Mahalanobis norm; only this one is, up to the ridge, invariant to
+    rescaling a feature.
+    """
 
     precision: np.ndarray
     ridge: float
@@ -144,7 +151,7 @@ class WhitenedMetric:
         return np.asarray(x, dtype=float) @ self.precision.T
 
     def norm(self, x: np.ndarray) -> float:
-        """Euclidean norm of the whitened features."""
+        """Euclidean norm |P x| of the whitened features: the Mahalanobis norm."""
         return float(np.linalg.norm(self.whiten(x)))
 
 
@@ -171,7 +178,12 @@ def fit_metric_family(features_per_point, lam: float) -> list[WhitenedMetric]:
 
 
 def q_distance(metric: WhitenedMetric, u: np.ndarray, v: np.ndarray) -> float:
-    """sqrt((u-v)^T Q (u-v)) with Q the fitted precision operator."""
+    """sqrt(d^T P d) for d = u - v, with P = ``metric.precision``.
+
+    P is the inverse square root of the regularized covariance, so this is
+    not the Mahalanobis distance, which is ``metric.norm(u - v)`` =
+    sqrt(d^T P^2 d).
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.shape != (metric.dim,):

@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglearn.cli import main
-from siglearn.config import ENV_PREFIX, config_hash, default_config_text, load_config
+from siglearn.config import (
+    _BASELINE,
+    ENV_PREFIX,
+    SCHEMA,
+    config_hash,
+    default_config_text,
+    load_config,
+)
 from siglearn.errors import ConfigError
 from siglearn.experiments import build_scenario
 
@@ -98,6 +105,27 @@ class TestConfig:
         assert cfg["nystrom"]["landmarks"] == 128
         assert cfg["td"]["gamma"] == 0.99
         assert cfg["train"]["eta_scf"] == 0.1
+
+    def test_printed_baseline_loads_to_the_builtin(self, tmp_path, capsys):
+        assert main(["print-config"]) == 0
+        path = tmp_path / "baseline.ini"
+        path.write_text(capsys.readouterr().out)
+        assert load_config(str(path), environ={}) == load_config(None, environ={})
+
+    def test_each_baseline_value_is_printed_once(self):
+        parts = re.split(r"^\[(\w+)\]\n", default_config_text(), flags=re.M)
+        bodies = dict(zip(parts[1::2], parts[2::2]))
+        assert list(bodies) == list(SCHEMA)
+        for section, keys in SCHEMA.items():
+            for key, (_, default, _) in keys.items():
+                value = _BASELINE.get(section, {}).get(key, default)
+                count = len(re.findall(rf"^{key} = ", bodies[section], flags=re.M))
+                assert count == (value is not None), f"{section}.{key}"
+
+    def test_baseline_overlay_names_schema_keys(self):
+        # a misspelt overlay key would silently drop its baseline value
+        for section, keys in _BASELINE.items():
+            assert section in SCHEMA and set(keys) <= set(SCHEMA[section]), section
 
     def test_missing_key_names_it(self, tmp_path):
         text = default_config_text().replace("gamma = 0.99\n", "")

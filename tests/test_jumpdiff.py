@@ -3,7 +3,7 @@ import pytest
 
 from siglearn import jumpdiff
 from siglearn import tensor_algebra as ta
-from siglearn.errors import DivergenceError, DomainError, RangeError
+from siglearn.errors import DivergenceError, DomainError, RangeError, ShapeMismatchError
 from siglearn.jumpdiff import (
     JumpDiffusionParams,
     draw_path_noise,
@@ -161,6 +161,14 @@ class TestEnsemble:
         params = make_params(memory=np.ones((2, 3)))
         with pytest.raises(DomainError):
             generate_ensemble(params, (0.0, np.zeros(2), None), None, unit_grid(4), 2, 0, CFG)
+
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    def test_memory_gain_width_must_match_map(self, width):
+        nmap = random_map(np.random.default_rng(13))
+        params = make_params(memory=np.ones((2, width)))
+        with pytest.raises(ShapeMismatchError, match=f"{width} columns .* 6 features"):
+            generate_ensemble(params, (0.0, np.zeros(2), None), None, unit_grid(4), 2, 0, CFG,
+                              nmap=nmap)
 
 
 def fresh_streams(seed, path_id):
