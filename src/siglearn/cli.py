@@ -41,8 +41,6 @@ from .experiments import (
 )
 from .proxy_flow import TrainResult
 
-SUBCOMMANDS = ("run-scf", "run-td", "run-greeks", "run-analysis", "run-all")
-
 
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
@@ -75,7 +73,7 @@ class Runner:
         self.chash = config_hash(cfg)
         self.out.mkdir(parents=True, exist_ok=True)
         self._scenario: Scenario | None = None
-        self._training: tuple[TrainResult, dict] | None = None
+        self._training: TrainResult | None = None
 
     def meta(self) -> dict:
         return {
@@ -113,8 +111,8 @@ class Runner:
             self._scenario = build_scenario(self.cfg, self.seed)
         return self._scenario
 
-    def training(self) -> tuple[TrainResult, dict]:
-        """The trained generator with its flow, and its first and final losses."""
+    def training(self) -> TrainResult:
+        """The trained generator with its flow and its loss trace."""
         if self._training is None:
             self._training = train_scf(self.cfg, self.scenario)
         return self._training
@@ -122,8 +120,9 @@ class Runner:
     # -- subcommand bodies -------------------------------------------------
 
     def run_scf(self) -> None:
-        result, diag = self.training()
+        result = self.training()
         gen, traj = result.params, result.trajectory
+        first = result.trace[0] if result.trace else result.final
         sc = self.scenario
         self._csv(
             "scf_trace.csv",
@@ -144,8 +143,8 @@ class Runner:
                 "phase_powers": gen.phase_powers,
                 "clock_rate": gen.clock_rate,
                 "weights": gen.weights.tolist(),
-                "losses_before": diag["before"],
-                "losses_after": diag["after"],
+                "losses_before": {"score": first["score"], "scf": first["scf"]},
+                "losses_after": {"score": result.final["score"], "scf": result.final["scf"]},
                 "training_trace_total": [r["total"] for r in result.trace],
             },
         )
@@ -239,7 +238,7 @@ class Runner:
 
     def run_greeks(self) -> None:
         sc = self.scenario
-        result, _ = self.training()
+        result = self.training()
         rows = greeks_fd_report(sc, result.params, result.trajectory)
         self._dict_rows("greeks.csv", rows)
         self._json("risk.json", risk_report(self.cfg, sc))
@@ -273,7 +272,7 @@ class Runner:
         )
 
         decay = forecast_decay(
-            self.training()[0].trajectory, metric, sc.env, sc.junction(),
+            self.training().trajectory, metric, sc.env, sc.junction(),
             self.cfg["train"]["ensemble_size"],
             [derive_seed(self.seed, f"decay-{i}") for i in range(cfg_a["decay_seeds"])],
             sc.sig_config,
@@ -331,12 +330,17 @@ class Runner:
         self.run_analysis()
 
 
+# subcommand -> the Runner method that runs it
+SUBCOMMANDS = {"run-scf": Runner.run_scf, "run-td": Runner.run_td, "run-greeks": Runner.run_greeks,
+               "run-analysis": Runner.run_analysis, "run-all": Runner.run_all}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="siglearn",
         description="Signature-proxy value learning experiments",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS + ("print-config",))
+    parser.add_argument("subcommand", choices=[*SUBCOMMANDS, "print-config"])
     parser.add_argument("--config", default=None, help="INI config path (built-in baseline if omitted)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="out")
@@ -376,15 +380,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    runner = Runner(cfg, args.seed, Path(args.out_dir), args.subcommand)
     try:
-        {
-            "run-scf": runner.run_scf,
-            "run-td": runner.run_td,
-            "run-greeks": runner.run_greeks,
-            "run-analysis": runner.run_analysis,
-            "run-all": runner.run_all,
-        }[args.subcommand]()
+        runner = Runner(cfg, args.seed, Path(args.out_dir), args.subcommand)
+    except OSError as exc:
+        print(f"cannot use --out-dir {args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    try:
+        SUBCOMMANDS[args.subcommand](runner)
     except DivergenceError as exc:
         trace_path = Path(args.out_dir) / "error.json"
         _write_json(trace_path, runner.meta(), {"error": str(exc), "context": exc.context})

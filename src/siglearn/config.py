@@ -238,18 +238,24 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
     """Parse, default-fill, env-override, and validate a configuration.
 
     With ``path=None`` the text of ``default_config_text()`` is used.  Raises
-    ConfigError naming the exact section.key on a missing required key, an
+    ConfigError naming the path on a file that cannot be read or parsed as
+    INI, and naming the exact section.key on a missing required key, an
     unknown entry, a value that does not parse, is not a finite number or
     lies outside its range, or keys that contradict each other.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is None:
-        parser.read_string(default_config_text())
+        text = default_config_text()
     else:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            parser.read_file(fh)
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(text, source=path)
+    except configparser.Error as exc:  # on one line: the parser's may span several
+        raise ConfigError(f"cannot parse config file: {' '.join(str(exc).split())}") from exc
 
     cfg: dict[str, dict] = {}
     for section in parser.sections():

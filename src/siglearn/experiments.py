@@ -285,8 +285,8 @@ def _generator_from_cfg(cfg: dict, scenario: Scenario) -> GeneratorParams:
     )
 
 
-def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
-    """Train the flow generator on the scenario's ensemble; report its first and final losses."""
+def train_scf(cfg: dict, scenario: Scenario) -> TrainResult:
+    """Train the flow generator on the scenario's ensemble and its law, ``train_law``."""
     train_cfg = cfg["train"]
     gen0 = _generator_from_cfg(cfg, scenario)
     tc = TrainConfig(
@@ -295,10 +295,7 @@ def train_scf(cfg: dict, scenario: Scenario) -> tuple[TrainResult, dict]:
         eta_scf=train_cfg["eta_scf"],
         contraction_reg=train_cfg["contraction_reg"],
     )
-    result = train_generator(gen0, scenario.train_ensemble, scenario.nmap, scenario.metrics, tc)
-    first = result.trace[0] if result.trace else result.final
-    before, after = ({"score": row["score"], "scf": row["scf"]} for row in (first, result.final))
-    return result, {"before": before, "after": after}
+    return train_generator(gen0, scenario.train_ensemble, scenario.train_law, scenario.metrics, tc)
 
 
 def realizable_td_experiment(cfg: dict, scenario: Scenario) -> dict:
@@ -368,50 +365,28 @@ def variance_experiment(cfg: dict, scenario: Scenario) -> dict:
     w_star = td.solve_fixed_point(system).w
 
     n_steps = scenario.grid.size - 1
-    hist_steps = cfg["history"]["steps"]
-    hist_dt = cfg["history"]["dt"]
     delta_a = np.empty((n_seeds, n_steps))
     delta_c = np.empty((n_seeds, n_steps))
     for i in range(n_seeds):
-        hseed = derive_seed(scenario.seed, f"var-history-{i}")
         hist_path, hist_proxy = simulate_history(
-            scenario.env,
-            0.0,
-            scenario.history_path.values[0, : scenario.env.dim],
-            hist_steps,
-            hist_dt,
-            hseed,
-            scenario.history_config,
+            scenario.env, 0.0, scenario.history_path.values[0, : scenario.env.dim],
+            cfg["history"]["steps"], cfg["history"]["dt"],
+            derive_seed(scenario.seed, f"var-history-{i}"), scenario.history_config,
             nmap=scenario.nmap,
         )
         junction = (
-            float(hist_path.times[-1]),
-            hist_path.values[-1, : scenario.env.dim].copy(),
-            hist_proxy,
+            float(hist_path.times[-1]), hist_path.values[-1, : scenario.env.dim].copy(), hist_proxy
         )
         grid = junction[0] + (scenario.grid - scenario.grid[0])
-        ens = generate_ensemble(
-            scenario.env,
-            junction,
-            None,
-            grid,
-            n_paths,
-            derive_seed(scenario.seed, f"var-ensemble-{i}"),
-            scenario.sig_config,
-            nmap=scenario.nmap,
+        # the seed's ensemble and its one classical rollout
+        ens, solo = (
+            generate_ensemble(scenario.env, junction, None, grid, n,
+                              derive_seed(scenario.seed, f"var-{tag}-{i}"),
+                              scenario.sig_config, nmap=scenario.nmap)
+            for n, tag in ((n_paths, "ensemble"), (1, "classical"))
         )
         traj = empirical_trajectory(ens, scenario.nmap)
         delta_a[i] = td.td_error_vector(traj, w_star, gamma, z, ens.rewards.mean(axis=0))
-        solo = generate_ensemble(
-            scenario.env,
-            junction,
-            None,
-            grid,
-            1,
-            derive_seed(scenario.seed, f"var-classical-{i}"),
-            scenario.sig_config,
-            nmap=scenario.nmap,
-        )
         delta_c[i] = td.classical_td0_baseline(solo, scenario.nmap, gamma, z, w_star)[0]
     report = td.variance_compare(delta_a, delta_c)
     report["ensemble_size"] = n_paths

@@ -10,10 +10,10 @@ channel always integrates the horizon exactly.
 
 Training matches the generator tangent to the expected infinitesimal
 signature increment of a stochastic ensemble (score matching) plus a terminal
-self-consistency penalty tying the flow endpoint to the ensemble's empirical
-mean signature, under one whitening metric per gridpoint.  One loss pass
-(``_loss_terms``) gives the loss parts and their cotangents, which training,
-its before and after losses and ``score_matching_loss`` all read.
+self-consistency penalty tying the flow endpoint to the ensemble's law (its
+mean-signature trajectory, which the caller hands in), under one whitening
+metric per gridpoint.  One loss pass (``_loss_terms``) gives the loss parts
+and their cotangents, which training and ``score_matching_loss`` read.
 The trajectory ``integrate_flow`` returns is the one record of a flow: its
 states, its tangents and the generator features of each step.  Training,
 the greeks and the forecast check read that record rather than integrate
@@ -359,8 +359,8 @@ def score_matching_loss(
     """Mean squared Q-distance between flow tangents and ensemble targets."""
     if ens.n_paths < 1:
         raise DomainError("need a non-empty ensemble")
-    cache = _ensemble_cache(ens, nmap)
-    return _loss_terms(gen, nmap, metrics, cache, TrainConfig())[0]["score"]
+    refs = _training_refs(ens, empirical_trajectory(ens, nmap))
+    return _loss_terms(gen, nmap, metrics, refs, TrainConfig())[0]["score"]
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +396,21 @@ class TrainResult:
     trajectory: ProxyTrajectory
 
 
-def _ensemble_cache(ens: PathEnsemble, nmap: NystromMap):
-    means = prefix_mean_signatures(ens)
+def _training_refs(ens: PathEnsemble, law: ProxyTrajectory) -> dict:
+    """The ensemble's junction proxy and step targets, and its law compressed."""
+    if law.nmap is None:
+        raise DomainError("training law has no compression map attached")
+    if not np.array_equal(law.grid, ens.times):
+        raise ShapeMismatchError("training law grid is not the ensemble's time grid")
     return {
         "junction": ens.junction_proxy,
         "targets": step_targets(ens),
-        "prefix_feats": compress_flat(nmap, means),
-        "grid": ens.times,
+        "law_feats": compress_flat(law.nmap, law.flats),
+        "grid": law.grid,
     }
 
 
-def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig):
+def _loss_terms(gen, nmap, metrics, refs, cfg: TrainConfig):
     """The ensemble's loss parts, its flow, and their cotangents.
 
     Every term is a Q-norm d^T Q d of a compressed difference d = C y - ref
@@ -417,58 +421,55 @@ def _loss_terms(gen, nmap, metrics, cache, cfg: TrainConfig):
     """
     parts = {"score": 0.0, "scf": 0.0, "reg": 0.0}
     C = nmap.matrix
-    traj = integrate_flow(gen, nmap, cache["junction"], cache["grid"])
+    traj = integrate_flow(gen, nmap, refs["junction"], refs["grid"])
     n_steps = traj.tangents.shape[0]
     out_cot = np.empty((1,) + traj.tangents.shape)
     state_cot = np.zeros((1,) + traj.flats.shape)
     wt = 1.0 / n_steps
     for j in range(n_steps):
-        d = compress_flat(nmap, traj.tangents[j] - cache["targets"][j])
+        d = compress_flat(nmap, traj.tangents[j] - refs["targets"][j])
         Qd = metrics[j].precision @ d
         parts["score"] += wt * (d @ Qd)
         out_cot[0, j] = 2.0 * wt * (C.T @ Qd)
 
     # tracking terms: Q-distance of the flow at gridpoint j from the
-    # ensemble mean there
+    # ensemble's law there
     tracked = [("scf", n_steps, cfg.eta_scf)]
     if cfg.contraction_reg > 0.0:
         # late-horizon tracking penalty: pulls the flow back onto the
         # ensemble law as the horizon closes, damping accumulated drift
-        grid = cache["grid"]
+        grid = refs["grid"]
         u = (grid - grid[0]) / (grid[-1] - grid[0])
         tracked += [
             ("reg", j, cfg.contraction_reg * u[j] ** 2 / n_steps)
             for j in range(1, n_steps + 1)
         ]
     for key, j, weight in tracked:
-        e = compress_flat(nmap, traj.flats[j]) - cache["prefix_feats"][j]
+        e = compress_flat(nmap, traj.flats[j]) - refs["law_feats"][j]
         Qe = metrics[j].precision @ e
         parts[key] += weight * (e @ Qe)
         state_cot[0, j] += 2.0 * weight * (C.T @ Qe)
     return parts, traj, state_cot, out_cot
 
 
-def _objective(gen, nmap, metrics, cache, cfg: TrainConfig):
-    """Loss components, their exact gradient by one adjoint row, and the flow."""
-    parts, traj, state_cot, out_cot = _loss_terms(gen, nmap, metrics, cache, cfg)
-    return parts, _flow_adjoint(gen, traj, state_cot, out_cot)[0], traj
-
-
 def train_generator(
     gen: GeneratorParams,
     ens: PathEnsemble,
-    nmap: NystromMap,
+    law: ProxyTrajectory,
     metrics: list[WhitenedMetric],
     cfg: TrainConfig | None = None,
 ) -> TrainResult:
     """Adam descent on score matching + self-consistency, exact gradients.
 
-    ``metrics`` holds one metric per gridpoint.  Each step costs one flow
-    and one adjoint pass, and one more at the returned weights for
+    ``law`` is the ensemble's mean-signature trajectory on its grid, with
+    its map, as ``empirical_trajectory(ens, nmap)`` returns it; ``metrics``
+    holds one metric per gridpoint.  Each step costs one flow and one
+    adjoint pass, and one more at the returned weights for
     ``TrainResult.final``, whose flow is ``TrainResult.trajectory``.
     """
     cfg = cfg or TrainConfig()
-    cache = _ensemble_cache(ens, nmap)
+    refs = _training_refs(ens, law)
+    nmap = law.nmap
 
     theta = gen.theta()
     P = theta.size
@@ -477,7 +478,9 @@ def train_generator(
     trace: list[dict] = []
 
     def losses(theta, step):
-        parts, grad, traj = _objective(gen.with_theta(theta), nmap, metrics, cache, cfg)
+        at = gen.with_theta(theta)
+        parts, traj, state_cot, out_cot = _loss_terms(at, nmap, metrics, refs, cfg)
+        grad = _flow_adjoint(at, traj, state_cot, out_cot)[0]
         total = parts["score"] + parts["scf"] + parts["reg"]
         if not (np.isfinite(total) and np.all(np.isfinite(grad))):
             raise DivergenceError(

@@ -8,7 +8,8 @@ a deterministic linear recursion w <- w + alpha (b - A w); its fixed point is
 also assembled explicitly so the sweep can be checked against a direct solve.
 Along one trajectory the TD errors are one affine map of the weights,
 delta(w) = c0 - M w (``_td_map``), and the errors, the realizable rewards,
-the system, the sweep and the classical rollout errors all read it.  The
+the system and the sweep all read it; ``td_error_vector`` gives the errors
+of the flow and of classical rollouts alike.  The
 sweep runs in the step space: its n TD errors follow delta <- P delta with
 an n x n matrix P, advanced a block of iterations per matmul, and the m
 weights are read back from the running sum of the errors.
@@ -114,7 +115,7 @@ def _td_map(traj: ProxyTrajectory, gamma: float, z: float, r) -> tuple:
 def td_error_vector(
     traj: ProxyTrajectory, w: np.ndarray, gamma: float, z: float, rewards: np.ndarray
 ) -> np.ndarray:
-    """All anticipatory TD errors r_s + gamma V(s+1) - V(s) along the grid."""
+    """All TD errors r_s + gamma V(s+1) - V(s) along the grid, per leading row."""
     _, M, c0 = _td_map(traj, gamma, z, _rewards_vector(traj, rewards))
     return c0 - M @ np.asarray(w, dtype=float)
 
@@ -270,10 +271,8 @@ def classical_td0_baseline(
     Each ensemble path is one episode; the state feature at step s is the
     compressed signature of the realized remaining segment, the stochastic
     counterpart of the deterministic flow residual.  The realized prefix
-    signatures form one trajectory with a leading path axis, so every
-    episode's errors come from the same TD map as the anticipatory ones.
-    The weights stay fixed, so the errors are those the sampled rollouts
-    give at ``w``.
+    signatures form one trajectory with a leading path axis, which
+    ``td_error_vector`` reads at the fixed weights ``w``.
     """
     if ens.n_paths < 1:
         raise InsufficientDataError("need at least one episode")
@@ -282,8 +281,7 @@ def classical_td0_baseline(
     )
     c = ens.sig_config.channels(ens.values.shape[2])
     paths = ProxyTrajectory(c, ens.sig_config.degree, ens.times, np.swapaxes(full, 0, 1), nmap)
-    _, M, c0 = _td_map(paths, gamma, z, ens.rewards)
-    return c0 - M @ np.asarray(w, dtype=float)
+    return td_error_vector(paths, w, gamma, z, ens.rewards)
 
 
 def variance_compare(delta_anticipatory: np.ndarray, delta_classical: np.ndarray) -> dict:

@@ -43,6 +43,7 @@ from siglearn.kernelspace import (
     q_distance,
 )
 from siglearn.proxy_flow import (
+    ProxyTrajectory,
     TrainConfig,
     empirical_trajectory,
     integrate_flow,
@@ -190,7 +191,8 @@ def test_criterion_4_scf_equilibrium_rate():
     nmap = build_nystrom(
         sample_landmark_signatures(train_ens, 12, 7), channels=3, degree=K
     )
-    _, full = prefix_mean_signatures(train_ens, keep_paths=True)
+    means, full = prefix_mean_signatures(train_ens, keep_paths=True)
+    law = ProxyTrajectory(3, K, grid, means, nmap=nmap)
     metrics = fit_metric_family(compress_flat(nmap, full), 1e-4)
 
     gen0 = new_generator(3, K, lie_degree=2, n_proxy_features=4, phase_powers=2)
@@ -199,7 +201,7 @@ def test_criterion_4_scf_equilibrium_rate():
     W[:, -1] = targets.mean(axis=0)[1 : 1 + gen0.out_dim]
     gen0 = gen0.with_theta(W.ravel())
     trained = train_generator(
-        gen0, train_ens, nmap, metrics, TrainConfig(steps=250, lr=0.03, eta_scf=0.1)
+        gen0, train_ens, law, metrics, TrainConfig(steps=250, lr=0.03, eta_scf=0.1)
     ).params
 
     traj = integrate_flow(trained, nmap, None, grid)

@@ -6,7 +6,13 @@ from siglearn import tensor_algebra as ta
 from siglearn.errors import DomainError
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, fit_whitening
-from siglearn.proxy_flow import TrainConfig, integrate_flow, new_generator, train_generator
+from siglearn.proxy_flow import (
+    TrainConfig,
+    empirical_trajectory,
+    integrate_flow,
+    new_generator,
+    train_generator,
+)
 from siglearn.signature import SignatureConfig
 
 C, K = 3, 3
@@ -147,12 +153,13 @@ class TestForecastDecay:
         gen0 = new_generator(C, K, n_proxy_features=3, phase_powers=3,
                              seed=10, init_scale=0.05)
         metrics = [metric] * grid.size
+        law = empirical_trajectory(train_ens, nmap)
         plain = train_generator(
-            gen0, train_ens, nmap, metrics,
+            gen0, train_ens, law, metrics,
             TrainConfig(steps=150, lr=0.08, eta_scf=0.0, contraction_reg=0.0),
         ).trajectory
         damped = train_generator(
-            gen0, train_ens, nmap, metrics,
+            gen0, train_ens, law, metrics,
             TrainConfig(steps=150, lr=0.08, eta_scf=0.3, contraction_reg=40.0),
         ).trajectory
         seeds = [21, 22, 23, 24]

@@ -280,6 +280,49 @@ class TestCliExitCodes:
         assert "Traceback" not in res.stderr
         assert named in res.stderr
 
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            (lambda base: base + "\n[td]\ngamma = 0.9\n", "section 'td' already exists"),
+            (lambda base: base.replace("[td]\n", "[td]\ngamma = 0.9\n"),
+             "option 'gamma' in section 'td' already exists"),
+            (lambda base: "degree = 4\n" + base, "no section headers"),
+            (lambda base: base.replace("lr = 0.05", "lr = 5%"), "cannot parse train.lr"),
+            (lambda base: b"\xff\xfe" + base.encode(), "can't decode byte 0xff"),
+            (None, "Is a directory"),
+        ],
+        ids=["second-section", "repeated-key", "no-section-header", "percent-value",
+             "utf16-bom", "directory"],
+    )
+    def test_unreadable_or_malformed_file_exits_2(self, tmp_path, capsys, make, named):
+        # each input is print-config's output changed one way
+        path = tmp_path / "bad.ini"
+        if make is None:
+            path.mkdir()
+        else:
+            text = make(default_config_text())
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text)
+        code = main(["run-td", "--seed", "1", "--config", str(path),
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:"), err
+        assert named in err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "out" if under else taken
+        code = main(["run-td", "--seed", "1", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(out) in err, err
+        assert ("Not a directory" if under else "File exists") in err
+
     def test_divergence_exits_3_with_trace(self, tmp_path, small_config, capsys):
         blown = tmp_path / "blown.ini"
         blown.write_text(SMALL_CONFIG.replace("lr = 0.05", "lr = 1e100"))
@@ -558,3 +601,64 @@ class TestDefaultConfigCriteria:
         assert payload["sweep_vs_solve_rel"] > 1e-6
         assert payload["sweep_converged"] is False
         assert json.loads((out / "variance.json").read_text())["ratio"] < 1.0
+
+
+# sha256 of each file `run-all --seed S` writes on the baseline, for S = 1, 2
+# and 3, and the numeric build they were taken on.  After a change that
+# alters results on purpose, re-pin with `PYTHONPATH=src python tests/test_cli.py`
+# and say so in CHANGES.md.
+PINNED_DIGESTS = Path(__file__).with_name("run_all_digests.json")
+
+
+def numeric_build() -> str:
+    """numpy's version, the OpenBLAS build it runs on and its SIMD targets.
+
+    OpenBLAS reports the kernel set it picked for this CPU, and numpy the
+    SIMD targets its own loops dispatch to; either can change the last
+    digits of a result.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    blas = "no bundled OpenBLAS"
+    libs = Path(np.__file__).resolve().parent
+    for path in sorted([*libs.parent.glob("numpy.libs/libscipy_openblas*"),
+                        *libs.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            config = ctypes.CDLL(str(path)).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        blas = " ".join(config().decode().split())
+        break
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__}; {blas}; SIMD {' '.join(simd) or 'baseline'}"
+
+
+def run_all_digests(seed: int, out: Path) -> dict:
+    clean = {k: v for k, v in os.environ.items() if not k.startswith(ENV_PREFIX)}
+    with mock.patch.dict(os.environ, clean, clear=True):
+        assert main(["run-all", "--seed", str(seed), "--out-dir", str(out)]) == 0
+    return tree_digest(out)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_all_writes_the_pinned_bytes(tmp_path, seed):
+    # bitwise equality holds on one numeric build only, so another build
+    # skips rather than compare to a tolerance
+    pinned = json.loads(PINNED_DIGESTS.read_text())
+    here = numeric_build()
+    if pinned["build"] != here:
+        pytest.skip(f"digests were taken on [{pinned['build']}], this is [{here}]")
+    assert run_all_digests(seed, tmp_path) == pinned["seeds"][str(seed)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        seeds = {str(s): run_all_digests(s, Path(tmp) / str(s)) for s in (1, 2, 3)}
+    PINNED_DIGESTS.write_text(
+        json.dumps({"build": numeric_build(), "seeds": seeds}, indent=1) + "\n"
+    )

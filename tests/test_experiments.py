@@ -1,8 +1,10 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 
+from siglearn.cli import Runner
 from siglearn.config import load_config
 from siglearn.experiments import (
     _generator_from_cfg,
@@ -10,9 +12,8 @@ from siglearn.experiments import (
     derive_seed,
     memory_gain_matrix,
     sample_landmark_signatures,
-    train_scf,
 )
-from siglearn.proxy_flow import TrainConfig, _ensemble_cache, _loss_terms
+from siglearn.proxy_flow import TrainConfig, _loss_terms, _training_refs, empirical_trajectory
 from siglearn.signature import batch_terminal_signatures
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -108,26 +109,38 @@ class TestVarianceSweep:
 
 
 class TestTrainScf:
+    def test_scenario_law_is_the_training_ensembles_mean_trajectory(self):
+        # training reads the scenario's law in place of a scan of its
+        # ensemble, so the two must agree bit for bit
+        sc = build_scenario(small_cfg(), 5)
+        fresh = empirical_trajectory(sc.train_ensemble, sc.nmap)
+        assert np.array_equal(sc.train_law.flats, fresh.flats)
+        assert np.array_equal(sc.train_law.grid, sc.train_ensemble.times)
+        assert sc.train_law.nmap is sc.nmap
+
     @pytest.mark.parametrize("steps", [0, 3])
-    def test_reported_losses_are_the_loss_pass(self, steps):
-        # before is the loss pass at the initial generator and after the one
-        # at the trained weights, bit for bit; with no steps they coincide
+    def test_reported_losses_are_the_loss_pass(self, steps, tmp_path):
+        # generator.json's before is the loss pass at the initial generator
+        # and its after the one at the trained weights, bit for bit; with no
+        # steps they coincide
         cfg = small_cfg()
         cfg["train"]["steps"] = steps
-        sc = build_scenario(cfg, 5)
-        result, diag = train_scf(cfg, sc)
+        runner = Runner(cfg, 5, tmp_path, "run-scf")
+        runner.run_scf()
+        sc, result = runner.scenario, runner.training()
         tc = TrainConfig(eta_scf=cfg["train"]["eta_scf"],
                          contraction_reg=cfg["train"]["contraction_reg"])
-        cache = _ensemble_cache(sc.train_ensemble, sc.nmap)
+        refs = _training_refs(sc.train_ensemble, sc.train_law)
 
         def losses(gen):
-            parts = _loss_terms(gen, sc.nmap, sc.metrics, cache, tc)[0]
+            parts = _loss_terms(gen, sc.nmap, sc.metrics, refs, tc)[0]
             return {"score": float(parts["score"]), "scf": float(parts["scf"])}
 
-        assert diag["before"] == losses(_generator_from_cfg(cfg, sc))
-        assert diag["after"] == losses(result.params)
+        written = json.loads((tmp_path / "generator.json").read_text())
+        assert written["losses_before"] == losses(_generator_from_cfg(cfg, sc))
+        assert written["losses_after"] == losses(result.params)
         assert len(result.trace) == steps
         if steps == 0:
-            assert diag["before"] == diag["after"]
+            assert written["losses_before"] == written["losses_after"]
         else:
-            assert diag["after"] != diag["before"]
+            assert written["losses_after"] != written["losses_before"]

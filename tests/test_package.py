@@ -53,14 +53,17 @@ def test_every_exported_name_has_a_caller():
     trees = {p: ast.parse(text) for p, text in sources.items()}
     spans = {p: _definition_lines(tree) for p, tree in trees.items()}
     bench = "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
+    # each file tokenized once: identifier -> the lines it occurs on
+    lines = {p: {} for p in sources}
+    for path, text in sources.items():
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                lines[path].setdefault(tok.string, []).append(tok.start[0])
 
     def read_in(path, name):
         own = spans[path].get(name)
-        for tok in tokenize.generate_tokens(io.StringIO(sources[path]).readline):
-            if tok.type == tokenize.NAME and tok.string == name:
-                if own is None or not own[0] <= tok.start[0] <= own[1]:
-                    return True
-        return False
+        return any(own is None or not own[0] <= line <= own[1]
+                   for line in lines[path].get(name, ()))
 
     unused = [
         f"{path.stem}.{name}"

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from siglearn import tensor_algebra as ta
-from siglearn.errors import DivergenceError, DomainError
+from siglearn.errors import DivergenceError, DomainError, ShapeMismatchError
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble, prefix_mean_signatures
 from siglearn.kernelspace import WhitenedMetric, build_nystrom, compress_flat, fit_metric_family
 from siglearn.proxy_flow import (
+    ProxyTrajectory,
     TrainConfig,
-    _ensemble_cache,
+    _flow_adjoint,
     _loss_terms,
-    _objective,
+    _training_refs,
     empirical_trajectory,
     integrate_flow,
     new_generator,
@@ -239,8 +240,8 @@ class TestLosses:
         metrics = eye_metrics(nmap.n_landmarks)
 
         def scf(gen, ens, eta):
-            cache = _ensemble_cache(ens, nmap)
-            return _loss_terms(gen, nmap, metrics, cache, TrainConfig(eta_scf=eta))[0]["scf"]
+            refs = _training_refs(ens, empirical_trajectory(ens, nmap))
+            return _loss_terms(gen, nmap, metrics, refs, TrainConfig(eta_scf=eta))[0]["scf"]
 
         still = generate_ensemble(drift_env(0.3), (0.0, np.zeros(1), None),
                                   None, grid, 4, 1, linear_cfg())
@@ -254,6 +255,12 @@ class TestLosses:
         assert scf(gen, ens, 0.2) == pytest.approx(2 * l1, rel=1e-12)
 
 
+def train_on_ensemble(gen, ens, nmap, cfg):
+    """Train on the ensemble's own law under the identity metric."""
+    law = empirical_trajectory(ens, nmap)
+    return train_generator(gen, ens, law, eye_metrics(nmap.n_landmarks), cfg)
+
+
 class TestTraining:
     def test_loss_decreases_on_fixed_ensemble(self):
         rng = np.random.default_rng(13)
@@ -264,7 +271,7 @@ class TestTraining:
         gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
                             seed=9, init_scale=0.3)
         cfg = TrainConfig(steps=40, lr=0.02)
-        res = train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks), cfg)
+        res = train_on_ensemble(gen, ens, nmap, cfg)
         totals = [row["total"] for row in res.trace]
         assert totals[-1] < 0.2 * totals[0]
         increases = sum(b > a * 1.02 + 1e-12 for a, b in zip(totals, totals[1:]))
@@ -279,10 +286,47 @@ class TestTraining:
                                 None, grid, 16, 2, linear_cfg())
         gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
                             seed=9, init_scale=0.3)
-        res = train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks),
-                              TrainConfig(steps=3, lr=0.02))
+        res = train_on_ensemble(gen, ens, nmap, TrainConfig(steps=3, lr=0.02))
         fresh = integrate_flow(res.params, nmap, junction, grid)
         assert np.array_equal(res.trajectory.flats, fresh.flats)
+
+    def test_fits_the_law_it_is_handed(self):
+        # the self-consistency term reads the handed law, not the ensemble's
+        # own mean: its first loss is eta times the squared distance of the
+        # initial flow's end from that law's end
+        rng = np.random.default_rng(13)
+        nmap = make_map(rng)
+        grid = np.linspace(0.0, 1.0, 9)
+        ens = generate_ensemble(drift_env(0.25, vol=0.1), (0.0, np.zeros(1), None),
+                                None, grid, 16, 2, linear_cfg())
+        other = generate_ensemble(drift_env(-0.4, vol=0.3), (0.0, np.zeros(1), None),
+                                  None, grid, 16, 3, linear_cfg())
+        law = empirical_trajectory(other, nmap)
+        gen = new_generator(C, K, n_proxy_features=4, seed=9, init_scale=0.3)
+        cfg = TrainConfig(steps=1, eta_scf=0.1)
+        res = train_generator(gen, ens, law, eye_metrics(nmap.n_landmarks), cfg)
+        e = compress_flat(nmap, integrate_flow(gen, nmap, None, grid).flats[-1]
+                          - law.flats[-1])
+        assert res.trace[0]["scf"] == pytest.approx(0.1 * e @ e, rel=1e-12)
+        own = train_on_ensemble(gen, ens, nmap, cfg)
+        assert res.trace[0]["score"] == own.trace[0]["score"]
+        assert abs(res.trace[0]["scf"] - own.trace[0]["scf"]) > 1e-6
+
+    def test_law_must_share_the_ensemble_grid_and_have_a_map(self):
+        rng = np.random.default_rng(13)
+        nmap = make_map(rng)
+        grid = np.linspace(0.0, 1.0, 9)
+        ens = generate_ensemble(drift_env(0.25), (0.0, np.zeros(1), None),
+                                None, grid, 4, 2, linear_cfg())
+        law = empirical_trajectory(ens, nmap)
+        gen = new_generator(C, K, n_proxy_features=4)
+        metrics = eye_metrics(nmap.n_landmarks)
+        shifted = ProxyTrajectory(C, K, grid + 0.5, law.flats, nmap=nmap)
+        with pytest.raises(ShapeMismatchError):
+            train_generator(gen, ens, shifted, metrics, TrainConfig(steps=1))
+        unmapped = ProxyTrajectory(C, K, grid, law.flats)
+        with pytest.raises(DomainError):
+            train_generator(gen, ens, unmapped, metrics, TrainConfig(steps=1))
 
     def test_stationary_at_optimum(self):
         rng = np.random.default_rng(14)
@@ -292,7 +336,7 @@ class TestTraining:
                                 grid, 4, 0, linear_cfg())
         gen = matched_generator(0.3)
         cfg = TrainConfig(steps=3, lr=0.05)
-        res = train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks), cfg)
+        res = train_on_ensemble(gen, ens, nmap, cfg)
         assert all(row["update_max"] < 1e-6 for row in res.trace)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -305,8 +349,7 @@ class TestTraining:
                                 None, grid, 8, 2, linear_cfg())
         gen = new_generator(C, K, n_proxy_features=4, seed=9, init_scale=0.3)
         with pytest.raises(DivergenceError):
-            train_generator(gen, ens, nmap, eye_metrics(nmap.n_landmarks),
-                            TrainConfig(steps=3, lr=1e308))
+            train_on_ensemble(gen, ens, nmap, TrainConfig(steps=3, lr=1e308))
 
     def test_targets_shape(self):
         grid = np.linspace(0.0, 1.0, 9)
@@ -366,10 +409,11 @@ class TestExactGradient:
         gen = new_generator(C, K, n_proxy_features=4, phase_powers=2,
                             clock_rate=clock, seed=10, init_scale=0.3)
         cfg = TrainConfig(eta_scf=eta, contraction_reg=reg)
-        cache = _ensemble_cache(ens, nmap)
+        train_refs = _training_refs(ens, empirical_trajectory(ens, nmap))
         refs = (ens.times, step_targets(ens), compress_flat(nmap, prefix_mean_signatures(ens)))
 
-        parts, grad, _ = _objective(gen, nmap, metrics, cache, cfg)
+        parts, traj, state_cot, out_cot = _loss_terms(gen, nmap, metrics, train_refs, cfg)
+        grad = _flow_adjoint(gen, traj, state_cot, out_cot)[0]
         loss = reference_loss(gen, refs, nmap, metrics, cfg)
         assert sum(parts.values()) == pytest.approx(loss, rel=1e-12)
         assert (parts["reg"] == 0.0) == (reg == 0.0)
