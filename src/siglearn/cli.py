@@ -382,10 +382,6 @@ def main(argv=None) -> int:
         return 2
     try:
         runner = Runner(cfg, args.seed, Path(args.out_dir), args.subcommand)
-    except OSError as exc:
-        print(f"cannot use --out-dir {args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    try:
         SUBCOMMANDS[args.subcommand](runner)
     except DivergenceError as exc:
         trace_path = Path(args.out_dir) / "error.json"
@@ -395,6 +391,10 @@ def main(argv=None) -> int:
     except SiglearnError as exc:
         # raised on a value the config parser accepted but the run cannot use
         print(f"invalid configuration: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # --out-dir, or an artifact path under it, cannot be written
+        print(f"cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 

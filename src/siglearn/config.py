@@ -47,12 +47,12 @@ def _above(lo):
     return lambda v: None if v > lo else f"be > {lo}"
 
 
-def _open(lo, hi):
-    return lambda v: None if lo < v < hi else f"lie in ({lo}, {hi})"
-
-
-def _half_open(lo, hi):
-    return lambda v: None if lo <= v < hi else f"lie in [{lo}, {hi})"
+def _interval(ends, lo, hi):
+    """v between lo and hi; "[" or "]" in ``ends`` admits that end, "(" or ")" excludes it."""
+    def check(v):
+        inside = (lo <= v if ends[0] == "[" else lo < v) and (v <= hi if ends[1] == "]" else v < hi)
+        return None if inside else f"lie in {ends[0]}{lo}, {hi}{ends[1]}"
+    return check
 
 
 def _one_of(options):
@@ -129,7 +129,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object, Callable | None]]] = {
         "ensemble_size": ("int", _REQ, _at_least(2)),
     },
     "td": {
-        "gamma": ("float", _REQ, _half_open(0, 1)),
+        "gamma": ("float", _REQ, _interval("[)", 0, 1)),
         "alpha": ("float_or_auto", "auto", _above(0)),
         "iters": ("int", _REQ, _at_least(1)),
         "terminal_payoff": ("float", 0.0, None),
@@ -141,9 +141,9 @@ SCHEMA: dict[str, dict[str, tuple[str, object, Callable | None]]] = {
         "ensemble_size": ("int", 256, _at_least(1)),
     },
     "risk": {
-        "alpha_tail": ("float", 0.05, _open(0, 1)),
+        "alpha_tail": ("float", 0.05, _interval("()", 0, 1)),
         "beta": ("float", 1.0, _at_least(0)),
-        "action_step": ("float", 1e-3, _above(0)),
+        "action_step": ("float", 1e-3, _interval("(]", 0, 1)),
     },
     "analysis": {
         "contraction_trials": ("int", 1000, _at_least(1)),

@@ -146,6 +146,26 @@ def sample_landmark_signatures(
     return np.array(sigs)
 
 
+def _history_junction(cfg: dict, env: JumpDiffusionParams, seed: int,
+                      config: SignatureConfig, nmap: NystromMap | None = None):
+    """One observed history from ``history.x0`` and its junction (t0, state, proxy).
+
+    The proxy is the history's signature, over the look-back window
+    [t0 - ``history.window``, t0] only when the window is positive.
+    """
+    hist_cfg = cfg["history"]
+    x0 = np.asarray(hist_cfg.get("x0", np.zeros(env.dim)), dtype=float)
+    path, proxy = simulate_history(
+        env, 0.0, x0, hist_cfg["steps"], hist_cfg["dt"], seed, config, nmap=nmap
+    )
+    t0 = float(path.times[-1])
+    window = hist_cfg["window"]
+    if window > 0.0:
+        lo = path.times[np.searchsorted(path.times, t0 - window)]
+        proxy = path_signature(config, path, lo, t0)
+    return path, (t0, path.values[-1, : env.dim].copy(), proxy)
+
+
 def build_scenario(cfg: dict, seed: int) -> Scenario:
     """Assemble environment, history, compression, and metrics for one seed."""
     env_cfg = cfg["env"]
@@ -190,23 +210,9 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
 
     # history is simulated without memory coupling (the coupling needs the
     # compression map, which is sampled from post-junction dynamics)
-    x0 = np.asarray(hist_cfg.get("x0", np.zeros(dim)), dtype=float)
-    history_path, junction_proxy = simulate_history(
-        env_nomem,
-        0.0,
-        x0,
-        hist_cfg["steps"],
-        hist_cfg["dt"],
-        derive_seed(seed, "history"),
-        history_config,
+    history_path, (t0, junction_state, junction_proxy) = _history_junction(
+        cfg, env_nomem, derive_seed(seed, "history"), history_config
     )
-    t0 = float(history_path.times[-1])
-    window = hist_cfg["window"]
-    if window > 0.0:
-        # filtered proxy over the look-back window [t - window, t] only
-        lo = history_path.times[np.searchsorted(history_path.times, t0 - window)]
-        junction_proxy = path_signature(history_config, history_path, lo, t0)
-    junction_state = history_path.values[-1, :dim].copy()
     grid = t0 + hor_cfg["dt"] * np.arange(hor_cfg["steps"] + 1)
 
     nys_cfg = cfg["nystrom"]
@@ -368,14 +374,9 @@ def variance_experiment(cfg: dict, scenario: Scenario) -> dict:
     delta_a = np.empty((n_seeds, n_steps))
     delta_c = np.empty((n_seeds, n_steps))
     for i in range(n_seeds):
-        hist_path, hist_proxy = simulate_history(
-            scenario.env, 0.0, scenario.history_path.values[0, : scenario.env.dim],
-            cfg["history"]["steps"], cfg["history"]["dt"],
-            derive_seed(scenario.seed, f"var-history-{i}"), scenario.history_config,
-            nmap=scenario.nmap,
-        )
-        junction = (
-            float(hist_path.times[-1]), hist_path.values[-1, : scenario.env.dim].copy(), hist_proxy
+        _, junction = _history_junction(
+            cfg, scenario.env, derive_seed(scenario.seed, f"var-history-{i}"),
+            scenario.history_config, scenario.nmap,
         )
         grid = junction[0] + (scenario.grid - scenario.grid[0])
         # the seed's ensemble and its one classical rollout

@@ -52,7 +52,8 @@ class JumpDiffusionParams:
     """Coefficients of the generative jump-diffusion.
 
     ``drift_memory_gain`` has shape (d, m) and multiplies the compressed
-    history proxy, so m is the landmark count of the compression map; the
+    history proxy, so m is the landmark count of the compression map; an
+    all-zero gain is stored as None, the one form of "no coupling".  The
     action scales ``action_exposure`` into the drift.
     Volatility is a state-independent lower-triangular matrix, so the Marcus
     and Ito readings of the diffusion term coincide.
@@ -104,6 +105,8 @@ class JumpDiffusionParams:
             gain = np.atleast_2d(np.asarray(gain, dtype=float))
             if gain.shape[0] != d:
                 raise ShapeMismatchError("drift_memory_gain must have d rows")
+            if not np.any(gain != 0.0):
+                gain = None
         for arr in (mu, vol, jm, js, ae, rc, rae):
             if not np.all(np.isfinite(arr)):
                 raise DomainError("all coefficients must be finite")
@@ -119,10 +122,6 @@ class JumpDiffusionParams:
     @property
     def dim(self) -> int:
         return self.drift_base.shape[0]
-
-    @property
-    def has_memory(self) -> bool:
-        return self.drift_memory_gain is not None and np.any(self.drift_memory_gain != 0.0)
 
 
 def _zero_policy(t, states, proxies):
@@ -174,7 +173,7 @@ def draw_path_noise(
 def _batch_step(params, states, proxies, actions, dt, xi, counts, eta):
     """One Euler-Maruyama step of every path; returns states, rewards, jump flags."""
     drift = params.drift_base[None, :] + actions[:, None] * params.action_exposure[None, :]
-    if params.has_memory:
+    if params.drift_memory_gain is not None:
         drift = drift + np.einsum("ij,nj->ni", params.drift_memory_gain, proxies)
     nxt = states + drift * dt + np.einsum("ij,nj->ni", params.vol, xi) * np.sqrt(dt)
     jumped = counts > 0
@@ -197,7 +196,8 @@ class PathEnsemble:
     """Paths sharing one grid and junction, plus their realized rewards.
 
     ``values`` holds the signature-facing coordinates: the state columns,
-    then the cumulative-reward column.
+    then the cumulative-reward column.  ``terminal_proxy`` is the (n_paths,
+    flat) signature the memory coupling tracked to the last step, or None.
     """
 
     sig_config: SignatureConfig
@@ -207,6 +207,7 @@ class PathEnsemble:
     rewards: np.ndarray
     state_dim: int
     junction_proxy: ta.TruncTensor | None = None
+    terminal_proxy: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -263,7 +264,7 @@ def generate_ensemble(
     for i in range(n_paths):
         xi[i], counts[i], eta[i] = draw_path_noise(seed, i, n_steps, d, lam_dt_all)
 
-    track_memory = params.has_memory
+    track_memory = params.drift_memory_gain is not None
     if track_memory and nmap is None:
         raise DomainError("drift_memory_gain is set: a NystromMap is required")
     if track_memory and params.drift_memory_gain.shape[1] != nmap.n_landmarks:
@@ -326,6 +327,7 @@ def generate_ensemble(
         rewards=rewards,
         state_dim=d,
         junction_proxy=proxy0,
+        terminal_proxy=proxy_flat,
     )
 
 
@@ -339,24 +341,18 @@ def simulate_history(
     sig_config: SignatureConfig,
     nmap: NystromMap | None = None,
 ) -> tuple[CadlagPath, ta.TruncTensor]:
-    """One observed zero-action history segment and its filtered junction signature."""
+    """One observed zero-action history segment and its filtered junction signature.
+
+    With memory coupling the signature is the one the simulation tracked.
+    """
     grid = t_start + dt * np.arange(n_steps + 1)
-    ens = generate_ensemble(
-        params,
-        (t_start, np.asarray(x_start, dtype=float), None),
-        None,
-        grid,
-        1,
-        seed,
-        sig_config,
-        nmap=nmap,
-    )
+    junction = (t_start, np.asarray(x_start, dtype=float), None)
+    ens = generate_ensemble(params, junction, None, grid, 1, seed, sig_config, nmap=nmap)
+    sig = ens.terminal_proxy
+    if sig is None:
+        sig = batch_terminal_signatures(sig_config, ens.times, ens.values, ens.jump_flags)
     path = ens.path(0)
-    sig = batch_terminal_signatures(
-        sig_config, ens.times, ens.values, ens.jump_flags
-    )[0]
-    c = sig_config.channels(path.dim)
-    return path, ta.TruncTensor(c, sig_config.degree, sig)
+    return path, ta.TruncTensor(sig_config.channels(path.dim), sig_config.degree, sig[0])
 
 
 def empirical_mean_signature(ens: PathEnsemble, t0: float, t1: float) -> ta.TruncTensor:

@@ -91,7 +91,9 @@ def build_nystrom(
     evals, evecs = np.linalg.eigh(gram + ridge * np.eye(m))
     if evals[0] < 10.0 * ridge and m > 1:
         warnings.warn(
-            "landmark Gram matrix is nearly singular beyond the ridge; "
+            "landmark Gram matrix is nearly singular beyond the ridge: "
+            f"{int(np.sum(evals >= 10.0 * ridge))} of {m} ridged eigenvalues reach 10x the "
+            f"ridge and the smallest is {evals[0] / ridge:.2f}x the ridge; "
             "duplicate or collinear landmarks degrade conditioning",
             RuntimeWarning,
         )

@@ -221,6 +221,7 @@ class TestCliExitCodes:
             ("ANALYSIS__STRESS_GROUPS=-8", "analysis.stress_groups"),
             ("FLOW__PROXY_FEATURES=-1", "flow.proxy_features"),
             ("RISK__ACTION_STEP=0", "risk.action_step"),
+            ("RISK__ACTION_STEP=1.5", "risk.action_step"),
             ("HISTORY__WINDOW=-1", "history.window"),
             ("TD__PLANTED_RANK=-2", "td.planted_rank"),
             ("FLOW__INIT_SCALE=-1", "flow.init_scale"),
@@ -322,6 +323,25 @@ class TestCliExitCodes:
         assert code == 2
         assert err.count("\n") == 1 and str(out) in err, err
         assert ("Not a directory" if under else "File exists") in err
+
+    @pytest.mark.parametrize(
+        "subcommand, blocker, make, named",
+        [
+            ("run-analysis", "analysis", lambda p: p.write_text("a file\n"), "File exists"),
+            ("run-scf", "scf_trace.csv", lambda p: p.mkdir(), "Is a directory"),
+        ],
+        ids=["file-named-analysis", "directory-named-scf-trace"],
+    )
+    def test_unwritable_artifact_exits_2(self, tmp_path, small_config, capsys,
+                                         subcommand, blocker, make, named):
+        out = tmp_path / "out"
+        out.mkdir()
+        make(out / blocker)
+        code = main([subcommand, "--config", str(small_config), "--seed", "1",
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(out / blocker) in err and named in err, err
 
     def test_divergence_exits_3_with_trace(self, tmp_path, small_config, capsys):
         blown = tmp_path / "blown.ini"

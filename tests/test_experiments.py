@@ -13,8 +13,9 @@ from siglearn.experiments import (
     memory_gain_matrix,
     sample_landmark_signatures,
 )
+from siglearn.jumpdiff import generate_ensemble, simulate_history
 from siglearn.proxy_flow import TrainConfig, _loss_terms, _training_refs, empirical_trajectory
-from siglearn.signature import batch_terminal_signatures
+from siglearn.signature import batch_terminal_signatures, path_signature
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -106,6 +107,38 @@ class TestVarianceSweep:
         small, big = reports
         assert small["ratio"] < 1.0
         assert big["ratio"] < small["ratio"]
+
+
+    def test_seeds_use_the_windowed_junction(self, monkeypatch):
+        # each seed's junction is read as the scenario's is: with a look-back
+        # window, the history's signature over the window only
+        from siglearn import experiments
+
+        cfg = small_cfg()
+        cfg["history"]["window"] = 2 * cfg["history"]["dt"]
+        cfg["variance"].update(seeds=30, ensemble_size=4)
+        sc = build_scenario(cfg, 11)
+        histories, junctions = [], []
+
+        def recording_history(*args, **kwargs):
+            out = simulate_history(*args, **kwargs)
+            histories.append(out[0])
+            return out
+
+        def recording_ensemble(env, junction, *args, **kwargs):
+            junctions.append(junction)
+            return generate_ensemble(env, junction, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_history", recording_history)
+        monkeypatch.setattr(experiments, "generate_ensemble", recording_ensemble)
+        experiments.variance_experiment(cfg, sc)
+        assert len(histories) == 30 and len(junctions) == 60
+        for i, path in enumerate(histories):
+            want = path_signature(sc.history_config, path, path.times[-3], path.times[-1])
+            for t0, state, proxy in junctions[2 * i : 2 * i + 2]:
+                assert t0 == path.times[-1]
+                assert np.array_equal(state, path.values[-1, : sc.env.dim])
+                assert np.array_equal(proxy.data.view(np.uint64), want.data.view(np.uint64))
 
 
 class TestTrainScf:

@@ -14,7 +14,7 @@ from siglearn.jumpdiff import (
     simulate_history,
 )
 from siglearn.kernelspace import build_nystrom
-from siglearn.signature import SignatureConfig, path_signature
+from siglearn.signature import SignatureConfig, batch_terminal_signatures, path_signature
 from tensor_helpers import level
 
 CFG = SignatureConfig(degree=3, time_scale=1.0)
@@ -162,6 +162,19 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             generate_ensemble(params, (0.0, np.zeros(2), None), None, unit_grid(4), 2, 0, CFG)
 
+    def test_all_zero_gain_is_no_coupling(self):
+        # the one form of "no coupling": a zero gain is stored as None and
+        # runs exactly the uncoupled simulation, with no map needed
+        zero = make_params(vol=0.3, lam=4.0, jump_scale=np.array([0.2, 0.1]),
+                           memory=np.zeros((2, 6)))
+        none = make_params(vol=0.3, lam=4.0, jump_scale=np.array([0.2, 0.1]))
+        assert zero.drift_memory_gain is None
+        args = ((0.0, np.zeros(2), None), None, unit_grid(8), 16, 5, CFG)
+        a, b = generate_ensemble(zero, *args), generate_ensemble(none, *args)
+        assert a.terminal_proxy is None and b.terminal_proxy is None
+        for name in ("values", "jump_flags", "rewards"):
+            assert np.array_equal(getattr(a, name).view(np.uint8), getattr(b, name).view(np.uint8))
+
     @pytest.mark.parametrize("width", [1, 4, 8])
     def test_memory_gain_width_must_match_map(self, width):
         nmap = random_map(np.random.default_rng(13))
@@ -296,6 +309,32 @@ class TestHistory:
         recomputed = path_signature(CFG, path, path.times[0], path.times[-1])
         assert np.max(np.abs(sig.data - recomputed.data)) < 1e-12
         assert sig.is_group_like()
+
+    @pytest.mark.parametrize("mode", ["rectilinear", "linear"])
+    @pytest.mark.parametrize("lam", [0.0, 20.0], ids=["no-jumps", "frequent-jumps"])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_coupled_history_reads_the_tracked_signature(self, monkeypatch, mode, lam, seed):
+        # a memory-coupled history hands back the signature its simulation
+        # tracked, without a scan; it must be the scan's, bit for bit
+        rng = np.random.default_rng(seed)
+        nmap = random_map(rng)
+        config = SignatureConfig(degree=3, time_scale=1.0, mode=mode)
+        params = make_params(vol=0.3, lam=lam, jump_mean=np.array([0.1, -0.2]),
+                             jump_scale=np.array([0.2, 0.1]),
+                             memory=0.5 * rng.normal(size=(2, 6)))
+
+        def no_scan(*args):
+            raise AssertionError("a coupled history was scanned again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jumpdiff, "batch_terminal_signatures", no_scan)
+            path, sig = simulate_history(params, 0.0, np.zeros(2), 12, 0.05, seed, config,
+                                         nmap=nmap)
+        assert path.jump_flags.any() == (lam > 0)
+        want = batch_terminal_signatures(
+            config, path.times, path.values[None], path.jump_flags[None]
+        )[0]
+        assert np.array_equal(sig.data.view(np.uint64), want.view(np.uint64))
 
 
 class TestGridValidation:
