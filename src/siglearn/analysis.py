@@ -173,11 +173,10 @@ def forecast_decay(
 
     ``traj`` is the flow as ``integrate_flow`` recorded it; the ensembles run
     on its grid and are compressed by its map.  e(s) is the ``q_distance``
-    sqrt(d^T P d) of the features, averaged over seeds; beta is the
-    log-linear slope fitted on the second half of the horizon (e(t) = 0 by
-    construction, so the early ramp is excluded).  Also reports the proxy's
-    ``q_norms``, which are ``metric.norm`` |P x|, the Mahalanobis norm: a
-    different quadratic form from e(s).
+    |P d| of the features, averaged over seeds; beta is the log-linear slope
+    fitted on the second half of the horizon (e(t) = 0 by construction, so
+    the early ramp is excluded).  Also reports the proxy's ``q_norms`` |P x|
+    in the same metric.
     """
     grid, nmap = traj.grid, traj.nmap
     proxy_feats = compress_flat(nmap, traj.flats)

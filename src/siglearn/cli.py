@@ -385,8 +385,12 @@ def main(argv=None) -> int:
         SUBCOMMANDS[args.subcommand](runner)
     except DivergenceError as exc:
         trace_path = Path(args.out_dir) / "error.json"
-        _write_json(trace_path, runner.meta(), {"error": str(exc), "context": exc.context})
-        print(f"numeric divergence: {exc} (trace in {trace_path})", file=sys.stderr)
+        where = f"trace in {trace_path}"
+        try:
+            _write_json(trace_path, runner.meta(), {"error": str(exc), "context": exc.context})
+        except OSError as err:
+            where = f"cannot write {trace_path}: {err.strerror or err}"
+        print(f"numeric divergence: {exc} ({where})", file=sys.stderr)
         return 3
     except SiglearnError as exc:
         # raised on a value the config parser accepted but the run cannot use

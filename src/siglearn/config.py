@@ -75,7 +75,7 @@ def _each(rule, non_empty=False):
 # (env.dim).
 SCHEMA: dict[str, dict[str, tuple[str, object, Callable | None]]] = {
     "algebra": {
-        "degree": ("int", _REQ, _at_least(1)),
+        "degree": ("int", _REQ, _at_least(2)),  # the return moments read level 2
         "level_weights": ("str", "unit", _one_of(("unit", "factorial"))),
     },
     "signature": {

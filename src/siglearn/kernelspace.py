@@ -4,7 +4,7 @@ Every distance used elsewhere in the package runs through the compressed
 coordinates produced here: ``compress`` maps a truncated tensor to the
 whitened kernel features against a fixed landmark set, and
 :class:`WhitenedMetric` supplies the whitening operator fitted on a feature
-sample, read through two quadratic forms (see its docstring).
+sample, whose one norm is |P x|.
 """
 
 from __future__ import annotations
@@ -90,10 +90,12 @@ def build_nystrom(
     m = Z.shape[0]
     evals, evecs = np.linalg.eigh(gram + ridge * np.eye(m))
     if evals[0] < 10.0 * ridge and m > 1:
+        # numerical rank of the Gram, at the tolerance of np.linalg.matrix_rank
+        rank = int(np.sum(evals - ridge > m * np.finfo(float).eps * evals[-1]))
         warnings.warn(
-            "landmark Gram matrix is nearly singular beyond the ridge: "
-            f"{int(np.sum(evals >= 10.0 * ridge))} of {m} ridged eigenvalues reach 10x the "
-            f"ridge and the smallest is {evals[0] / ridge:.2f}x the ridge; "
+            f"landmark Gram matrix has rank {rank} of {m} and is nearly singular beyond the "
+            f"ridge: {int(np.sum(evals >= 10.0 * ridge))} of {m} ridged eigenvalues reach "
+            f"10x the ridge and the smallest is {evals[0] / ridge:.2f}x the ridge; "
             "duplicate or collinear landmarks degrade conditioning",
             RuntimeWarning,
         )
@@ -134,15 +136,12 @@ def compress_flat(nmap: NystromMap, flats: npt.ArrayLike) -> np.ndarray:
 class WhitenedMetric:
     """Whitening operator P = (sample covariance S + ridge I)^(-1/2) on features.
 
-    ``precision`` is P, and the package reads two different quadratic forms
-    from it.  ``q_distance`` and the training loss take d^T P d.  ``norm`` is
-    |P x|, whose square x^T P^2 x = x^T (S + ridge I)^(-1) x is the
-    Mahalanobis norm; only this one is, up to the ridge, invariant to
-    rescaling a feature.
+    ``precision`` is P.  The package reads it through one quadratic form:
+    ``norm`` is |P x|, whose square x^T (S + ridge I)^(-1) x is the
+    Mahalanobis norm, invariant up to the ridge to rescaling a feature.
     """
 
     precision: np.ndarray
-    ridge: float
 
     @property
     def dim(self) -> int:
@@ -171,7 +170,7 @@ def fit_whitening(features: np.ndarray, lam: float) -> WhitenedMetric:
     m = cov.shape[0]
     evals, evecs = np.linalg.eigh(cov + lam * np.eye(m))
     precision = (evecs / np.sqrt(evals)) @ evecs.T
-    return WhitenedMetric(precision=precision, ridge=float(lam))
+    return WhitenedMetric(precision=precision)
 
 
 def fit_metric_family(features_per_point, lam: float) -> list[WhitenedMetric]:
@@ -180,17 +179,11 @@ def fit_metric_family(features_per_point, lam: float) -> list[WhitenedMetric]:
 
 
 def q_distance(metric: WhitenedMetric, u: np.ndarray, v: np.ndarray) -> float:
-    """sqrt(d^T P d) for d = u - v, with P = ``metric.precision``.
-
-    P is the inverse square root of the regularized covariance, so this is
-    not the Mahalanobis distance, which is ``metric.norm(u - v)`` =
-    sqrt(d^T P^2 d).
-    """
+    """Mahalanobis distance ``metric.norm(u - v)`` = |P (u - v)|."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.shape != (metric.dim,):
         raise ShapeMismatchError(
             f"vectors {u.shape}, {v.shape} do not match metric dim {metric.dim}"
         )
-    d = u - v
-    return float(np.sqrt(max(d @ metric.precision @ d, 0.0)))
+    return metric.norm(u - v)

@@ -356,7 +356,7 @@ def step_targets(ens: PathEnsemble) -> np.ndarray:
 def score_matching_loss(
     gen: GeneratorParams, ens: PathEnsemble, nmap: NystromMap, metrics: list[WhitenedMetric]
 ) -> float:
-    """Mean squared Q-distance between flow tangents and ensemble targets."""
+    """Mean squared ``q_distance`` between flow tangents and ensemble targets."""
     if ens.n_paths < 1:
         raise DomainError("need a non-empty ensemble")
     refs = _training_refs(ens, empirical_trajectory(ens, nmap))
@@ -413,11 +413,12 @@ def _training_refs(ens: PathEnsemble, law: ProxyTrajectory) -> dict:
 def _loss_terms(gen, nmap, metrics, refs, cfg: TrainConfig):
     """The ensemble's loss parts, its flow, and their cotangents.
 
-    Every term is a Q-norm d^T Q d of a compressed difference d = C y - ref
-    that is linear in a tangent or a state y, so its cotangent on y is
-    2 C^T Q d, with Q d shared by loss and gradient.  ``metrics`` holds one
-    metric per gridpoint.  Returns the parts (score, scf, reg), the flow,
-    and one adjoint row of cotangents on its states and on its tangents.
+    Every term is a squared whitened norm |P d|^2 of a compressed difference
+    d = C y - ref that is linear in a tangent or a state y, so its cotangent
+    on y is 2 C^T P^T (P d), with P d shared by loss and gradient.
+    ``metrics`` holds one metric per gridpoint, and P is its ``precision``.
+    Returns the parts (score, scf, reg), the flow, and one adjoint row of
+    cotangents on its states and on its tangents.
     """
     parts = {"score": 0.0, "scf": 0.0, "reg": 0.0}
     C = nmap.matrix
@@ -428,11 +429,11 @@ def _loss_terms(gen, nmap, metrics, refs, cfg: TrainConfig):
     wt = 1.0 / n_steps
     for j in range(n_steps):
         d = compress_flat(nmap, traj.tangents[j] - refs["targets"][j])
-        Qd = metrics[j].precision @ d
-        parts["score"] += wt * (d @ Qd)
-        out_cot[0, j] = 2.0 * wt * (C.T @ Qd)
+        Pd = metrics[j].whiten(d)
+        parts["score"] += wt * (Pd @ Pd)
+        out_cot[0, j] = 2.0 * wt * (C.T @ (metrics[j].precision.T @ Pd))
 
-    # tracking terms: Q-distance of the flow at gridpoint j from the
+    # tracking terms: squared q_distance of the flow at gridpoint j from the
     # ensemble's law there
     tracked = [("scf", n_steps, cfg.eta_scf)]
     if cfg.contraction_reg > 0.0:
@@ -446,9 +447,9 @@ def _loss_terms(gen, nmap, metrics, refs, cfg: TrainConfig):
         ]
     for key, j, weight in tracked:
         e = compress_flat(nmap, traj.flats[j]) - refs["law_feats"][j]
-        Qe = metrics[j].precision @ e
-        parts[key] += weight * (e @ Qe)
-        state_cot[0, j] += 2.0 * weight * (C.T @ Qe)
+        Pe = metrics[j].whiten(e)
+        parts[key] += weight * (Pe @ Pe)
+        state_cot[0, j] += 2.0 * weight * (C.T @ (metrics[j].precision.T @ Pe))
     return parts, traj, state_cot, out_cot
 
 

@@ -202,6 +202,8 @@ class TestCliExitCodes:
             ("TD__GAMMA=nan", "td.gamma"),
             ("ENV__JUMP_INTENSITY=inf", "env.jump_intensity"),
             ("ALGEBRA__DEGREE=0", "algebra.degree"),
+            # with lie_degree 1 too, so that the lie_degree rule does not name it
+            ("ALGEBRA__DEGREE=1;FLOW__LIE_DEGREE=1", "algebra.degree"),
             ("HORIZON__DT=-0.1", "horizon.dt"),
             ("TD__ALPHA=fast", "td.alpha"),
             ("NYSTROM__RIDGE=abc", "nystrom.ridge"),
@@ -351,6 +353,19 @@ class TestCliExitCodes:
         assert code == 3
         err = json.loads((out / "error.json").read_text())
         assert "error" in err
+
+    def test_divergence_with_unwritable_trace_exits_3(self, tmp_path, small_config, capsys):
+        # a directory named error.json: the divergence still exits 3, and its
+        # one stderr line names the trace path it could not write
+        blown = tmp_path / "blown.ini"
+        blown.write_text(SMALL_CONFIG.replace("lr = 0.05", "lr = 1e100"))
+        out = tmp_path / "odiv"
+        (out / "error.json").mkdir(parents=True)
+        code = main(["run-scf", "--config", str(blown), "--out-dir", str(out), "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("numeric divergence"), err
+        assert f"cannot write {out / 'error.json'}" in err, err
 
     def test_non_finite_variance_exits_3(self, tmp_path, small_config, monkeypatch):
         # a payoff near the float limit makes the TD-error variances overflow;
@@ -625,8 +640,8 @@ class TestDefaultConfigCriteria:
 
 # sha256 of each file `run-all --seed S` writes on the baseline, for S = 1, 2
 # and 3, and the numeric build they were taken on.  After a change that
-# alters results on purpose, re-pin with `PYTHONPATH=src python tests/test_cli.py`
-# and say so in CHANGES.md.
+# alters results on purpose, re-pin with `PYTHONPATH=src python tests/test_cli.py`,
+# which prints per seed the files whose digests moved, and say so in CHANGES.md.
 PINNED_DIGESTS = Path(__file__).with_name("run_all_digests.json")
 
 
@@ -677,8 +692,13 @@ def test_run_all_writes_the_pinned_bytes(tmp_path, seed):
 
 
 if __name__ == "__main__":
+    old = json.loads(PINNED_DIGESTS.read_text())["seeds"] if PINNED_DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         seeds = {str(s): run_all_digests(s, Path(tmp) / str(s)) for s in (1, 2, 3)}
+    for seed, digests in seeds.items():
+        moved = sorted(f for f, h in digests.items() if old.get(seed, {}).get(f) != h)
+        print(f"seed {seed}: {len(moved)} moved, {len(digests) - len(moved)} kept: "
+              f"{', '.join(moved) or '-'}")
     PINNED_DIGESTS.write_text(
         json.dumps({"build": numeric_build(), "seeds": seeds}, indent=1) + "\n"
     )

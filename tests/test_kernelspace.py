@@ -77,8 +77,8 @@ class TestNystrom:
         rng = np.random.default_rng(6)
         zeta = random_group_like(rng)
         # the duplicate leaves one ridged eigenvalue at the ridge itself
-        with pytest.warns(RuntimeWarning, match=r"2 of 3 ridged eigenvalues reach 10x the "
-                          r"ridge and the smallest is 1\.00x the ridge"):
+        with pytest.warns(RuntimeWarning, match=r"rank 2 of 3 .* 2 of 3 ridged eigenvalues "
+                          r"reach 10x the ridge and the smallest is 1\.00x the ridge"):
             nmap = ks.build_nystrom(
                 np.array([zeta.data, zeta.data, random_group_like(rng).data]), 2, 3
             )
@@ -131,6 +131,21 @@ class TestWhitenedMetric:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             ks.fit_whitening(np.ones((1, 3)), lam=0.1)
+
+    def test_q_distance_is_the_norm_and_scale_free(self):
+        # rescaling a feature and refitting leaves the Mahalanobis distance
+        # unchanged up to the ridge; d^T P d is not scale-free
+        rng = np.random.default_rng(21)
+        feats = rng.normal(size=(200, 3))
+        u, v = rng.normal(size=(2, 3))
+        scale = np.array([1.0, 10.0, 100.0])
+        base = ks.fit_whitening(feats, lam=1e-4)
+        metric = ks.fit_whitening(feats * scale, lam=1e-4)
+        for m, a, b in ((base, u, v), (metric, u * scale, v * scale)):
+            assert ks.q_distance(m, a, b) == m.norm(a - b)
+        assert ks.q_distance(metric, u * scale, v * scale) == pytest.approx(
+            ks.q_distance(base, u, v), rel=1e-3
+        )
 
     def test_q_distance_metric_axioms(self):
         rng = np.random.default_rng(12)

@@ -36,7 +36,7 @@ def make_map(rng, n_landmarks=10):
 
 def eye_metrics(m, n_grid=9):
     """The identity metric at every gridpoint."""
-    return [WhitenedMetric(precision=np.eye(m), ridge=1.0)] * n_grid
+    return [WhitenedMetric(precision=np.eye(m))] * n_grid
 
 
 def drift_env(mu=0.3, vol=0.0, lam=0.0, **kw):
@@ -367,7 +367,7 @@ def reference_loss(gen, ref, nmap, metrics, cfg):
     """
 
     def qn(j, d):
-        return d @ metrics[j].precision @ d
+        return metrics[j].norm(d) ** 2
 
     grid, targets, means = ref
     traj = integrate_flow(gen, nmap, None, grid)
