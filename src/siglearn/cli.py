@@ -400,6 +400,11 @@ def main(argv=None) -> int:
         # --out-dir, or an artifact path under it, cannot be written
         print(f"cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # sizes the config asks for that this host cannot hold, such as a
+        # landmark Gram of nystrom.landmarks squared floats
+        print(f"out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -10,11 +10,26 @@ Randomness is organized as counter-based Philox streams, three per path
 (diffusion, jump counts, jump sizes), so ensembles are reproducible for any
 path count and generation order.  Path ``i`` of seed ``s`` always sees the
 same noise regardless of how many other paths are generated.
+
+``draw_path_noise`` draws one path's noise from numpy generators reset to
+that path's keys; it is the layout, and small ensembles loop over it.  An
+ensemble of ``_VECTOR_MIN_PATHS`` paths or more draws the same noise in one
+vectorised pass: it computes every stream's Philox4x64-10 words (Salmon et
+al., SC 2011) in numpy and replays numpy's own arithmetic on them, the
+fast path of its ziggurat normals (Marsaglia & Tsang, 2000) with numpy's
+tables read from package data, and the multiplication method of its
+Poisson sampler.  A stream that leaves those paths goes back to numpy, and
+the pass checks itself against ``draw_path_noise`` once per process, so
+both routes give the same bits.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -43,8 +58,36 @@ __all__ = [
 ]
 
 _STREAMS_PER_PATH = 4  # diffusion, jump counts, jump sizes, spare
-# one reused generator per channel; path_streams resets their keys per path
+# one reused generator per channel, and one state per channel whose key
+# _stream rewrites for each path
 _PATH_GENERATORS = tuple(np.random.Generator(np.random.Philox(key=0)) for _ in range(3))
+_PATH_STATES = tuple(
+    {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
+        # drop any words the previous path left buffered
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for _ in range(3)
+)
+
+# Ensembles of at least this many paths draw their noise in one vectorised
+# pass; smaller ones loop over draw_path_noise.  The pass costs about 2 ms
+# however few paths it draws, and the loop about 30 us per path: on a
+# 2-core x86-64 host the two broke even near 100 paths (12 steps, dim 1),
+# and at 128 paths the pass took 2.7 ms against the loop's 3.6 ms.
+_VECTOR_MIN_PATHS = 128
+
+# numpy's ziggurat tables ki_double (uint64[256]) and wi_double
+# (float64[256]), little-endian, in this order
+_ZIGGURAT_FILE = "ziggurat_tables.bin"
+_ZIGGURAT_SHA256 = "c589548f9b2c248ff24e96150fac5db6d03516d56b9d2f1fccfef1794c8210d3"
+# the first-use check: seed, paths, steps, dim and the per-step lam_dt; its
+# paths include normals numpy rejects and jumps, with and without a draw
+_CHECK_CASE = (7, 32, 12, 2, (0.3, 0.0, 0.2) * 4)
 
 
 @dataclass(frozen=True)
@@ -129,6 +172,15 @@ def _zero_policy(t, states, proxies):
     return np.zeros(states.shape[0])
 
 
+def _stream(seed: int, path_id: int, channel: int) -> np.random.Generator:
+    """The reused generator of ``channel``, reset to that channel of one path."""
+    state = _PATH_STATES[channel]
+    state["state"]["key"][:] = (seed, _STREAMS_PER_PATH * path_id + channel)
+    gen = _PATH_GENERATORS[channel]
+    gen.bit_generator.state = state  # the setter copies the arrays
+    return gen
+
+
 def path_streams(seed: int, path_id: int) -> tuple[np.random.Generator, ...]:
     """The three Philox substreams owned by one path.
 
@@ -140,20 +192,7 @@ def path_streams(seed: int, path_id: int) -> tuple[np.random.Generator, ...]:
     returned tuple is therefore valid only until the next call, and running
     paths concurrently needs processes, not threads.
     """
-    for channel, gen in enumerate(_PATH_GENERATORS):
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([seed, _STREAMS_PER_PATH * path_id + channel], dtype=np.uint64),
-            },
-            # drop any words the previous path left buffered
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    return _PATH_GENERATORS
+    return tuple(_stream(seed, path_id, channel) for channel in range(3))
 
 
 def draw_path_noise(
@@ -167,6 +206,192 @@ def draw_path_noise(
     xi = g_diff.standard_normal((n_steps, dim))
     counts = g_count.poisson(lam_dt, size=n_steps)
     eta = g_jump.standard_normal((n_steps, dim))
+    return xi, counts, eta
+
+
+# ---------------------------------------------------------------------------
+# the same noise for many paths in one vectorised pass
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _MASK32, x >> np.uint64(32)
+    ll, hl, lh = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
+    # (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64, so the middle sum cannot wrap
+    mid = (ll >> np.uint64(32)) + (hl & _MASK32) + lh
+    hi = m_hi * x_hi + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, x * np.uint64(m)
+
+
+def _philox_words(seed: int, keys: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The first 4 n_blocks words of each Philox4x64-10 stream keyed (seed, keys[s]).
+
+    numpy's Philox increments its counter before it makes a block, so block
+    b = 1, 2, ... of a stream is the cipher of counter (b, 0, 0, 0).
+    Returns uint64 of shape (len(keys), 4 n_blocks), in draw order.
+    """
+    shape = (keys.size, n_blocks)
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = seed, np.asarray(keys, dtype=np.uint64)[:, None]
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % 2**64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=2).reshape(keys.size, 4 * n_blocks)
+
+
+def _stream_words(seed: int, paths: np.ndarray, channel: int, n_words: int) -> np.ndarray:
+    """The first ``n_words`` words of ``channel`` of each path in ``paths``."""
+    keys = _STREAMS_PER_PATH * paths.astype(np.uint64) + np.uint64(channel)
+    return _philox_words(seed, keys, -(-n_words // 4))[:, :n_words]
+
+
+def _normals(words: np.ndarray, ki: np.ndarray, wi: np.ndarray):
+    """numpy's ziggurat normals of ``words`` along the fast path, and where it held.
+
+    Per word: idx = w & 0xff, sign = bit 8, rabs = the next 52 bits, and
+    x = +-rabs * wi[idx], accepted when rabs < ki[idx].  Returns the draws
+    and, per row, whether every word was accepted; a rejected word makes
+    numpy read further words, so that row's later draws are not these.
+    """
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+    x = rabs.astype(float) * wi[idx]
+    np.negative(x, out=x, where=((words >> np.uint64(8)) & np.uint64(1)).astype(bool))
+    return x, np.all(rabs < ki[idx], axis=1)
+
+
+def _poisson_counts(words: np.ndarray, lam: np.ndarray):
+    """numpy's Poisson counts at 0 < lam < 10, one column per entry of ``lam``.
+
+    numpy's multiplication method starts from prod = 1, multiplies it by
+    U = (w >> 11) 2^-53 for each word w it reads, and counts the words
+    after which prod still exceeds exp(-lam).  Rows run in step; returns
+    the counts and, per row, whether its words sufficed.
+    """
+    u = (words >> np.uint64(11)) * 2.0**-53
+    n_rows, n_words = u.shape
+    counts = np.zeros((n_rows, lam.size), dtype=np.int64)
+    pos = np.zeros(n_rows, dtype=np.intp)
+    ok = np.ones(n_rows, dtype=bool)
+    for j, x in enumerate(lam):
+        cut = math.exp(-x)  # the C library's exp, which numpy's sampler calls
+        rows = np.flatnonzero(ok)
+        prod = np.ones(rows.size)
+        while rows.size:
+            short = pos[rows] >= n_words
+            ok[rows[short]] = False
+            rows, prod = rows[~short], prod[~short]
+            prod *= u[rows, pos[rows]]
+            pos[rows] += 1
+            more = prod > cut
+            counts[rows[more], j] += 1
+            rows, prod = rows[more], prod[more]
+    return counts, ok
+
+
+def _vector_noise(seed, n_paths, n_steps, dim, lam_dt, ki, wi):
+    """The noise of ``draw_path_noise`` for paths 0..n_paths-1 in one pass.
+
+    Every stream is computed from its Philox words along numpy's own
+    arithmetic: ziggurat normals that are all accepted, and jump counts by
+    the multiplication method numpy uses at lam_dt < 10.  A stream that
+    leaves these paths (a rejected normal, lam_dt >= 10, or more jumps
+    than the words computed) is drawn again by numpy from its own reset
+    generator.  Jump sizes are drawn only for paths that jump, because
+    only those are read; the other rows of ``eta`` are zero.
+    """
+    n_draws = n_steps * dim
+    paths = np.arange(n_paths)
+    xi, ok = _normals(_stream_words(seed, paths, 0, n_draws), ki, wi)
+    xi = xi.reshape(n_paths, n_steps, dim)
+    for i in np.flatnonzero(~ok):
+        xi[i] = _stream(seed, i, 0).standard_normal((n_steps, dim))
+
+    lam = np.broadcast_to(np.asarray(lam_dt, dtype=float), (n_steps,))
+    counts = np.zeros((n_paths, n_steps), dtype=np.int64)
+    if np.all((lam >= 0.0) & (lam < 10.0)):
+        drawn = np.flatnonzero(lam > 0.0)
+        # a count of k reads k + 1 words; spare words cover the total count
+        # up to four standard deviations above its mean, and more than that
+        # sends the stream to numpy
+        total = float(lam.sum())
+        n_words = drawn.size + int(total + 4.0 * math.sqrt(total)) + 4
+        counts[:, drawn], ok = _poisson_counts(
+            _stream_words(seed, paths, 1, n_words), lam[drawn]
+        )
+        redraw = np.flatnonzero(~ok)
+    else:  # the rejection sampler at lam_dt >= 10, or a value numpy refuses
+        redraw = paths
+    for i in redraw:
+        counts[i] = _stream(seed, i, 1).poisson(lam_dt, size=n_steps)
+
+    eta = np.zeros((n_paths, n_steps, dim))
+    jumpers = np.flatnonzero(np.any(counts > 0, axis=1))
+    if jumpers.size:
+        draws, ok = _normals(_stream_words(seed, jumpers, 2, n_draws), ki, wi)
+        eta[jumpers] = draws.reshape(jumpers.size, n_steps, dim)
+        for i in jumpers[~ok]:
+            eta[i] = _stream(seed, i, 2).standard_normal((n_steps, dim))
+    return xi, counts, eta
+
+
+def _load_tables():
+    """numpy's ziggurat tables (ki, wi) from the package file, or None if it is not intact."""
+    try:
+        with open(os.path.join(os.path.dirname(__file__), _ZIGGURAT_FILE), "rb") as f:
+            raw = f.read()
+    except OSError:
+        return None
+    if hashlib.sha256(raw).hexdigest() != _ZIGGURAT_SHA256:
+        return None
+    return np.frombuffer(raw, "<u8", 256), np.frombuffer(raw, "<f8", 256, 2048)
+
+
+@lru_cache(maxsize=None)
+def _fast_tables():
+    """The tables, once the vectorised pass has matched numpy here; else None.
+
+    The check draws paths on fixed keys, with rejected normals and with
+    jumps, and compares them with ``draw_path_noise``.  Where they differ
+    (another numpy build) the process keeps to the per-path loop.
+    """
+    tables = _load_tables()
+    if tables is None:
+        return None
+    seed, n_paths, n_steps, dim, lam_dt = _CHECK_CASE
+    lam_dt = np.array(lam_dt)
+    xi, counts, eta = _vector_noise(seed, n_paths, n_steps, dim, lam_dt, *tables)
+    for i in range(n_paths):
+        want = draw_path_noise(seed, i, n_steps, dim, lam_dt)
+        if not (
+            np.array_equal(xi[i], want[0])
+            and np.array_equal(counts[i], want[1])
+            and (not counts[i].any() or np.array_equal(eta[i], want[2]))
+        ):
+            return None
+    return tables
+
+
+def _ensemble_noise(seed, n_paths, n_steps, dim, lam_dt):
+    """(xi, counts, eta) of paths 0..n_paths-1, each path's as ``draw_path_noise`` draws it."""
+    tables = _fast_tables() if n_paths >= _VECTOR_MIN_PATHS else None
+    if tables is not None:
+        return _vector_noise(seed, n_paths, n_steps, dim, lam_dt, *tables)
+    xi = np.empty((n_paths, n_steps, dim))
+    counts = np.empty((n_paths, n_steps), dtype=np.int64)
+    eta = np.empty((n_paths, n_steps, dim))
+    for i in range(n_paths):
+        xi[i], counts[i], eta[i] = draw_path_noise(seed, i, n_steps, dim, lam_dt)
     return xi, counts, eta
 
 
@@ -258,11 +483,7 @@ def generate_ensemble(
     n_steps = grid.size - 1
     lam_dt_all = params.jump_intensity * np.diff(grid)
 
-    xi = np.empty((n_paths, n_steps, d))
-    counts = np.empty((n_paths, n_steps), dtype=np.int64)
-    eta = np.empty((n_paths, n_steps, d))
-    for i in range(n_paths):
-        xi[i], counts[i], eta[i] = draw_path_noise(seed, i, n_steps, d, lam_dt_all)
+    xi, counts, eta = _ensemble_noise(seed, n_paths, n_steps, d, lam_dt_all)
 
     track_memory = params.drift_memory_gain is not None
     if track_memory and nmap is None:

@@ -29,7 +29,11 @@ first k - n slots pair the zero row with itself.  Each coefficient is thus
 summed as 0 + t_0 + ... + t_n, the same terms in the same order as a loop
 over levels and their i + j = n blocks; a padding term adds 0 * 0 to the
 +0.0 start and leaves it +0.0.  The Horner step runs the elementwise
-operations of its level loop in their order too.  The results are
+operations of its level loop in their order too, in place and from the
+top level down; the signature scans call it on their own rows-last
+blocks, with quotients and products written into scratch they allocate
+once, which changes where values are stored but not how they are
+computed.  The results are
 therefore the level loops' bit for bit, signed zeros and non-finite values
 included.
 
@@ -270,6 +274,51 @@ def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
     return _by_blocks(kernel, np.asarray(x, dtype=float))
 
 
+def _horner_scratch(channels: int, degree: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for :func:`_mul_exp_t` on up to ``cols`` columns, allocated once.
+
+    One buffer for v/1 ... v/degree, and two for the level-m products,
+    which alternate: the product of level m is read only to form level
+    m + 1.
+    """
+    return np.empty(degree * channels * cols), np.empty((2, channels**degree * cols))
+
+
+def _mul_exp_t(channels, degree, at, vt, scratch=None) -> None:
+    """at <- a (x) exp(v) in place, on rows-last operands, by Horner's rule.
+
+    ``at`` is (flat, cols) or taller and ``vt`` (channels, cols) or taller.
+    Level n becomes a_n + (...((a_0 v/n + a_1) v/(n-1) + a_2) ... + a_{n-1})
+    v/1; levels are written from the top down, so each reads the levels
+    below it before they change.  With ``scratch`` from
+    :func:`_horner_scratch` for at least cols columns, each quotient and
+    product is written into it rather than into a new array.  The
+    elementwise operations and their order are the same either way, so
+    the results are bit for bit equal.
+    """
+    offs = level_offsets(channels, degree)
+    sizes = level_sizes(channels, degree)
+    cols = at.shape[1]
+    v = vt[:channels]
+    if scratch is None:
+        v_over = [v / i for i in range(1, degree + 1)]
+    else:
+        v_buf, bufs = scratch
+        v_over = v_buf[: degree * channels * cols].reshape(degree, channels, cols)
+        for i in range(1, degree + 1):
+            np.divide(v, i, v_over[i - 1])
+    for n in range(degree, 0, -1):
+        g = at[:1]
+        for m in range(1, n + 1):
+            prod_m = None
+            if scratch is not None:
+                prod_m = bufs[m % 2, : sizes[m] * cols].reshape(sizes[m - 1], channels, cols)
+            g = np.multiply(g[:, None], v_over[n - m], prod_m).reshape(sizes[m], cols)
+            if m < n:
+                g += at[offs[m] : offs[m + 1]]
+        at[offs[n] : offs[n + 1]] += g
+
+
 def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a (x) exp(v) for a level-1 increment v of shape (..., channels).
 
@@ -277,22 +326,10 @@ def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np
     is a_n + (...((a_0 v/n + a_1) v/(n-1) + a_2) ... + a_{n-1}) v/1, so level
     n costs n outer products with v.  Broadcasts over leading axes.
     """
-    offs = level_offsets(channels, degree)
-    sizes = level_sizes(channels, degree)
 
     def kernel(at, vt):
-        n_rows = at.shape[1]
-        out = at.copy()
-        v = vt[None, :channels]
-        v_over = [None] + [v / i for i in range(1, degree + 1)]
-        for n in range(1, degree + 1):
-            g = at[:1]
-            for m in range(1, n + 1):
-                g = (g[:, None] * v_over[n - m + 1]).reshape(sizes[m], n_rows)
-                if m < n:
-                    g += at[offs[m] : offs[m + 1]]
-            out[offs[n] : offs[n + 1]] += g
-        return out
+        _mul_exp_t(channels, degree, at, vt)
+        return at
 
     return _by_blocks(kernel, np.asarray(a, dtype=float), np.asarray(v, dtype=float))
 

@@ -378,6 +378,20 @@ class TestCliExitCodes:
         assert err["context"] == {"family": "anticipatory", "step": 0}
         assert not (out / "variance.json").exists()
 
+    def test_memory_error_exits_2(self, tmp_path, small_config, capsys, monkeypatch):
+        # as numpy raises it for a landmark Gram of nystrom.landmarks squared
+        # floats; raised here, so that no test allocates that much
+        def build_nystrom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100000, 100000) and data type float64")
+
+        monkeypatch.setattr("siglearn.experiments.build_nystrom", build_nystrom)
+        code = main(["run-scf", "--config", str(small_config), "--out-dir",
+                     str(tmp_path / "oom"), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("out of memory: Unable to allocate"), err
+
     def test_print_config(self, capsys):
         assert main(["print-config"]) == 0
         assert "[algebra]" in capsys.readouterr().out

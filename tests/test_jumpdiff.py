@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import siglearn
 from siglearn import jumpdiff
 from siglearn import tensor_algebra as ta
 from siglearn.errors import DivergenceError, DomainError, RangeError, ShapeMismatchError
@@ -343,3 +346,101 @@ class TestGridValidation:
         with pytest.raises(DomainError):
             generate_ensemble(params, (0.0, np.zeros(2), None), None,
                               np.array([0.0]), 2, 0, CFG)
+
+
+def loop_ensemble(monkeypatch, *args, **kwargs):
+    """``generate_ensemble`` with every path drawn by ``draw_path_noise``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(jumpdiff, "_VECTOR_MIN_PATHS", 10**9)
+        return generate_ensemble(*args, **kwargs)
+
+
+def assert_same_ensemble(got, want):
+    for name in ("values", "jump_flags", "rewards"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+    if want.terminal_proxy is None:
+        assert got.terminal_proxy is None
+    else:
+        assert np.array_equal(got.terminal_proxy.view(np.uint8), want.terminal_proxy.view(np.uint8))
+
+
+CROSSOVER = jumpdiff._VECTOR_MIN_PATHS
+BASELINE_LAM = 1.2  # jump intensity of the baseline config, lam dt = 0.024 on its grid
+SKEWED_GRID = 0.02 * np.cumsum(np.r_[0.0, 0.5, 1.5, np.ones(8), 0.25, 2.0])
+
+# n_paths, intensity, seed, dim, grid, memory coupling
+VECTOR_CASES = [
+    (CROSSOVER - 1, BASELINE_LAM, 0, 1, "uniform", False),
+    (CROSSOVER, BASELINE_LAM, 1, 2, "skewed", True),
+    (CROSSOVER + 1, 0.0, 2**63 - 1, 1, "skewed", False),
+    (CROSSOVER + 1, BASELINE_LAM, 2**63 - 1, 2, "uniform", True),
+    (256, 600.0, 1, 2, "uniform", False),  # lam dt = 12: numpy's rejection sampler
+    (256, 25.0, 0, 1, "skewed", True),  # several jumps per path
+    (256, 0.0, 2**63 - 1, 2, "uniform", True),
+    (5120, BASELINE_LAM, 2**63 - 1, 1, "skewed", False),
+    (5120, BASELINE_LAM, 0, 2, "uniform", True),
+]
+
+
+class TestVectorisedNoise:
+    """One vectorised noise pass against the per-path loop, bit for bit."""
+
+    @pytest.mark.parametrize("n_paths, lam, seed, dim, grid, memory", VECTOR_CASES)
+    def test_ensemble_equals_the_loop(self, monkeypatch, n_paths, lam, seed, dim, grid, memory):
+        rng = np.random.default_rng(n_paths + dim)
+        grid = unit_grid(12, 0.02) if grid == "uniform" else SKEWED_GRID
+        gain = 0.5 * rng.normal(size=(dim, 6)) if memory else None
+        params = make_params(d=dim, vol=0.3, lam=lam, memory=gain,
+                             jump_mean=np.full(dim, -0.2), jump_scale=np.full(dim, 0.15))
+        nmap = random_map(rng, channels=dim + 2) if memory else None
+        args = (params, (0.0, np.zeros(dim), None), None, grid, n_paths, seed, CFG)
+        got = generate_ensemble(*args, nmap=nmap)
+        assert_same_ensemble(got, loop_ensemble(monkeypatch, *args, nmap=nmap))
+        assert got.jump_flags.any() == (lam > 0)
+
+    @pytest.mark.parametrize(
+        "seed, key", [(0, 0), (12345, 7), (2**63 - 5, 3998), (2**64 - 1, 2**64 - 1), (2**64 - 1, 1)]
+    )
+    def test_philox_words_equal_random_raw(self, seed, key):
+        # five blocks: counters past the first, and keys that wrap as they are bumped
+        want = np.random.Philox(key=np.array([seed, key], dtype=np.uint64)).random_raw(20)
+        got = jumpdiff._philox_words(seed, np.array([key], dtype=np.uint64), 5)[0]
+        assert np.array_equal(got, want)
+
+    def test_check_case_covers_rejections_and_jumps(self):
+        seed, n_paths, n_steps, dim, lam_dt = jumpdiff._CHECK_CASE
+        ki, wi = jumpdiff._load_tables()
+        words = jumpdiff._stream_words(seed, np.arange(n_paths), 0, n_steps * dim)
+        _, accepted = jumpdiff._normals(words, ki, wi)
+        jumps = [draw_path_noise(seed, i, n_steps, dim, np.array(lam_dt))[1].any()
+                 for i in range(n_paths)]
+        assert not accepted.all() and accepted.any()
+        assert any(jumps) and not all(jumps)
+        assert jumpdiff._fast_tables() is not None
+
+    def test_corrupted_table_falls_back_to_the_loop(self, monkeypatch):
+        seed, _, n_steps, dim, _ = jumpdiff._CHECK_CASE
+        ki, wi = jumpdiff._load_tables()
+        # an entry the check reads: that of the first diffusion word of path 0
+        first = jumpdiff._stream_words(seed, np.arange(1), 0, 1)[0, 0]
+        bad = wi.copy()
+        bad[int(first) & 0xFF] *= 1.0 + 2.0**-40
+        monkeypatch.setattr(jumpdiff, "_load_tables", lambda: (ki, bad))
+        jumpdiff._fast_tables.cache_clear()
+        try:
+            assert jumpdiff._fast_tables() is None
+            params = make_params(vol=0.3, lam=BASELINE_LAM, jump_scale=np.array([0.2, 0.1]))
+            args = (params, (0.0, np.zeros(2), None), None, unit_grid(12, 0.02), 256, 3, CFG)
+            got = generate_ensemble(*args)
+            assert_same_ensemble(got, loop_ensemble(monkeypatch, *args))
+        finally:
+            jumpdiff._fast_tables.cache_clear()
+
+    def test_missing_or_altered_file_gives_no_tables(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(jumpdiff, "__file__", str(tmp_path / "jumpdiff.py"))
+        assert jumpdiff._load_tables() is None
+        raw = bytearray((Path(siglearn.__file__).parent / jumpdiff._ZIGGURAT_FILE).read_bytes())
+        raw[5] ^= 1
+        (tmp_path / jumpdiff._ZIGGURAT_FILE).write_bytes(bytes(raw))
+        assert jumpdiff._load_tables() is None

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import io
 import pkgutil
@@ -74,3 +75,16 @@ def test_every_exported_name_has_a_caller():
         and not re.search(rf"\b{name}\b", bench)
     ]
     assert not unused
+
+
+def test_ziggurat_tables_ship_with_the_package():
+    # the vectorised noise pass reads numpy's ziggurat tables from package
+    # data; without them it would fall back to the per-path loop unseen
+    from importlib.resources import files
+
+    from siglearn import jumpdiff
+
+    raw = files("siglearn").joinpath(jumpdiff._ZIGGURAT_FILE).read_bytes()
+    assert len(raw) == 4096
+    assert hashlib.sha256(raw).hexdigest() == jumpdiff._ZIGGURAT_SHA256
+    assert jumpdiff._load_tables() is not None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siglearn import signature
 from siglearn import tensor_algebra as ta
 from siglearn.errors import OrderingError, RangeError
 from siglearn.signature import (
@@ -310,3 +311,64 @@ class TestFusedStep:
         got = chen_step_flat(cfg, dim, sig, dt, dx, jumped)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def per_path_scan(cfg, times, values, flags):
+    """Prefix signatures (n_grid, n_paths, flat) by one-row chen_step_flat calls."""
+    n_paths, n_grid, dim = values.shape
+    c = cfg.channels(dim)
+    out = np.empty((n_grid, n_paths, ta.flat_size(c, cfg.degree)))
+    for i in range(n_paths):
+        sig = ta.identity_flat(c, cfg.degree)
+        out[0, i] = sig
+        for j in range(1, n_grid):
+            sig = chen_step_flat(cfg, dim, sig, times[j] - times[j - 1],
+                                 values[i, j] - values[i, j - 1], bool(flags[i, j]))
+            out[j, i] = sig
+    return out
+
+
+class TestColumnBlocks:
+    """Scans in column blocks against a per-path loop of one-row steps, bit for bit."""
+
+    BLOCK = 4
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # scratch for BLOCK columns at (channels, degree) = (3, 3)
+        monkeypatch.setattr(signature, "_SCRATCH_BYTES", 16 * 3**3 * self.BLOCK)
+
+    @pytest.mark.parametrize("mode", ["linear", "rectilinear"])
+    @pytest.mark.parametrize("n_paths", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_scans_equal_the_per_path_loop(self, mode, n_paths):
+        rng = np.random.default_rng(40 + n_paths)
+        cfg = SignatureConfig(degree=3, time_scale=1.5, mode=mode)
+        times = np.cumsum(rng.uniform(0.05, 0.3, size=7))
+        values = np.cumsum(rng.normal(scale=0.4, size=(n_paths, 7, 2)), axis=1)
+        flags = np.zeros((n_paths, 7), dtype=bool)
+        # jumps in the first and the last column of each block, and in between
+        for lo in range(0, n_paths, self.BLOCK):
+            flags[lo, 1::2] = True
+            flags[min(lo + self.BLOCK, n_paths) - 1, 2::2] = True
+        flags[:, 3] = True
+        want = per_path_scan(cfg, times, values, flags)
+        means, full = batch_prefix_signatures(cfg, times, values, flags, keep_paths=True)
+        assert np.array_equal(full.view(np.uint8), want.view(np.uint8))
+        assert np.array_equal(means.view(np.uint8), want.mean(axis=1).view(np.uint8))
+        alone = batch_prefix_signatures(cfg, times, values, flags)
+        assert np.array_equal(alone.view(np.uint8), means.view(np.uint8))
+        terminal = batch_terminal_signatures(cfg, times, values, flags)
+        assert np.array_equal(terminal.view(np.uint8), want[-1].view(np.uint8))
+
+    @pytest.mark.parametrize("mode", ["linear", "rectilinear"])
+    def test_batched_step_equals_one_row_steps(self, mode):
+        rng = np.random.default_rng(44)
+        cfg = SignatureConfig(degree=3, time_scale=1.5, mode=mode)
+        n = 2 * self.BLOCK + 3
+        sig = rng.uniform(-1.0, 1.0, size=(n, ta.flat_size(3, 3)))
+        dx = rng.uniform(-1.0, 1.0, size=(n, 2))
+        jumped = np.arange(n) % 3 == 0
+        got = chen_step_flat(cfg, 2, sig, 0.3, dx, jumped)
+        for i in range(n):
+            want = chen_step_flat(cfg, 2, sig[i], 0.3, dx[i], bool(jumped[i]))
+            assert np.array_equal(got[i].view(np.uint8), want.view(np.uint8))
