@@ -186,8 +186,7 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         degree=degree, time_scale=episode_span, mode=cfg["signature"]["history_mode"]
     )
 
-    n_mem = env_cfg["memory_features"]
-    gain = memory_gain_matrix(dim, n_mem, env_cfg["memory_gain_scale"])
+    gain = memory_gain_matrix(dim, env_cfg["memory_features"], env_cfg["memory_gain_scale"])
 
     vol = np.diag(np.asarray(env_cfg["vol_diag"], dtype=float))
     sub = env_cfg.get("vol_sub")
@@ -238,9 +237,7 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
         level_weights=level_weights,
     )
 
-    env = env_nomem if gain is None else replace(
-        env_nomem, drift_memory_gain=np.pad(gain, ((0, 0), (0, nmap.n_landmarks - n_mem)))
-    )
+    env = env_nomem if gain is None else replace(env_nomem, drift_memory_gain=gain)
 
     train_ens = generate_ensemble(
         env,

@@ -206,8 +206,8 @@ def action_sensitivity(
     """
 
     def mean_terminal(a):
-        def policy(t, states, proxies):
-            return np.full(np.atleast_2d(states).shape[0], a)
+        def policy(t, states):
+            return np.full(states.shape[0], a)
 
         ens = generate_ensemble(
             params, junction, policy, grid, n_paths, seed, sig_config, nmap=nmap

@@ -36,14 +36,14 @@ import numpy as np
 
 from . import tensor_algebra as ta
 from .errors import DivergenceError, DomainError, RangeError, ShapeMismatchError
-from .kernelspace import NystromMap, compress_flat
+from .kernelspace import NystromMap
 from .signature import (
     CadlagPath,
     SignatureConfig,
     _grid_index,
+    _scan,
     batch_prefix_signatures,
     batch_terminal_signatures,
-    chen_step_flat,
 )
 
 __all__ = [
@@ -94,10 +94,11 @@ _CHECK_CASE = (7, 32, 12, 2, (0.3, 0.0, 0.2) * 4)
 class JumpDiffusionParams:
     """Coefficients of the generative jump-diffusion.
 
-    ``drift_memory_gain`` has shape (d, m) and multiplies the compressed
-    history proxy, so m is the landmark count of the compression map; an
-    all-zero gain is stored as None, the one form of "no coupling".  The
-    action scales ``action_exposure`` into the drift.
+    ``drift_memory_gain`` has shape (d, m), with m at most the landmark
+    count of the compression map: the drift reads the first m compressed
+    features of the path's running signature and multiplies them by the
+    gain.  An all-zero gain is stored as None, the one form of "no
+    coupling".  The action scales ``action_exposure`` into the drift.
     Volatility is a state-independent lower-triangular matrix, so the Marcus
     and Ito readings of the diffusion term coincide.
 
@@ -165,11 +166,6 @@ class JumpDiffusionParams:
     @property
     def dim(self) -> int:
         return self.drift_base.shape[0]
-
-
-def _zero_policy(t, states, proxies):
-    states = np.atleast_2d(states)
-    return np.zeros(states.shape[0])
 
 
 def _stream(seed: int, path_id: int, channel: int) -> np.random.Generator:
@@ -395,11 +391,23 @@ def _ensemble_noise(seed, n_paths, n_steps, dim, lam_dt):
     return xi, counts, eta
 
 
-def _batch_step(params, states, proxies, actions, dt, xi, counts, eta):
+def _memory_features(nmap: NystromMap, m: int, sig: np.ndarray) -> np.ndarray:
+    """The first m compressed features of rows-last signatures ``sig`` (flat, n), as (n, m).
+
+    At the path counts run-all couples, 1 and 256 at m = 4, they are the
+    first m columns of ``compress_flat`` on the rows bit for bit; at some
+    other counts BLAS sums the narrow product in another order.  The drift's
+    einsum reads a row-major copy: on the transposed view it rounds
+    differently.
+    """
+    return np.ascontiguousarray((nmap.matrix[:m] @ sig).T)
+
+
+def _batch_step(params, states, features, actions, dt, xi, counts, eta):
     """One Euler-Maruyama step of every path; returns states, rewards, jump flags."""
     drift = params.drift_base[None, :] + actions[:, None] * params.action_exposure[None, :]
     if params.drift_memory_gain is not None:
-        drift = drift + np.einsum("ij,nj->ni", params.drift_memory_gain, proxies)
+        drift = drift + np.einsum("ij,nj->ni", params.drift_memory_gain, features)
     nxt = states + drift * dt + np.einsum("ij,nj->ni", params.vol, xi) * np.sqrt(dt)
     jumped = counts > 0
     if np.any(jumped):
@@ -463,7 +471,12 @@ def generate_ensemble(
 
     The result is deterministic given (seed, N, grid): path ``i`` consumes
     only its own streams, so enlarging the ensemble never perturbs existing
-    paths.
+    paths.  ``policy(t, states)`` maps the time and the (n_paths, d) states
+    at a gridpoint to the (n_paths,) actions taken over the next step, each
+    in [-1, 1]; None takes action 0 throughout.  With memory coupling the
+    running signatures, started from the junction's, are scanned along the
+    grid as it is filled, and the drift reads their first m compressed
+    features.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -477,21 +490,19 @@ def generate_ensemble(
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     d = params.dim
-    if policy is None:
-        policy = _zero_policy
 
     n_steps = grid.size - 1
     lam_dt_all = params.jump_intensity * np.diff(grid)
 
     xi, counts, eta = _ensemble_noise(seed, n_paths, n_steps, d, lam_dt_all)
 
-    track_memory = params.drift_memory_gain is not None
-    if track_memory and nmap is None:
+    gain = params.drift_memory_gain
+    if gain is not None and nmap is None:
         raise DomainError("drift_memory_gain is set: a NystromMap is required")
-    if track_memory and params.drift_memory_gain.shape[1] != nmap.n_landmarks:
+    if gain is not None and gain.shape[1] > nmap.n_landmarks:
         raise ShapeMismatchError(
-            f"drift_memory_gain has {params.drift_memory_gain.shape[1]} columns but the "
-            f"map compresses to {nmap.n_landmarks} features"
+            f"drift_memory_gain has {gain.shape[1]} columns but the map compresses to "
+            f"only {nmap.n_landmarks} features"
         )
 
     d_sig = d + 1  # state columns, then the cumulative reward
@@ -504,24 +515,21 @@ def generate_ensemble(
     values[:, 0, :d] = states
     values[:, 0, d] = 0.0
 
-    if track_memory:
-        c = sig_config.channels(d_sig)
-        if proxy0 is None:
-            proxy_flat = np.tile(ta.identity_flat(c, sig_config.degree), (n_paths, 1))
-        else:
-            proxy_flat = np.tile(proxy0.data, (n_paths, 1))
-        proxies = compress_flat(nmap, proxy_flat)
-    else:
-        proxies = np.zeros((n_paths, 0))
-        proxy_flat = None
+    features = sig = None
+    if gain is not None:
+        scan = _scan(sig_config, grid, values, flags, None if proxy0 is None else proxy0.data)
+        sig = next(scan)
+        features = _memory_features(nmap, gain.shape[1], sig)
 
+    actions = np.zeros(n_paths)
     for j in range(n_steps):
         dt = grid[j + 1] - grid[j]
-        actions = np.asarray(policy(grid[j], states, proxies), dtype=float)
-        if np.any(np.abs(actions) > 1.0):
-            raise DomainError("policy produced an action outside [-1, 1]")
+        if policy is not None:
+            actions = np.asarray(policy(grid[j], states), dtype=float)
+            if np.any(np.abs(actions) > 1.0):
+                raise DomainError("policy produced an action outside [-1, 1]")
         nxt, step_rew, jumped = _batch_step(
-            params, states, proxies, actions, dt, xi[:, j], counts[:, j], eta[:, j]
+            params, states, features, actions, dt, xi[:, j], counts[:, j], eta[:, j]
         )
         if not np.all(np.isfinite(nxt)):
             bad = int(np.argmax(~np.all(np.isfinite(nxt), axis=1)))
@@ -535,10 +543,9 @@ def generate_ensemble(
         values[:, j + 1, :d] = states
         values[:, j + 1, d] = cumrew
         flags[:, j + 1] = jumped
-        if track_memory:
-            inc = values[:, j + 1] - values[:, j]
-            proxy_flat = chen_step_flat(sig_config, d_sig, proxy_flat, dt, inc, jumped)
-            proxies = compress_flat(nmap, proxy_flat)
+        if gain is not None:
+            sig = next(scan)
+            features = _memory_features(nmap, gain.shape[1], sig)
 
     return PathEnsemble(
         sig_config=sig_config,
@@ -548,7 +555,7 @@ def generate_ensemble(
         rewards=rewards,
         state_dim=d,
         junction_proxy=proxy0,
-        terminal_proxy=proxy_flat,
+        terminal_proxy=None if sig is None else np.ascontiguousarray(sig.T),
     )
 
 

@@ -19,14 +19,15 @@ segment is the fused update sig (x) exp(v) of the Horner kernel behind
 step factor is materialised.  The batched scans carry the running
 signatures rows-last, as one (flat, n_paths) array that each step updates
 in place, column block by column block, with scratch allocated once per
-scan; row-major copies are made only where a caller reads them.
-:func:`chen_step_flat` runs the same step on its rows.
+scan; row-major copies are made only where a caller reads them.  That scan
+is the one multi-row step: the memory-coupled simulation drives it one
+gridpoint at a time from its junction signature.  :func:`chen_step_flat`
+steps one row, as a streamed update makes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import prod
 
 import numpy as np
 
@@ -223,52 +224,27 @@ def chen_step_flat(
     config: SignatureConfig,
     dim: int,
     sig: np.ndarray,
-    dt: np.ndarray,
+    dt: float,
     dx: np.ndarray,
-    jumped: np.ndarray,
+    jumped: bool,
 ) -> np.ndarray:
-    """``sig`` times the signature factor of one grid step, by Chen's identity.
+    """One (flat,) signature times the signature factor of one grid step, by Chen's identity.
 
-    Each segment is one fused update sig (x) exp(v), so no factor is built.
-    In linear mode every row takes the joint (time, space) segment and the
-    jump-flagged rows are then redone from ``sig`` as a time segment followed
-    by a space segment.  Rows are transposed to the rows-last step that the
-    scans use (:func:`_chen_columns`) and back.  A single row, as a
-    streamed update makes it, goes straight through
-    :func:`siglearn.tensor_algebra.mul_exp_flat` instead: the joint
-    segment, or, where it jumped or the mode is rectilinear, the time and
-    then the space segment.
+    Each segment is one fused update sig (x) exp(v) through
+    :func:`siglearn.tensor_algebra.mul_exp_flat`, so no factor is built: in
+    linear mode the joint (time, space) segment, or, where it jumped or the
+    mode is rectilinear, the time and then the space segment.  This is the
+    step of :func:`_chen_columns` on one row, bit for bit.
     """
     c = config.channels(dim)
     k = config.degree
-    linear = config.mode == "linear"
-    sig = np.asarray(sig, dtype=float)
-    dx = np.asarray(dx, dtype=float)
-    dt = np.asarray(dt, dtype=float) / config.time_scale
-    jumped = np.asarray(jumped, dtype=bool)
-    batch = np.broadcast_shapes(sig.shape[:-1], dt.shape, dx.shape[:-1], jumped.shape)
-    n = prod(batch)
-    if n == 1:
-        time_v = np.zeros(batch + (c,))
-        time_v[..., 0] = dt
-        space_v = np.zeros(batch + (c,))
-        space_v[..., 1:] = dx
-        if linear and not jumped.any():
-            return ta.mul_exp_flat(c, k, sig, time_v + space_v)
-        return ta.mul_exp_flat(c, k, ta.mul_exp_flat(c, k, sig, time_v), space_v)
-
-    flat = sig.shape[-1]
-    st = np.empty((flat, n))
-    st.T[...] = np.broadcast_to(sig, batch + (flat,)).reshape(n, flat)
-    time_v = np.zeros((c, n))
-    time_v[0] = np.broadcast_to(dt, batch).reshape(n)
-    space_v = np.zeros((c, n))
-    space_v[1:].T[...] = np.broadcast_to(dx, batch + (dim,)).reshape(n, dim)
-    _chen_columns(
-        c, k, linear, st, time_v, space_v, np.broadcast_to(jumped, batch).reshape(n),
-        _column_scratch(c, k, n),
-    )
-    return np.ascontiguousarray(st.T).reshape(batch + (flat,))
+    time_v = np.zeros(c)
+    time_v[0] = dt / config.time_scale
+    space_v = np.zeros(c)
+    space_v[1:] = dx
+    if config.mode == "linear" and not jumped:
+        return ta.mul_exp_flat(c, k, sig, time_v + space_v)
+    return ta.mul_exp_flat(c, k, ta.mul_exp_flat(c, k, sig, time_v), space_v)
 
 
 def path_signature(
@@ -346,14 +322,17 @@ def incremental_update(
 # batched grid-path signatures (shared time grid across an ensemble)
 
 
-def _scan(config: SignatureConfig, times, values, jump_flags):
+def _scan(config: SignatureConfig, times, values, jump_flags, start=None):
     """Running signatures of every path, rows-last, one gridpoint at a time.
 
     ``values`` has shape (n_paths, n_grid, dim); all paths share ``times``.
     Yields, for j = 0, 1, ..., the (flat, n_paths) signatures over
-    [t_0, t_j]: one array that each step overwrites, column block by column
-    block, through :func:`_chen_columns`.  The flag of the first point is
-    never read: no increment ends there.
+    [t_0, t_j], each path's started from the flat signature ``start``
+    (the identity if None): one array that each step overwrites, column
+    block by column block, through :func:`_chen_columns`.  Gridpoint j of
+    ``values`` and ``jump_flags`` is read only when the scan steps to j, so
+    a caller may fill the grid while it scans.  The flag of the first point
+    is never read: no increment ends there.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -364,8 +343,8 @@ def _scan(config: SignatureConfig, times, values, jump_flags):
     c = config.channels(dim)
     k = config.degree
     linear = config.mode == "linear"
-    sig = np.zeros((ta.flat_size(c, k), n_paths))
-    sig[0] = 1.0
+    sig = np.empty((ta.flat_size(c, k), n_paths))
+    sig[...] = (ta.identity_flat(c, k) if start is None else start)[:, None]
     yield sig
     scratch = _column_scratch(c, k, n_paths)
     time_v = np.zeros((c, n_paths))

@@ -16,8 +16,13 @@ from siglearn.jumpdiff import (
     prefix_mean_signatures,
     simulate_history,
 )
-from siglearn.kernelspace import build_nystrom
-from siglearn.signature import SignatureConfig, batch_terminal_signatures, path_signature
+from siglearn.kernelspace import NystromMap, build_nystrom, compress_flat
+from siglearn.signature import (
+    CadlagPath,
+    SignatureConfig,
+    batch_terminal_signatures,
+    path_signature,
+)
 from tensor_helpers import level
 
 CFG = SignatureConfig(degree=3, time_scale=1.0)
@@ -67,7 +72,7 @@ class TestEnvStep:
     def test_action_bounds(self):
         params = make_params()
 
-        def policy(t, states, proxies):
+        def policy(t, states):
             return np.full(states.shape[0], 1.5)
 
         with pytest.raises(DomainError):
@@ -178,13 +183,61 @@ class TestEnsemble:
         for name in ("values", "jump_flags", "rewards"):
             assert np.array_equal(getattr(a, name).view(np.uint8), getattr(b, name).view(np.uint8))
 
-    @pytest.mark.parametrize("width", [1, 4, 8])
-    def test_memory_gain_width_must_match_map(self, width):
+    @pytest.mark.parametrize("width", [1, 4, 6, 8])
+    def test_memory_gain_width_at_most_the_landmark_count(self, width):
         nmap = random_map(np.random.default_rng(13))
         params = make_params(memory=np.ones((2, width)))
+        args = (params, (0.0, np.zeros(2), None), None, unit_grid(4), 2, 0, CFG)
+        if width <= nmap.n_landmarks:
+            assert generate_ensemble(*args, nmap=nmap).terminal_proxy is not None
+            return
         with pytest.raises(ShapeMismatchError, match=f"{width} columns .* 6 features"):
-            generate_ensemble(params, (0.0, np.zeros(2), None), None, unit_grid(4), 2, 0, CFG,
-                              nmap=nmap)
+            generate_ensemble(*args, nmap=nmap)
+
+    @pytest.mark.parametrize("mode", ["rectilinear", "linear"])
+    @pytest.mark.parametrize("n_paths", [1, 256])
+    def test_narrow_gain_equals_its_zero_padded_gain(self, mode, n_paths):
+        # the drift reads only the gain's m features; padding the gain with
+        # zeros up to the landmark count changes no bit of the simulation
+        rng = np.random.default_rng(n_paths)
+        nmap = random_map(rng)
+        config = SignatureConfig(degree=3, time_scale=1.0, mode=mode)
+        narrow = rng.normal(size=(2, 4))
+        history = CadlagPath(np.arange(3.0), rng.normal(size=(3, 3)), np.array([False, True, False]))
+        junction = (0.0, np.zeros(2), path_signature(config, history, 0.0, 2.0))
+        ensembles = [
+            generate_ensemble(
+                make_params(vol=0.3, lam=4.0, jump_mean=np.array([0.1, -0.2]),
+                            jump_scale=np.array([0.2, 0.1]), memory=gain),
+                junction, None, unit_grid(8), n_paths, 9, config, nmap=nmap,
+            )
+            for gain in (narrow, np.pad(narrow, ((0, 0), (0, 2))))
+        ]
+        assert ensembles[0].jump_flags.any()
+        for name in ("values", "rewards", "jump_flags", "terminal_proxy"):
+            a, b = (getattr(ens, name) for ens in ensembles)
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+
+    # (rows, bitwise): the drift's features against compress_flat's first m
+    # columns at the baseline's shapes, 128 landmarks of (channels, degree)
+    # = (3, 4) signatures and m = 4.  Bit for bit at the path counts run-all
+    # couples (1 and 256), and at 2 and 13; at 12 rows BLAS sums the narrow
+    # product in another order, which moves the last digits
+    FEATURE_ROWS = [(1, True), (2, True), (12, False), (13, True), (256, True)]
+
+    @pytest.mark.parametrize("n_rows, bitwise", FEATURE_ROWS)
+    def test_memory_features_are_the_first_compressed_columns(self, n_rows, bitwise):
+        rng = np.random.default_rng(n_rows)
+        n_flat = ta.flat_size(3, 4)
+        matrix = rng.normal(size=(128, n_flat))
+        nmap = NystromMap(3, 4, np.zeros((128, n_flat)), np.eye(128), 0.0, np.ones(5), matrix)
+        rows = rng.normal(size=(n_rows, n_flat))
+        want = compress_flat(nmap, rows)[:, :4]
+        got = jumpdiff._memory_features(nmap, 4, np.ascontiguousarray(rows.T))
+        assert got.shape == (n_rows, 4) and got.flags.c_contiguous
+        if bitwise:
+            assert np.array_equal(got.view(np.uint8), want.copy().view(np.uint8))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
 def fresh_streams(seed, path_id):

@@ -273,7 +273,8 @@ class TestBatched:
 
 
 # (shape, jumps): one path with a scalar dt, a (dim,) increment and a bool
-# flag, or a batch of paths with no, some or all of them jump-flagged
+# flag through chen_step_flat, or a batch of paths with no, some or all of
+# them jump-flagged through one step of the multi-row scan
 STEP_CASES = [
     ("single", "none"),
     ("single", "all"),
@@ -281,6 +282,17 @@ STEP_CASES = [
     ("batch", "some"),
     ("batch", "all"),
 ]
+
+
+def scan_step(cfg, sig, dt, dx, jumped):
+    """(n_paths, flat) rows of one ``_scan`` step by ``dx`` from the start ``sig``."""
+    values = np.zeros((dx.shape[0], 2, dx.shape[1]))
+    values[:, 1] = dx
+    flags = np.zeros((dx.shape[0], 2), dtype=bool)
+    flags[:, 1] = jumped
+    for got in signature._scan(cfg, np.array([0.0, dt]), values, flags, start=sig):
+        pass
+    return got.T
 
 
 class TestFusedStep:
@@ -294,32 +306,37 @@ class TestFusedStep:
         cfg = SignatureConfig(degree=degree, time_scale=1.5, mode=mode)
         n_flat = ta.flat_size(cfg.channels(dim), degree)
         dt = 0.3
+        sig = rng.uniform(-1.0, 1.0, size=n_flat)
         if shape == "single":
-            sig = rng.uniform(-1.0, 1.0, size=n_flat)
             dx = rng.uniform(-1.0, 1.0, size=dim)
             jumped = jumps == "all"
+            got = chen_step_flat(cfg, dim, sig, dt, dx, jumped)
         else:
-            sig = rng.uniform(-1.0, 1.0, size=(n_paths, n_flat))
             dx = rng.uniform(-1.0, 1.0, size=(n_paths, dim))
             jumped = {
                 "none": np.zeros(n_paths, bool),
                 "some": np.arange(n_paths) % 3 == 1,
                 "all": np.ones(n_paths, bool),
             }[jumps]
+            got = scan_step(cfg, sig, dt, dx, jumped)
         c = cfg.channels(dim)
         want = ta.product_flat(c, degree, sig, step_factor_flat(cfg, dim, dt, dx, jumped))
-        got = chen_step_flat(cfg, dim, sig, dt, dx, jumped)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def per_path_scan(cfg, times, values, flags):
-    """Prefix signatures (n_grid, n_paths, flat) by one-row chen_step_flat calls."""
+def per_path_scan(cfg, times, values, flags, start=None):
+    """Prefix signatures (n_grid, n_paths, flat) by one-row chen_step_flat calls.
+
+    Each path starts from the flat signature ``start``, the identity if None.
+    """
     n_paths, n_grid, dim = values.shape
     c = cfg.channels(dim)
-    out = np.empty((n_grid, n_paths, ta.flat_size(c, cfg.degree)))
+    if start is None:
+        start = ta.identity_flat(c, cfg.degree)
+    out = np.empty((n_grid, n_paths, start.size))
     for i in range(n_paths):
-        sig = ta.identity_flat(c, cfg.degree)
+        sig = start
         out[0, i] = sig
         for j in range(1, n_grid):
             sig = chen_step_flat(cfg, dim, sig, times[j] - times[j - 1],
@@ -359,16 +376,11 @@ class TestColumnBlocks:
         assert np.array_equal(alone.view(np.uint8), means.view(np.uint8))
         terminal = batch_terminal_signatures(cfg, times, values, flags)
         assert np.array_equal(terminal.view(np.uint8), want[-1].view(np.uint8))
-
-    @pytest.mark.parametrize("mode", ["linear", "rectilinear"])
-    def test_batched_step_equals_one_row_steps(self, mode):
-        rng = np.random.default_rng(44)
-        cfg = SignatureConfig(degree=3, time_scale=1.5, mode=mode)
-        n = 2 * self.BLOCK + 3
-        sig = rng.uniform(-1.0, 1.0, size=(n, ta.flat_size(3, 3)))
-        dx = rng.uniform(-1.0, 1.0, size=(n, 2))
-        jumped = np.arange(n) % 3 == 0
-        got = chen_step_flat(cfg, 2, sig, 0.3, dx, jumped)
-        for i in range(n):
-            want = chen_step_flat(cfg, 2, sig[i], 0.3, dx[i], bool(jumped[i]))
-            assert np.array_equal(got[i].view(np.uint8), want.view(np.uint8))
+        # a scan started from a group-like signature, as the memory-coupled
+        # simulation starts from its junction's
+        start = ta.identity_flat(3, 3)
+        for v in rng.normal(scale=0.5, size=(2, 3)):
+            start = ta.mul_exp_flat(3, 3, start, v)
+        want = per_path_scan(cfg, times, values, flags, start=start)
+        for j, sig in enumerate(signature._scan(cfg, times, values, flags, start=start)):
+            assert np.array_equal(sig.T.copy().view(np.uint8), want[j].view(np.uint8))
