@@ -20,32 +20,37 @@ a (x) exp(v) work rows-last.  The operands are cut into blocks of rows, and
 each block is transposed to a (width + 1, block) array whose extra last row
 is zero, small enough that a series step works in cache.  A whole series
 runs inside its block, so a call pays one transpose in and one out.  A
-single row is copied straight into a (width + 1, 1) column, without the
-broadcast and the blocks.
+single row skips the broadcast and the blocks: it is copied into a 1-D
+(width + 1,) array with a zero last entry, which the Horner step reads as
+one column.
 
 One cached slot table drives every product: slot s of a level-n
 coefficient gathers the term a_i b_(n-i) with i = s - (k - n), and the
 first k - n slots pair the zero row with itself.  Each coefficient is thus
 summed as 0 + t_0 + ... + t_n, the same terms in the same order as a loop
 over levels and their i + j = n blocks; a padding term adds 0 * 0 to the
-+0.0 start and leaves it +0.0.  The Horner step runs the elementwise
-operations of its level loop in their order too, in place and from the
-top level down; the signature scans call it on their own rows-last
-blocks, with quotients and products written into scratch they allocate
-once, which changes where values are stored but not how they are
-computed.  The results are
-therefore the level loops' bit for bit, signed zeros and non-finite values
-included.
++0.0 start and leaves it +0.0.  A block gathers its terms slot by slot.
+A single row gathers all the slots of each factor with one take of the
+table, multiplies the two (slots, flat) gathers once, and adds their slot
+rows to a +0.0 start; numpy reduces along the slow axis row after row, so
+these are the same sums in the same order.  The Horner step runs the
+elementwise operations of its level loop in their order too, in place and
+from the top level down; the signature scans call it on their own
+rows-last blocks, with quotients and products written into scratch they
+allocate once, which changes where values are stored but not how they are
+computed.  The results are therefore the level loops' bit for bit, signed
+zeros and non-finite values included.
 
 The exponential's series reads x's scalar part as zero, and its products
 skip each slot whose level of x (slot s reads level k - s of the right
 factor) is zero in every row of the block; the scalar slot is always
 skipped.  A generator step ds * ell has no levels above its Lie degree, so
-most slots go.  The skip is exact: with finite factors a skipped term is
-+-0, and adding +-0 leaves an accumulator that started at +0.0 unchanged,
-because a sum is -0 only when both addends are.  A non-finite factor would
-have made a skipped term NaN; it also reaches the result, which is then
-not finite, and the block runs the full series again.
+most slots go.  The table of the kept slots is cached per skip set.  The
+skip is exact: with finite factors a skipped term is +-0, and adding
++-0 leaves an accumulator that started at +0.0 unchanged, because a sum is
+-0 only when both addends are.  A non-finite factor would have made a
+skipped term NaN; it also reaches the result, which is then not finite,
+and the block runs the full series again.
 """
 
 from __future__ import annotations
@@ -140,44 +145,55 @@ def identity_flat(channels: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_slots(channels: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slot table (ia, ib) of the product, each of shape (degree + 1, flat).
+def _product_slots(
+    channels: int, degree: int, skip: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot table (ia, ib) of the product, each of shape (slots, flat + 1).
 
     Slot s of level-n coefficient e indexes the factors of its term
-    a_i b_(n-i), i = s - (degree - n); padding slots index the zero row.
+    a_i b_(n-i), i = s - (degree - n); padding slots, and every slot of the
+    last column, index the zero row.  The table holds the degree + 1 slots
+    in order, less those in ``skip``.
     """
-    offs = level_offsets(channels, degree)
-    sizes = level_sizes(channels, degree)
-    flat = offs[-1]
-    ia = np.full((degree + 1, flat), flat, dtype=np.intp)
-    ib = np.full((degree + 1, flat), flat, dtype=np.intp)
-    for n in range(degree + 1):
-        e = np.arange(sizes[n])
-        for i in range(n + 1):
-            j = n - i
-            s = degree - n + i
-            ia[s, offs[n] : offs[n + 1]] = offs[i] + e // sizes[j]
-            ib[s, offs[n] : offs[n + 1]] = offs[j] + e % sizes[j]
+    if skip:
+        kept = [s for s in range(degree + 1) if s not in skip]
+        ia, ib = (x[kept] for x in _product_slots(channels, degree))
+    else:
+        offs = level_offsets(channels, degree)
+        sizes = level_sizes(channels, degree)
+        flat = offs[-1]
+        ia = np.full((degree + 1, flat + 1), flat, dtype=np.intp)
+        ib = np.full((degree + 1, flat + 1), flat, dtype=np.intp)
+        for n in range(degree + 1):
+            e = np.arange(sizes[n])
+            for i in range(n + 1):
+                j = n - i
+                s = degree - n + i
+                ia[s, offs[n] : offs[n + 1]] = offs[i] + e // sizes[j]
+                ib[s, offs[n] : offs[n + 1]] = offs[j] + e % sizes[j]
     ia.flags.writeable = ib.flags.writeable = False
     return ia, ib
 
 
-def _product_t(slots, at: np.ndarray, bt: np.ndarray, skip=()) -> np.ndarray:
-    """a (x) b on rows-last (flat + 1, rows) operands whose last row is zero.
+def _product_t(slots, at: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """a (x) b on rows-last (flat + 1, ...) operands whose last row is zero.
 
-    The result keeps the zero last row.  The slots in ``skip`` are left out;
-    slot s reads level degree - s of b, so a level of b that is all zero
-    makes its slot's terms +-0.
+    The terms of each slot of the table are gathered, multiplied and added
+    to a +0.0 accumulator in slot order; the last row sums 0 * 0 terms and
+    stays zero.  A block takes slot by slot, which keeps the temporaries
+    small.  A one-row (flat + 1,) operand takes all its slots at once, and
+    numpy reduces along the slow axis row after row, in slot order too.
     """
     ia, ib = slots
-    out = np.zeros_like(at)
-    acc = out[:-1]
-    for s in range(ia.shape[0]):
-        if s in skip:
-            continue
+    if at.ndim == 1:
+        terms = at.take(ia)
+        terms *= bt.take(ib)
+        return np.add.reduce(terms, axis=0, initial=0.0)
+    out = np.zeros(at.shape)
+    for s in range(len(ia)):
         term = at.take(ia[s], axis=0)
         term *= bt.take(ib[s], axis=0)
-        acc += term
+        out += term
     return out
 
 
@@ -196,7 +212,7 @@ def _by_blocks(kernel, *arrays: np.ndarray) -> np.ndarray:
     of rows is transposed into fresh (width + 1, block) arrays with a zero
     last row, which the kernel may overwrite; its result, whose leading
     rows are those of the first operand, is transposed back.  A single row
-    is copied straight into a (width + 1, 1) column.
+    is copied into fresh 1-D (width + 1,) arrays instead.
     """
     batches = {x.shape[:-1] for x in arrays}
     batch = batches.pop() if len(batches) == 1 else np.broadcast_shapes(*batches)
@@ -205,10 +221,10 @@ def _by_blocks(kernel, *arrays: np.ndarray) -> np.ndarray:
     if rows == 1:
         ts = []
         for x in arrays:
-            t = np.zeros((x.shape[-1] + 1, 1))
-            t[:-1, 0] = x.reshape(-1)
+            t = np.zeros(x.shape[-1] + 1)
+            t[:-1] = x.reshape(-1)
             ts.append(t)
-        return kernel(*ts)[:flat, 0].reshape(batch + (flat,))
+        return kernel(*ts)[:flat].reshape(batch + (flat,))
     mats = [
         (x if x.shape[:-1] == batch else np.broadcast_to(x, batch + x.shape[-1:]))
         .reshape(rows, x.shape[-1])
@@ -248,27 +264,27 @@ def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
     in every row of the block, and runs in full again where the result is
     not finite, so the result is the full series' bit for bit.
     """
-    slots = _product_slots(channels, degree)
     starts = level_offsets(channels, degree)[:-1]
 
-    def series(xt, skip):
-        out = np.zeros_like(xt)
+    def series(xt, slots):
+        out = np.zeros(xt.shape)
         out[0] = 1.0
         out += xt
         term = xt
         for i in range(2, degree + 1):
-            term = _product_t(slots, term, xt, skip)
+            term = _product_t(slots, term, xt)
             term /= i
             out += term
         return out
 
     def kernel(xt):
         xt[0] = 0.0
-        used = np.logical_or.reduceat(xt[:-1].any(axis=1), starts)
-        skip = [s for s in range(degree + 1) if not used[degree - s]]
-        out = series(xt, skip)
+        nonzero = xt[:-1] if xt.ndim == 1 else xt[:-1].any(axis=1)
+        used = np.logical_or.reduceat(nonzero, starts).tolist()
+        skip = tuple(s for s in range(degree + 1) if not used[degree - s])
+        out = series(xt, _product_slots(channels, degree, skip))
         if not np.isfinite(out).all():
-            out = series(xt, ())
+            out = series(xt, _product_slots(channels, degree))
         return out
 
     return _by_blocks(kernel, np.asarray(x, dtype=float))
@@ -328,7 +344,8 @@ def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np
     """
 
     def kernel(at, vt):
-        _mul_exp_t(channels, degree, at, vt)
+        # a single row steps as a (width + 1, 1) column
+        _mul_exp_t(channels, degree, at.reshape(len(at), -1), vt.reshape(len(vt), -1))
         return at
 
     return _by_blocks(kernel, np.asarray(a, dtype=float), np.asarray(v, dtype=float))
@@ -343,31 +360,50 @@ def product_pullback_flat(
     Level i of ga contracts g_n with b_(n-i) over its trailing n - i indices;
     level j of gb contracts g_n with a_(n-j) over its leading n - j indices.
     Broadcasts over leading axes; the cotangents take the broadcast shape.
-    Levels that are zero in a or b are skipped: a generator increment has
-    a zero scalar part and no levels above its Lie degree.
+    Levels that are zero in every row of a or b are skipped: a generator
+    increment has a zero scalar part and no levels above its Lie degree.
+    A single row contracts 2-D level blocks of g with 1-D level vectors,
+    the same matrix-vector products that each row of a batch runs.
     """
     offs = level_offsets(channels, degree)
     sizes = level_sizes(channels, degree)
+    flat = offs[-1]
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     g = np.asarray(g, dtype=float)
+    a_used, b_used = (
+        np.logical_or.reduceat(x.reshape(-1, flat).any(axis=0), offs[:-1]).tolist()
+        for x in (a, b)
+    )
     batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1], g.shape[:-1])
-    a_lv = [a[..., offs[i] : offs[i + 1]] for i in range(degree + 1)]
-    b_lv = [b[..., offs[i] : offs[i + 1]] for i in range(degree + 1)]
-    a_used = [bool(x.any()) for x in a_lv]
-    b_used = [bool(x.any()) for x in b_lv]
-    ga = np.zeros(batch + (offs[-1],))
-    gb = np.zeros(batch + (offs[-1],))
+    if prod(batch) == 1:
+        a, b, g = a.reshape(-1), b.reshape(-1), g.reshape(-1)
+        shape = (flat,)
+        matvec = vecmat = np.matmul
+    else:
+        shape = batch + (flat,)
+
+        def matvec(m, v):
+            return (m @ v[..., None])[..., 0]
+
+        def vecmat(v, m):
+            return (v[..., None, :] @ m)[..., 0, :]
+
+    ga = np.zeros(shape)
+    gb = np.zeros(shape)
+    a_lv, b_lv, ga_lv, gb_lv = (
+        [x[..., offs[i] : offs[i + 1]] for i in range(degree + 1)] for x in (a, b, ga, gb)
+    )
     for n in range(degree + 1):
         gn = g[..., offs[n] : offs[n + 1]]
         for i in range(n + 1):
             j = n - i
             blk = gn.reshape(gn.shape[:-1] + (sizes[i], sizes[j]))
             if b_used[j]:
-                ga[..., offs[i] : offs[i + 1]] += (blk @ b_lv[j][..., None])[..., 0]
+                ga_lv[i] += matvec(blk, b_lv[j])
             if a_used[i]:
-                gb[..., offs[j] : offs[j + 1]] += (a_lv[i][..., None, :] @ blk)[..., 0, :]
-    return ga, gb
+                gb_lv[j] += vecmat(a_lv[i], blk)
+    return ga.reshape(batch + (flat,)), gb.reshape(batch + (flat,))
 
 
 def exp_pullback_flat(channels: int, degree: int, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -417,7 +453,7 @@ def inverse_flat(channels: int, degree: int, g: np.ndarray) -> np.ndarray:
     def kernel(u):
         np.negative(u, out=u)
         u[0] = 0.0  # u = 1 - g
-        out = np.zeros_like(u)
+        out = np.zeros(u.shape)
         out[0] = 1.0
         out += u
         term = u

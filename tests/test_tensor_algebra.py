@@ -200,9 +200,9 @@ class TestPullbacks:
         assert ga.shape == gb.shape == gx.shape == (5, n)
         for r in range(5):
             one_a, one_b = ta.product_pullback_flat(c, k, a[0], b[r], g[r])
-            assert np.allclose(ga[r], one_a, rtol=1e-14, atol=0)
-            assert np.allclose(gb[r], one_b, rtol=1e-14, atol=0)
-            assert np.allclose(gx[r], ta.exp_pullback_flat(c, k, x, g[r]), rtol=1e-14, atol=0)
+            assert_same_bits(ga[r], one_a)
+            assert_same_bits(gb[r], one_b)
+            assert_same_bits(gx[r], ta.exp_pullback_flat(c, k, x, g[r]))
 
 
 class TestBatchedEngine:
@@ -291,18 +291,26 @@ class TestLevelLoopOracle:
     @pytest.mark.parametrize("name", KERNELS)
     def test_special_inputs(self, name, c, k, variant):
         rng = np.random.default_rng(18)
-        args = []
-        for w in operand_widths(name, c, k):
-            flats = rng.normal(scale=0.5, size=(13, 3, w))
-            if variant == "signed_zero":
-                flats[rng.random(flats.shape) < 0.3] = -0.0
-                flats[rng.random(flats.shape) < 0.2] = 0.0
-            elif variant == "non_finite":
-                for v in (np.inf, -np.inf, np.nan):
-                    flats[rng.random(flats.shape) < 0.03] = v
-            x = flats[:, 1, :]
-            args.append(x if variant == "strided" else np.ascontiguousarray(x))
-        check_against_level_loop(name, c, k, args)
+        # 13 rows taken across rows, then one row with leading shapes () and
+        # (1,) taken along its entries; the views are strided
+        layouts = [
+            (lambda w: (13, 3, w), np.s_[:, 1, :]),
+            (lambda w: (w, 3), np.s_[:, 1]),
+            (lambda w: (1, w, 3), np.s_[..., 1]),
+        ]
+        for shape, view in layouts:
+            args = []
+            for w in operand_widths(name, c, k):
+                flats = rng.normal(scale=0.5, size=shape(w))
+                if variant == "signed_zero":
+                    flats[rng.random(flats.shape) < 0.3] = -0.0
+                    flats[rng.random(flats.shape) < 0.2] = 0.0
+                elif variant == "non_finite":
+                    for v in (np.inf, -np.inf, np.nan):
+                        flats[rng.random(flats.shape) < 0.03] = v
+                x = flats[view]
+                args.append(x if variant == "strided" else np.ascontiguousarray(x))
+            check_against_level_loop(name, c, k, args)
 
 
 class TestMulExp:
