@@ -41,6 +41,7 @@ from .signature import (
     CadlagPath,
     SignatureConfig,
     _grid_index,
+    _row_mean,
     _scan,
     batch_prefix_signatures,
     batch_terminal_signatures,
@@ -391,16 +392,12 @@ def _ensemble_noise(seed, n_paths, n_steps, dim, lam_dt):
     return xi, counts, eta
 
 
-def _memory_features(nmap: NystromMap, m: int, sig: np.ndarray) -> np.ndarray:
-    """The first m compressed features of rows-last signatures ``sig`` (flat, n), as (n, m).
-
-    At the path counts run-all couples, 1 and 256 at m = 4, they are the
-    first m columns of ``compress_flat`` on the rows bit for bit; at some
-    other counts BLAS sums the narrow product in another order.  The drift's
-    einsum reads a row-major copy: on the transposed view it rounds
-    differently.
-    """
-    return np.ascontiguousarray((nmap.matrix[:m] @ sig).T)
+def _memory_matrix(nmap: NystromMap, m: int, p: ta.TruncTensor | None) -> np.ndarray:
+    """The (m, flat) K with K S the first m compressed features of p (x) S, p the junction's."""
+    if p is None:  # the map's rows: a pullback at the identity would turn -0.0 into +0.0
+        return nmap.matrix[:m]
+    c, k = p.channels, p.degree
+    return ta.product_pullback_flat(c, k, p.data, ta.identity_flat(c, k), nmap.matrix[:m])[1]
 
 
 def _batch_step(params, states, features, actions, dt, xi, counts, eta):
@@ -429,8 +426,8 @@ class PathEnsemble:
     """Paths sharing one grid and junction, plus their realized rewards.
 
     ``values`` holds the signature-facing coordinates: the state columns,
-    then the cumulative-reward column.  ``terminal_proxy`` is the (n_paths,
-    flat) signature the memory coupling tracked to the last step, or None.
+    then the cumulative-reward column.  ``prefix_means`` is the read-only
+    (n_grid, flat) mean of the memory-coupled simulation's scan, or None.
     """
 
     sig_config: SignatureConfig
@@ -440,7 +437,7 @@ class PathEnsemble:
     rewards: np.ndarray
     state_dim: int
     junction_proxy: ta.TruncTensor | None = None
-    terminal_proxy: np.ndarray | None = None
+    prefix_means: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -474,9 +471,9 @@ def generate_ensemble(
     paths.  ``policy(t, states)`` maps the time and the (n_paths, d) states
     at a gridpoint to the (n_paths,) actions taken over the next step, each
     in [-1, 1]; None takes action 0 throughout.  With memory coupling the
-    running signatures, started from the junction's, are scanned along the
-    grid as it is filled, and the drift reads their first m compressed
-    features.
+    signatures S_j are scanned from the identity as the grid is filled, and
+    the drift reads the full history p (x) S_j as ``_memory_matrix``'s K S_j,
+    K built once.  The scan's means are recorded as ``prefix_means``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -515,14 +512,20 @@ def generate_ensemble(
     values[:, 0, :d] = states
     values[:, 0, d] = 0.0
 
-    features = sig = None
+    features = means = None
     if gain is not None:
-        scan = _scan(sig_config, grid, values, flags, None if proxy0 is None else proxy0.data)
-        sig = next(scan)
-        features = _memory_features(nmap, gain.shape[1], sig)
+        memory = _memory_matrix(nmap, gain.shape[1], proxy0)
+        scan = _scan(sig_config, grid, values, flags)
+        n_flat = memory.shape[1]
+        means, rows = np.empty((n_steps + 1, n_flat)), np.empty((n_paths, n_flat))
 
     actions = np.zeros(n_paths)
     for j in range(n_steps):
+        if gain is not None:
+            sig = next(scan)
+            means[j] = _row_mean(sig, rows)
+            # a row-major copy: the drift's einsum rounds differently on the transposed view
+            features = np.ascontiguousarray((memory @ sig).T)
         dt = grid[j + 1] - grid[j]
         if policy is not None:
             actions = np.asarray(policy(grid[j], states), dtype=float)
@@ -543,10 +546,10 @@ def generate_ensemble(
         values[:, j + 1, :d] = states
         values[:, j + 1, d] = cumrew
         flags[:, j + 1] = jumped
-        if gain is not None:
-            sig = next(scan)
-            features = _memory_features(nmap, gain.shape[1], sig)
 
+    if gain is not None:
+        means[-1] = _row_mean(next(scan), rows)
+        means.setflags(write=False)
     return PathEnsemble(
         sig_config=sig_config,
         times=grid,
@@ -555,7 +558,7 @@ def generate_ensemble(
         rewards=rewards,
         state_dim=d,
         junction_proxy=proxy0,
-        terminal_proxy=None if sig is None else np.ascontiguousarray(sig.T),
+        prefix_means=means,
     )
 
 
@@ -569,18 +572,13 @@ def simulate_history(
     sig_config: SignatureConfig,
     nmap: NystromMap | None = None,
 ) -> tuple[CadlagPath, ta.TruncTensor]:
-    """One observed zero-action history segment and its filtered junction signature.
-
-    With memory coupling the signature is the one the simulation tracked.
-    """
+    """One observed zero-action history and its junction signature, its ensemble's last mean."""
     grid = t_start + dt * np.arange(n_steps + 1)
     junction = (t_start, np.asarray(x_start, dtype=float), None)
     ens = generate_ensemble(params, junction, None, grid, 1, seed, sig_config, nmap=nmap)
-    sig = ens.terminal_proxy
-    if sig is None:
-        sig = batch_terminal_signatures(sig_config, ens.times, ens.values, ens.jump_flags)
     path = ens.path(0)
-    return path, ta.TruncTensor(sig_config.channels(path.dim), sig_config.degree, sig[0])
+    sig = prefix_mean_signatures(ens)[-1]
+    return path, ta.TruncTensor(sig_config.channels(path.dim), sig_config.degree, sig)
 
 
 def empirical_mean_signature(ens: PathEnsemble, t0: float, t1: float) -> ta.TruncTensor:
@@ -599,7 +597,9 @@ def empirical_mean_signature(ens: PathEnsemble, t0: float, t1: float) -> ta.Trun
 
 
 def prefix_mean_signatures(ens: PathEnsemble, keep_paths: bool = False):
-    """Mean future-segment signatures from the junction to every gridpoint."""
+    """Mean signatures from the junction to every gridpoint; a coupled ensemble's are recorded."""
+    if ens.prefix_means is not None and not keep_paths:
+        return ens.prefix_means
     return batch_prefix_signatures(
         ens.sig_config, ens.times, ens.values, ens.jump_flags, keep_paths=keep_paths
     )

@@ -19,10 +19,9 @@ segment is the fused update sig (x) exp(v) of the Horner kernel behind
 step factor is materialised.  The batched scans carry the running
 signatures rows-last, as one (flat, n_paths) array that each step updates
 in place, column block by column block, with scratch allocated once per
-scan; row-major copies are made only where a caller reads them.  That scan
-is the one multi-row step: the memory-coupled simulation drives it one
-gridpoint at a time from its junction signature.  :func:`chen_step_flat`
-steps one row, as a streamed update makes it.
+scan; row-major copies are made only where a caller reads them.  That scan,
+from the identity, is the one multi-row step: the memory-coupled simulation
+drives it one gridpoint at a time.  :func:`chen_step_flat` steps one row.
 """
 
 from __future__ import annotations
@@ -322,17 +321,16 @@ def incremental_update(
 # batched grid-path signatures (shared time grid across an ensemble)
 
 
-def _scan(config: SignatureConfig, times, values, jump_flags, start=None):
+def _scan(config: SignatureConfig, times, values, jump_flags):
     """Running signatures of every path, rows-last, one gridpoint at a time.
 
     ``values`` has shape (n_paths, n_grid, dim); all paths share ``times``.
     Yields, for j = 0, 1, ..., the (flat, n_paths) signatures over
-    [t_0, t_j], each path's started from the flat signature ``start``
-    (the identity if None): one array that each step overwrites, column
-    block by column block, through :func:`_chen_columns`.  Gridpoint j of
-    ``values`` and ``jump_flags`` is read only when the scan steps to j, so
-    a caller may fill the grid while it scans.  The flag of the first point
-    is never read: no increment ends there.
+    [t_0, t_j], started from the identity: one array that each step
+    overwrites, column block by column block, through :func:`_chen_columns`.
+    Gridpoint j of ``values`` and ``jump_flags`` is read only when the scan
+    steps to j, so a caller may fill the grid while it scans.  The flag of
+    the first point is never read: no increment ends there.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -343,8 +341,8 @@ def _scan(config: SignatureConfig, times, values, jump_flags, start=None):
     c = config.channels(dim)
     k = config.degree
     linear = config.mode == "linear"
-    sig = np.empty((ta.flat_size(c, k), n_paths))
-    sig[...] = (ta.identity_flat(c, k) if start is None else start)[:, None]
+    sig = np.zeros((ta.flat_size(c, k), n_paths))
+    sig[0] = 1.0
     yield sig
     scratch = _column_scratch(c, k, n_paths)
     time_v = np.zeros((c, n_paths))
@@ -354,6 +352,12 @@ def _scan(config: SignatureConfig, times, values, jump_flags, start=None):
         space_v[1:] = (values[:, j] - values[:, j - 1]).T
         _chen_columns(c, k, linear, sig, time_v, space_v, jump_flags[:, j], scratch)
         yield sig
+
+
+def _row_mean(sig: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean over paths of rows-last ``sig`` (flat, n), summed in row order on its copy ``rows``."""
+    rows[...] = sig.T
+    return rows.mean(axis=0)
 
 
 def batch_prefix_signatures(
@@ -373,15 +377,10 @@ def batch_prefix_signatures(
     n_paths, n_grid, dim = np.shape(values)
     n_flat = ta.flat_size(config.channels(dim), config.degree)
     means = np.empty((n_grid, n_flat))
-    full = np.empty((n_grid, n_paths, n_flat)) if keep_paths else None
+    rows = np.empty((n_grid if keep_paths else 1, n_paths, n_flat))
     for j, sig in enumerate(_scan(config, times, values, jump_flags)):
-        # the mean of the row-major copy sums the paths in row order
-        rows = full[j] if keep_paths else np.empty((n_paths, n_flat))
-        rows[...] = sig.T
-        means[j] = rows.mean(axis=0)
-    if keep_paths:
-        return means, full
-    return means
+        means[j] = _row_mean(sig, rows[j if keep_paths else 0])
+    return (means, rows) if keep_paths else means
 
 
 def batch_terminal_signatures(

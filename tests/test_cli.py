@@ -655,7 +655,8 @@ class TestDefaultConfigCriteria:
 # sha256 of each file `run-all --seed S` writes on the baseline, for S = 1, 2
 # and 3, and the numeric build they were taken on.  After a change that
 # alters results on purpose, re-pin with `PYTHONPATH=src python tests/test_cli.py`,
-# which prints per seed the files whose digests moved, and say so in CHANGES.md.
+# which prints per seed the files whose digests moved, the files no pin names
+# and the pinned files no longer written, and say so in CHANGES.md.
 PINNED_DIGESTS = Path(__file__).with_name("run_all_digests.json")
 
 
@@ -710,9 +711,13 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         seeds = {str(s): run_all_digests(s, Path(tmp) / str(s)) for s in (1, 2, 3)}
     for seed, digests in seeds.items():
-        moved = sorted(f for f, h in digests.items() if old.get(seed, {}).get(f) != h)
-        print(f"seed {seed}: {len(moved)} moved, {len(digests) - len(moved)} kept: "
-              f"{', '.join(moved) or '-'}")
+        pinned = old.get(seed, {})
+        added = sorted(digests.keys() - pinned.keys())
+        missing = sorted(pinned.keys() - digests.keys())
+        moved = sorted(f for f, h in digests.items() if f in pinned and pinned[f] != h)
+        kept = len(digests) - len(added) - len(moved)
+        print(f"seed {seed}: {len(moved)} moved, {kept} kept: {', '.join(moved) or '-'}; "
+              f"added: {', '.join(added) or '-'}; missing: {', '.join(missing) or '-'}")
     PINNED_DIGESTS.write_text(
         json.dumps({"build": numeric_build(), "seeds": seeds}, indent=1) + "\n"
     )

@@ -17,9 +17,11 @@ from siglearn.jumpdiff import (
     simulate_history,
 )
 from siglearn.kernelspace import NystromMap, build_nystrom, compress_flat
+from siglearn.proxy_flow import empirical_trajectory
 from siglearn.signature import (
     CadlagPath,
     SignatureConfig,
+    batch_prefix_signatures,
     batch_terminal_signatures,
     path_signature,
 )
@@ -179,7 +181,7 @@ class TestEnsemble:
         assert zero.drift_memory_gain is None
         args = ((0.0, np.zeros(2), None), None, unit_grid(8), 16, 5, CFG)
         a, b = generate_ensemble(zero, *args), generate_ensemble(none, *args)
-        assert a.terminal_proxy is None and b.terminal_proxy is None
+        assert a.prefix_means is None and b.prefix_means is None
         for name in ("values", "jump_flags", "rewards"):
             assert np.array_equal(getattr(a, name).view(np.uint8), getattr(b, name).view(np.uint8))
 
@@ -189,7 +191,7 @@ class TestEnsemble:
         params = make_params(memory=np.ones((2, width)))
         args = (params, (0.0, np.zeros(2), None), None, unit_grid(4), 2, 0, CFG)
         if width <= nmap.n_landmarks:
-            assert generate_ensemble(*args, nmap=nmap).terminal_proxy is not None
+            assert generate_ensemble(*args, nmap=nmap).prefix_means is not None
             return
         with pytest.raises(ShapeMismatchError, match=f"{width} columns .* 6 features"):
             generate_ensemble(*args, nmap=nmap)
@@ -214,30 +216,48 @@ class TestEnsemble:
             for gain in (narrow, np.pad(narrow, ((0, 0), (0, 2))))
         ]
         assert ensembles[0].jump_flags.any()
-        for name in ("values", "rewards", "jump_flags", "terminal_proxy"):
+        for name in ("values", "rewards", "jump_flags", "prefix_means"):
             a, b = (getattr(ens, name) for ens in ensembles)
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
 
-    # (rows, bitwise): the drift's features against compress_flat's first m
-    # columns at the baseline's shapes, 128 landmarks of (channels, degree)
-    # = (3, 4) signatures and m = 4.  Bit for bit at the path counts run-all
-    # couples (1 and 256), and at 2 and 13; at 12 rows BLAS sums the narrow
-    # product in another order, which moves the last digits
-    FEATURE_ROWS = [(1, True), (2, True), (12, False), (13, True), (256, True)]
-
-    @pytest.mark.parametrize("n_rows, bitwise", FEATURE_ROWS)
-    def test_memory_features_are_the_first_compressed_columns(self, n_rows, bitwise):
+    # the drift's m features of the full-history signature p (x) S, read as
+    # K S, against compress_flat on the product at the baseline's shapes:
+    # 128 landmarks of (channels, degree) = (3, 4) signatures and m = 4
+    @pytest.mark.parametrize("mode", ["rectilinear", "linear"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 12, 13, 256])
+    def test_memory_matrix_reads_the_full_history_features(self, n_rows, mode):
         rng = np.random.default_rng(n_rows)
-        n_flat = ta.flat_size(3, 4)
-        matrix = rng.normal(size=(128, n_flat))
-        nmap = NystromMap(3, 4, np.zeros((128, n_flat)), np.eye(128), 0.0, np.ones(5), matrix)
-        rows = rng.normal(size=(n_rows, n_flat))
-        want = compress_flat(nmap, rows)[:, :4]
-        got = jumpdiff._memory_features(nmap, 4, np.ascontiguousarray(rows.T))
-        assert got.shape == (n_rows, 4) and got.flags.c_contiguous
-        if bitwise:
-            assert np.array_equal(got.view(np.uint8), want.copy().view(np.uint8))
-        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+        config = SignatureConfig(degree=4, time_scale=1.0, mode=mode)
+        nmap = wide_map(rng)
+        history = CadlagPath(np.arange(4.0), rng.normal(size=(4, 2)),
+                             np.array([False, True, False, True]))
+        p = path_signature(config, history, 0.0, 3.0)
+        flags = rng.random((n_rows, 6)) < 0.4
+        flags[:, 0] = False
+        values = np.cumsum(rng.normal(scale=0.5, size=(n_rows, 6, 2)), axis=1)
+        S = batch_terminal_signatures(config, np.arange(6.0), values, flags)
+        assert flags.any()
+        want = compress_flat(nmap, ta.product_flat(3, 4, p.data, S))[:, :4]
+        got = (jumpdiff._memory_matrix(nmap, 4, p) @ S.T).T
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_memory_matrix_without_a_junction_is_the_map_rows(self, m):
+        rng = np.random.default_rng(m)
+        nmap = wide_map(rng)
+        got = jumpdiff._memory_matrix(nmap, m, None)
+        assert np.array_equal(got.view(np.uint8), nmap.matrix[:m].view(np.uint8))
+        history = CadlagPath(np.arange(3.0), rng.normal(size=(3, 2)), np.zeros(3, bool))
+        p = path_signature(SignatureConfig(degree=4), history, 0.0, 2.0)
+        assert jumpdiff._memory_matrix(nmap, m, p).shape == (m, nmap.matrix.shape[1])
+
+
+def wide_map(rng):
+    """A map of 128 random rows over (channels, degree) = (3, 4), with -0.0 entries."""
+    n_flat = ta.flat_size(3, 4)
+    matrix = rng.normal(size=(128, n_flat))
+    matrix[:, ::7] = -0.0
+    return NystromMap(3, 4, np.zeros((128, n_flat)), np.eye(128), 0.0, np.ones(5), matrix)
 
 
 def fresh_streams(seed, path_id):
@@ -392,6 +412,46 @@ class TestHistory:
         )[0]
         assert np.array_equal(sig.data.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("mode", ["rectilinear", "linear"])
+    @pytest.mark.parametrize("n_paths", [1, 16])
+    def test_coupled_ensembles_are_read_without_a_rescan(self, monkeypatch, mode, n_paths):
+        # a memory-coupled ensemble records the means of its one scan, and
+        # its readers take them instead of scanning again, bit for bit
+        rng = np.random.default_rng(n_paths)
+        nmap = random_map(rng)
+        config = SignatureConfig(degree=3, time_scale=1.0, mode=mode)
+        params = make_params(vol=0.3, lam=4.0, jump_mean=np.array([0.1, -0.2]),
+                             jump_scale=np.array([0.2, 0.1]),
+                             memory=0.5 * rng.normal(size=(2, 6)))
+        history = CadlagPath(np.arange(3.0), rng.normal(size=(3, 3)),
+                             np.array([False, True, False]))
+        junction = (0.0, np.zeros(2), path_signature(config, history, 0.0, 2.0))
+        ens = generate_ensemble(params, junction, None, unit_grid(8), n_paths, 3, config,
+                                nmap=nmap)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a coupled ensemble was scanned again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jumpdiff, "batch_prefix_signatures", no_scan)
+            patch.setattr(jumpdiff, "batch_terminal_signatures", no_scan)
+            traj = empirical_trajectory(ens, nmap)
+            path, sig = simulate_history(params, 0.0, np.zeros(2), 12, 0.05, 3, config,
+                                         nmap=nmap)
+        assert ens.jump_flags.any()
+        assert not ens.prefix_means.flags.writeable
+        with pytest.raises(ValueError):
+            ens.prefix_means[0, 0] = 0.0
+        means, full = batch_prefix_signatures(config, ens.times, ens.values, ens.jump_flags,
+                                              keep_paths=True)
+        assert np.array_equal(ens.prefix_means.view(np.uint8), means.view(np.uint8))
+        assert np.array_equal(traj.flats.view(np.uint8), means.view(np.uint8))
+        assert np.array_equal(prefix_mean_signatures(ens, keep_paths=True)[1], full)
+        want = batch_terminal_signatures(
+            config, path.times, path.values[None], path.jump_flags[None]
+        )[0]
+        assert np.array_equal(sig.data.view(np.uint8), want.view(np.uint8))
+
 
 class TestGridValidation:
     def test_empty_grid_rejected(self):
@@ -412,10 +472,10 @@ def assert_same_ensemble(got, want):
     for name in ("values", "jump_flags", "rewards"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
-    if want.terminal_proxy is None:
-        assert got.terminal_proxy is None
+    if want.prefix_means is None:
+        assert got.prefix_means is None
     else:
-        assert np.array_equal(got.terminal_proxy.view(np.uint8), want.terminal_proxy.view(np.uint8))
+        assert np.array_equal(got.prefix_means.view(np.uint8), want.prefix_means.view(np.uint8))
 
 
 CROSSOVER = jumpdiff._VECTOR_MIN_PATHS

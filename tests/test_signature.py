@@ -284,15 +284,37 @@ STEP_CASES = [
 ]
 
 
+def chen_columns(cfg, starts, times, values, flags):
+    """Prefix signatures (n_grid, n_paths, flat) of the multi-row step from ``starts``.
+
+    ``starts`` (n_paths, flat) are stepped rows-last through ``_chen_columns``,
+    one grid step at a time, as the scans step the identity.
+    """
+    n_paths, n_grid, dim = values.shape
+    c, k = cfg.channels(dim), cfg.degree
+    st = np.ascontiguousarray(starts.T)
+    scratch = signature._column_scratch(c, k, n_paths)
+    time_v = np.zeros((c, n_paths))
+    space_v = np.zeros((c, n_paths))
+    out = np.empty((n_grid,) + starts.shape)
+    out[0] = starts
+    for j in range(1, n_grid):
+        time_v[0] = (times[j] - times[j - 1]) / cfg.time_scale
+        space_v[1:] = (values[:, j] - values[:, j - 1]).T
+        signature._chen_columns(c, k, cfg.mode == "linear", st, time_v, space_v,
+                                flags[:, j], scratch)
+        out[j] = st.T
+    return out
+
+
 def scan_step(cfg, sig, dt, dx, jumped):
-    """(n_paths, flat) rows of one ``_scan`` step by ``dx`` from the start ``sig``."""
+    """(n_paths, flat) rows of one multi-row step by ``dx`` from the signature ``sig``."""
     values = np.zeros((dx.shape[0], 2, dx.shape[1]))
     values[:, 1] = dx
     flags = np.zeros((dx.shape[0], 2), dtype=bool)
     flags[:, 1] = jumped
-    for got in signature._scan(cfg, np.array([0.0, dt]), values, flags, start=sig):
-        pass
-    return got.T
+    starts = np.tile(sig, (dx.shape[0], 1))
+    return chen_columns(cfg, starts, np.array([0.0, dt]), values, flags)[-1]
 
 
 class TestFusedStep:
@@ -376,11 +398,10 @@ class TestColumnBlocks:
         assert np.array_equal(alone.view(np.uint8), means.view(np.uint8))
         terminal = batch_terminal_signatures(cfg, times, values, flags)
         assert np.array_equal(terminal.view(np.uint8), want[-1].view(np.uint8))
-        # a scan started from a group-like signature, as the memory-coupled
-        # simulation starts from its junction's
+        # the multi-row step from a group-like signature, in column blocks
         start = ta.identity_flat(3, 3)
         for v in rng.normal(scale=0.5, size=(2, 3)):
             start = ta.mul_exp_flat(3, 3, start, v)
         want = per_path_scan(cfg, times, values, flags, start=start)
-        for j, sig in enumerate(signature._scan(cfg, times, values, flags, start=start)):
-            assert np.array_equal(sig.T.copy().view(np.uint8), want[j].view(np.uint8))
+        got = chen_columns(cfg, np.tile(start, (n_paths, 1)), times, values, flags)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
