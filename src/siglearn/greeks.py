@@ -66,7 +66,7 @@ class RiskConfig:
 
 def grad_w(traj: ProxyTrajectory, s: float) -> np.ndarray:
     """Gradient of the value in the weight vector: the compressed residual."""
-    return traj.residual_features()[traj.index_of(s)].copy()
+    return traj._residual_row(traj.index_of(s))
 
 
 def grad_proxy(traj: ProxyTrajectory, w: np.ndarray, s: float) -> np.ndarray:

@@ -17,13 +17,16 @@ and their cotangents, which training and ``score_matching_loss`` read.
 The trajectory ``integrate_flow`` returns is the one record of a flow: its
 states, its tangents and the generator features of each step.  Training,
 the greeks and the forecast check read that record rather than integrate
-the flow again.  Gradients are exact, by one discrete adjoint (reverse
-mode) over the record: a loss or a value is a linear read of the states and
-tangents, and its cotangent walks back through the same log-ODE steps, one
-row per scalar, whatever the number of weights.  The adjoint reads the
-recorded features, so it is the adjoint of the computation that ran.  The
-integrator also runs many weight settings at once, one flow per row, for
-the finite-difference oracle.
+the flow again.  One flow is stepped on a padded (flat + 1,) state with
+the one-row kernels of ``tensor_algebra``, whose exponential series and
+product it calls directly, bit for bit the steps
+product_flat(phi, exp_flat(ds * ell)).  Gradients are exact, by one
+discrete adjoint (reverse mode) over the record: a loss or a value is a
+linear read of the states and tangents, and its cotangent walks back
+through the same log-ODE steps, one row per scalar, whatever the number of
+weights.  The adjoint reads the recorded features, so it is the adjoint of
+the computation that ran.  The integrator also runs many weight settings
+at once, one flow per row, for the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -214,6 +217,26 @@ class ProxyTrajectory:
             raise DomainError("trajectory has no compression map attached")
         return compress_flat(self.nmap, self.residual_flats())
 
+    def _residual_row(self, i: int) -> np.ndarray:
+        """Row i of ``residual_features()`` of one flow, bit for bit.
+
+        Only residual i is computed, unless the residuals are cached.  It is
+        compressed in a zero (n_grid, flat) array in place of the others, so
+        that BLAS runs the gemm of ``residual_features()``, whose rows do not
+        depend on each other; a one-row matvec sums in another order.
+        """
+        if self.nmap is None:
+            raise DomainError("trajectory has no compression map attached")
+        c, k = self.channels, self.degree
+        rows = np.zeros(self.flats.shape)
+        if self._residual_cache is not None:
+            rows[i] = self._residual_cache[i]
+        elif i == self.n_grid - 1:
+            rows[i] = ta.identity_flat(c, k)
+        else:
+            rows[i] = ta.product_flat(c, k, ta.inverse_flat(c, k, self.flats[i]), self.flats[-1])
+        return compress_flat(self.nmap, rows)[i]
+
 
 def integrate_flow(
     gen: GeneratorParams,
@@ -228,7 +251,9 @@ def integrate_flow(
     history.  ``theta_rows`` of shape (R, n_params) integrates R flows at
     once, one per row of weights in place of the generator's own; the
     trajectory's flats, tangents and features then carry a leading axis of
-    length R.
+    length R, and each step goes through ``product_flat`` and ``exp_flat``.
+    A state that leaves the finite range raises ``DivergenceError`` naming
+    its gridpoint and time.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -250,29 +275,79 @@ def integrate_flow(
 
     n_steps = grid.size - 1
     flats = np.empty(batch + (grid.size, ta.flat_size(c, k)))
-    tangents = np.empty(batch + (n_steps, flats.shape[-1]))
+    tangents = np.zeros(batch + (n_steps, flats.shape[-1]))
     features = np.empty(batch + (n_steps, gen.n_features))
     # the phase, junction and bias columns do not depend on the state
     phase = ((grid[:-1] - t) / (T - t))[:, None]
     features[...] = gen.features(np.zeros((n_steps, p)), phase, jfeats)
-    ds = np.diff(grid)
     flats[..., 0, :] = ta.identity_flat(c, k)
-    for j in range(n_steps):
-        feats = features[..., j, :]
-        feats[..., :p] = flats[..., j, :] @ proxy_rows.T
-        tangents[..., j, :] = gen.tangent_flat(feats, W)
-        flats[..., j + 1, :] = ta.product_flat(
-            c, k, flats[..., j, :], ta.exp_flat(c, k, ds[j] * tangents[..., j, :])
-        )
-        if not np.all(np.isfinite(flats[..., j + 1, :])):
-            raise DivergenceError(
-                "flow state left the finite range",
-                context={"gridpoint": j + 1, "time": float(grid[j + 1])},
+    if W is None:
+        _one_row_steps(gen, proxy_rows, grid, flats, tangents, features)
+    else:
+        ds = np.diff(grid)
+        for j in range(n_steps):
+            feats = features[:, j]
+            feats[:, :p] = flats[:, j] @ proxy_rows.T
+            tangents[:, j] = gen.tangent_flat(feats, W)
+            flats[:, j + 1] = ta.product_flat(
+                c, k, flats[:, j], ta.exp_flat(c, k, ds[j] * tangents[:, j])
             )
+            if not np.all(np.isfinite(flats[:, j + 1])):
+                raise _diverged(grid, j + 1)
     return ProxyTrajectory(
         channels=c, degree=k, grid=grid, flats=flats, nmap=nmap,
         tangents=tangents, features=features,
     )
+
+
+def _diverged(grid: np.ndarray, j: int) -> DivergenceError:
+    return DivergenceError(
+        "flow state left the finite range",
+        context={"gridpoint": j, "time": float(grid[j])},
+    )
+
+
+def _one_row_steps(gen, proxy_rows, grid, flats, tangents, features) -> None:
+    """The steps of one flow, written into its record's rows in place.
+
+    The state is held as one (flat + 1,) array with a zero last entry, the
+    operand of the one-row kernels, and each step runs the exponential's
+    series and the product on it directly, the computation of
+    ``product_flat(phi, exp_flat(ds * ell))`` bit for bit.  The series
+    skips the slots that read a level of the tangent above the Lie degree,
+    and its scalar level: slot s reads level k - s.  ``exp_flat`` would also
+    skip a level of the tangent that is zero at this step; the terms it
+    skips add +-0 to accumulators that started at +0.0, so the sums do not
+    change.  Where the series is not finite, and ``exp_flat`` would run it
+    in full again, the state is not finite either, through its term
+    phi_0 e = e.  A state that is not finite stays so, through its term
+    phi e_0 with e_0 = 1, so the states are checked once, after the steps,
+    and the first row that is not finite names the step that diverged; the
+    floating-point warnings of the steps are silenced, since that error
+    reports them.  ``tangents`` comes zeroed, and a step writes only its
+    levels 1..lie_degree.
+    """
+    c, k, p = gen.channels, gen.degree, gen.n_proxy_features
+    slots = ta._product_slots(c, k)
+    exp_slots = ta._product_slots(c, k, tuple(range(k - gen.lie_degree)) + (k,))
+    lie = slice(1, 1 + gen.out_dim)
+    rows_t, weights_t = proxy_rows.T, gen.weights.T
+    phi = np.zeros(flats.shape[-1] + 1)
+    phi[0] = 1.0
+    xt = np.zeros_like(phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, ds in enumerate(np.diff(grid)):
+            feats = features[j]
+            np.matmul(flats[j], rows_t, out=feats[:p])
+            np.matmul(feats, weights_t, out=tangents[j, lie])
+            if gen.clock_rate is not None:
+                tangents[j, 1] = gen.clock_rate
+            np.multiply(tangents[j], ds, out=xt[:-1])
+            phi = ta._product_t(slots, phi, ta._exp_t(k, exp_slots, xt))
+            flats[j + 1] = phi[:-1]
+    finite = np.isfinite(flats).all(axis=1)
+    if not finite.all():
+        raise _diverged(grid, int(np.argmin(finite)))
 
 
 def _flow_adjoint(

@@ -79,8 +79,7 @@ class SweepResult:
 
 def value_at(traj: ProxyTrajectory, w: np.ndarray, s: float) -> float:
     """Value as a linear read of the compressed re-centered residual at s."""
-    i = traj.index_of(s)
-    return float(np.asarray(w, dtype=float) @ traj.residual_features()[i])
+    return float(np.asarray(w, dtype=float) @ traj._residual_row(traj.index_of(s)))
 
 
 def _rewards_vector(traj, rewards):
@@ -272,15 +271,22 @@ def classical_td0_baseline(
     compressed signature of the realized remaining segment, the stochastic
     counterpart of the deterministic flow residual.  The realized prefix
     signatures form one trajectory with a leading path axis, which
-    ``td_error_vector`` reads at the fixed weights ``w``.
+    ``td_error_vector`` reads at the fixed weights ``w``.  A one-path
+    ensemble that recorded its prefix means gives them as its path's
+    prefixes.
     """
     if ens.n_paths < 1:
         raise InsufficientDataError("need at least one episode")
-    _, full = batch_prefix_signatures(
-        ens.sig_config, ens.times, ens.values, ens.jump_flags, keep_paths=True
-    )
+    if ens.n_paths == 1 and ens.prefix_means is not None:
+        # the mean of one path's scan is that path's prefixes, bit for bit
+        full = ens.prefix_means[None]
+    else:
+        _, full = batch_prefix_signatures(
+            ens.sig_config, ens.times, ens.values, ens.jump_flags, keep_paths=True
+        )
+        full = np.swapaxes(full, 0, 1)
     c = ens.sig_config.channels(ens.values.shape[2])
-    paths = ProxyTrajectory(c, ens.sig_config.degree, ens.times, np.swapaxes(full, 0, 1), nmap)
+    paths = ProxyTrajectory(c, ens.sig_config.degree, ens.times, full, nmap)
     return td_error_vector(paths, w, gamma, z, ens.rewards)
 
 

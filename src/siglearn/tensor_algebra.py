@@ -30,10 +30,11 @@ first k - n slots pair the zero row with itself.  Each coefficient is thus
 summed as 0 + t_0 + ... + t_n, the same terms in the same order as a loop
 over levels and their i + j = n blocks; a padding term adds 0 * 0 to the
 +0.0 start and leaves it +0.0.  A block gathers its terms slot by slot.
-A single row gathers all the slots of each factor with one take of the
-table, multiplies the two (slots, flat) gathers once, and adds their slot
-rows to a +0.0 start; numpy reduces along the slow axis row after row, so
-these are the same sums in the same order.  The Horner step runs the
+A single row gathers all the slots of each factor by indexing it with the
+table (``take`` took about twice as long on one row), multiplies the two
+(slots, flat) gathers once, and adds their slot rows to a +0.0 start;
+numpy reduces along the slow axis row after row, so these are the same
+sums in the same order.  The Horner step runs the
 elementwise operations of its level loop in their order too, in place and
 from the top level down; the signature scans call it on their own
 rows-last blocks, with quotients and products written into scratch they
@@ -50,7 +51,10 @@ skip is exact: with finite factors a skipped term is +-0, and adding
 +-0 leaves an accumulator that started at +0.0 unchanged, because a sum is
 -0 only when both addends are.  A non-finite factor would have made a
 skipped term NaN; it also reaches the result, which is then not finite,
-and the block runs the full series again.
+and the block runs the full series again.  The series is written once, for
+``exp_flat`` and for the proxy flow's one-row steps, which skip the slots
+above the generator's Lie degree; a single row gathers x's slot terms once
+for all its products.
 """
 
 from __future__ import annotations
@@ -183,11 +187,13 @@ def _product_t(slots, at: np.ndarray, bt: np.ndarray) -> np.ndarray:
     stays zero.  A block takes slot by slot, which keeps the temporaries
     small.  A one-row (flat + 1,) operand takes all its slots at once, and
     numpy reduces along the slow axis row after row, in slot order too.
+    Its right factor may come already gathered, as the (slots, flat + 1)
+    array ``bt[ib]``, which a series that multiplies by one x reuses.
     """
     ia, ib = slots
     if at.ndim == 1:
-        terms = at.take(ia)
-        terms *= bt.take(ib)
+        terms = at[ia]
+        terms *= bt if bt.ndim == 2 else bt[ib]
         return np.add.reduce(terms, axis=0, initial=0.0)
     out = np.zeros(at.shape)
     for s in range(len(ia)):
@@ -257,6 +263,24 @@ def product_flat(channels: int, degree: int, a: np.ndarray, b: np.ndarray) -> np
     )
 
 
+def _exp_t(degree: int, slots, xt: np.ndarray) -> np.ndarray:
+    """exp(x) on a rows-last operand whose scalar part and last row are zero.
+
+    The series 1 + t_1 + ... + t_k with t_1 = x and t_i = t_(i-1) (x) x / i,
+    its products over ``slots``, which may leave out the slots that read a
+    zero level of x.  A one-row x is gathered once for all its products.
+    """
+    out = xt + 0.0  # 0 + x, as a sum from +0.0 gives it
+    out[0] = 1.0
+    xg = xt[slots[1]] if xt.ndim == 1 else xt
+    term = xt
+    for i in range(2, degree + 1):
+        term = _product_t(slots, term, xg)
+        term /= i
+        out += term
+    return out
+
+
 def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
     """Truncated exponential of a Lie-like flat array (scalar part ignored).
 
@@ -266,25 +290,14 @@ def exp_flat(channels: int, degree: int, x: np.ndarray) -> np.ndarray:
     """
     starts = level_offsets(channels, degree)[:-1]
 
-    def series(xt, slots):
-        out = np.zeros(xt.shape)
-        out[0] = 1.0
-        out += xt
-        term = xt
-        for i in range(2, degree + 1):
-            term = _product_t(slots, term, xt)
-            term /= i
-            out += term
-        return out
-
     def kernel(xt):
         xt[0] = 0.0
         nonzero = xt[:-1] if xt.ndim == 1 else xt[:-1].any(axis=1)
         used = np.logical_or.reduceat(nonzero, starts).tolist()
         skip = tuple(s for s in range(degree + 1) if not used[degree - s])
-        out = series(xt, _product_slots(channels, degree, skip))
+        out = _exp_t(degree, _product_slots(channels, degree, skip), xt)
         if not np.isfinite(out).all():
-            out = series(xt, _product_slots(channels, degree))
+            out = _exp_t(degree, _product_slots(channels, degree), xt)
         return out
 
     return _by_blocks(kernel, np.asarray(x, dtype=float))

@@ -4,7 +4,13 @@ import pytest
 from siglearn import tensor_algebra as ta
 from siglearn.errors import DivergenceError, DomainError, ShapeMismatchError
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble, prefix_mean_signatures
-from siglearn.kernelspace import WhitenedMetric, build_nystrom, compress_flat, fit_metric_family
+from siglearn.kernelspace import (
+    WhitenedMetric,
+    build_nystrom,
+    compress,
+    compress_flat,
+    fit_metric_family,
+)
 from siglearn.proxy_flow import (
     ProxyTrajectory,
     TrainConfig,
@@ -207,6 +213,91 @@ class TestIntegrateFlow:
         gen = gen.with_theta(W.ravel())
         with pytest.raises(DivergenceError):
             integrate_flow(gen, nmap, None, np.linspace(0, 1, 5))
+
+
+def per_step_flow(gen, nmap, junction, grid):
+    """The flow as a per-step loop of the generic kernels, for one row of weights.
+
+    Each step is product_flat(phi, exp_flat(ds * tangent)), the loop that
+    integrate_flow's one-row steps must equal bit for bit.
+    """
+    c, k, p = gen.channels, gen.degree, gen.n_proxy_features
+    t, T = grid[0], grid[-1]
+    jfeats = np.zeros(p) if junction is None else compress(nmap, junction)[:p]
+    n_steps = grid.size - 1
+    flats = np.empty((grid.size, ta.flat_size(c, k)))
+    tangents = np.empty((n_steps, flats.shape[1]))
+    features = gen.features(np.zeros((n_steps, p)), ((grid[:-1] - t) / (T - t))[:, None], jfeats)
+    flats[0] = ta.identity_flat(c, k)
+    for j, ds in enumerate(np.diff(grid)):
+        features[j, :p] = flats[j] @ nmap.matrix[:p].T
+        tangents[j] = gen.tangent_flat(features[j])
+        flats[j + 1] = ta.product_flat(c, k, flats[j], ta.exp_flat(c, k, ds * tangents[j]))
+        if not np.all(np.isfinite(flats[j + 1])):
+            raise DivergenceError(
+                "flow state left the finite range",
+                context={"gridpoint": j + 1, "time": float(grid[j + 1])},
+            )
+    return flats, tangents, features
+
+
+def one_row_case(c, k, lie, clock, junction, weights="random"):
+    """A map, a generator of Lie degree ``lie``, a junction or None, and a grid."""
+    rng = np.random.default_rng(100 * c + 10 * k + lie)
+
+    def group_like(scale):
+        x = np.zeros(ta.flat_size(c, k))
+        x[1:] = rng.normal(scale=scale, size=x.size - 1)
+        return ta.exp_flat(c, k, x)
+
+    nmap = build_nystrom(np.array([group_like(0.4) for _ in range(8)]), c, k)
+    gen = new_generator(c, k, lie_degree=lie, n_proxy_features=3, phase_powers=2,
+                        clock_rate=clock, seed=lie, init_scale=0.5)
+    if weights == "zero":
+        gen = gen.with_theta(np.zeros(gen.n_params))
+    jn = ta.TruncTensor(c, k, group_like(0.3)) if junction else None
+    return gen, nmap, jn, np.linspace(0.0, 1.0, 13)
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+class TestOneRowFlow:
+    """integrate_flow without weight rows equals the per-step loop bit for bit."""
+
+    @pytest.mark.parametrize("weights", ["random", "zero"])
+    @pytest.mark.parametrize("junction", [False, True])
+    @pytest.mark.parametrize("clock", [None, 1.0])
+    @pytest.mark.parametrize("c,k,lie", [(2, 3, 1), (2, 3, 2), (2, 3, 3),
+                                         (3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4)])
+    def test_matches_the_per_step_loop(self, c, k, lie, clock, junction, weights):
+        gen, nmap, jn, grid = one_row_case(c, k, lie, clock, junction, weights)
+        traj = integrate_flow(gen, nmap, jn, grid)
+        flats, tangents, features = per_step_flow(gen, nmap, jn, grid)
+        assert np.array_equal(bits(traj.flats), bits(flats))
+        assert np.array_equal(bits(traj.tangents), bits(tangents))
+        assert np.array_equal(bits(traj.features), bits(features))
+        if weights == "zero" and clock is None:
+            # the tangent is zero and exp_flat skips every slot
+            assert np.array_equal(traj.flats, np.tile(ta.identity_flat(c, k), (13, 1)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("clock", [None, 1.0])
+    @pytest.mark.parametrize("c,k,lie", [(2, 3, 1), (2, 3, 3), (3, 4, 2), (3, 4, 4)])
+    def test_divergence_names_the_same_step(self, c, k, lie, clock):
+        gen, nmap, jn, _ = one_row_case(c, k, lie, clock, True)
+        W = gen.weights.copy()
+        W[:, -1] = 1e200
+        gen = gen.with_theta(W.ravel())
+        # two steps of 1e-200 stay finite; the third, of about 1, overflows
+        grid = np.array([0.0, 1e-200, 2e-200, 1.0, 2.0])
+        with pytest.raises(DivergenceError) as old:
+            per_step_flow(gen, nmap, jn, grid)
+        with pytest.raises(DivergenceError) as new:
+            integrate_flow(gen, nmap, jn, grid)
+        assert str(new.value) == str(old.value)
+        assert new.value.context == old.value.context == {"gridpoint": 3, "time": 1.0}
 
 
 class TestLosses:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from siglearn import greeks
 from siglearn import tensor_algebra as ta
 from siglearn import td_learning as td
 from siglearn.errors import (
@@ -14,7 +15,12 @@ from siglearn.errors import (
 )
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, compress_flat
-from siglearn.proxy_flow import empirical_trajectory, integrate_flow, new_generator
+from siglearn.proxy_flow import (
+    ProxyTrajectory,
+    empirical_trajectory,
+    integrate_flow,
+    new_generator,
+)
 from siglearn.signature import SignatureConfig, batch_prefix_signatures
 from tensor_helpers import zero
 
@@ -106,6 +112,32 @@ class TestValueAndReward:
         assert td.realizable_rewards(traj, w, 0.9, 0.0).shape == (traj.n_grid - 1,)
         with pytest.raises(ShapeMismatchError, match="rewards must have length"):
             td.td_error_vector(traj, w, 0.9, 0.0, np.zeros(traj.n_grid))
+
+
+class TestResidualRow:
+    """value_at and grad_w read row i of residual_features() bit for bit."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("k,n_landmarks", [(3, 6), (4, 40)])
+    def test_every_gridpoint_matches_the_features_row(self, k, n_landmarks, cached):
+        rng = np.random.default_rng(40 + k)
+        x = np.zeros((n_landmarks, ta.flat_size(C, k)))
+        x[:, 1:] = rng.normal(scale=0.4, size=(n_landmarks, x.shape[1] - 1))
+        nmap = build_nystrom(ta.exp_flat(C, k, x), C, k)
+        gen = new_generator(C, k, n_proxy_features=4, clock_rate=1.0, seed=5, init_scale=0.5)
+        jn = ta.TruncTensor(C, k, ta.exp_flat(C, k, x[0] * 0.5))
+        grid = np.linspace(0.0, 1.0, 13)
+        want = integrate_flow(gen, nmap, jn, grid).residual_features()
+        traj = integrate_flow(gen, nmap, jn, grid)
+        if cached:
+            traj.residual_flats()
+        w = rng.normal(size=n_landmarks)
+        for i, s in enumerate(grid):
+            got = greeks.grad_w(traj, s)
+            assert np.array_equal(got.view(np.uint64), want[i].view(np.uint64))
+            value = np.float64(td.value_at(traj, w, s))
+            assert value.view(np.uint64) == np.float64(w @ want[i]).view(np.uint64)
+        assert (traj._residual_cache is not None) == cached
 
 
 class TestTdError:
@@ -479,6 +511,35 @@ class TestClassicalBaseline:
                         v_next = z if s + 1 == n_steps else w @ feats[s + 1]
                         delta = ens.rewards[e][s] + gamma * v_next - w @ feats[s]
                         assert deltas[e, s] == pytest.approx(delta, abs=1e-12)
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_coupled_rollouts_match_a_rescan_bitwise(self, n_paths):
+        # a one-path coupled ensemble reads its recorded prefix means as its
+        # path's prefixes; those and a rescan give the same errors bit for bit
+        rng = np.random.default_rng(22)
+        nmap = make_map(rng)
+        env = JumpDiffusionParams(
+            drift_base=np.array([0.1]),
+            vol=np.array([[0.5]]),
+            jump_intensity=3.0,
+            jump_mean=np.array([0.15]),
+            jump_scale=np.array([0.3]),
+            action_exposure=np.zeros(1),
+            drift_memory_gain=np.array([[0.4, -0.3, 0.2]]),
+        )
+        sig = ta.exp_flat(C, K, 0.3 * rng.normal(size=ta.flat_size(C, K)))
+        junction = (0.0, np.zeros(1), ta.TruncTensor(C, K, sig))
+        cfg = SignatureConfig(degree=K, mode="linear")
+        ens = generate_ensemble(env, junction, None, np.linspace(0.0, 1.0, 13), n_paths, 7,
+                                cfg, nmap=nmap)
+        assert ens.prefix_means is not None and ens.jump_flags.any()
+        w = rng.normal(size=6)
+        _, full = batch_prefix_signatures(cfg, ens.times, ens.values, ens.jump_flags,
+                                          keep_paths=True)
+        rescan = ProxyTrajectory(C, K, ens.times, np.swapaxes(full, 0, 1), nmap)
+        want = td.td_error_vector(rescan, w, 0.9, 0.4, ens.rewards)
+        got = td.classical_td0_baseline(ens, nmap, 0.9, 0.4, w)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestVarianceCompare:
