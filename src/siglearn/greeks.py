@@ -66,7 +66,7 @@ class RiskConfig:
 
 def grad_w(traj: ProxyTrajectory, s: float) -> np.ndarray:
     """Gradient of the value in the weight vector: the compressed residual."""
-    return traj._residual_row(traj.index_of(s))
+    return traj._residual_row(s)
 
 
 def grad_proxy(traj: ProxyTrajectory, w: np.ndarray, s: float) -> np.ndarray:
@@ -78,7 +78,7 @@ def grad_proxy(traj: ProxyTrajectory, w: np.ndarray, s: float) -> np.ndarray:
     through the right factor of inv(proxy_s) (x) proxy_T.
     """
     c, k = traj.channels, traj.degree
-    inv_s = ta.inverse_flat(c, k, traj.flats[traj.index_of(s)])
+    inv_s = ta.inverse_flat(c, k, traj.flats[traj._flow_index(s)])
     v1 = traj.nmap.matrix.T @ np.asarray(w, dtype=float)
     return ta.product_pullback_flat(c, k, inv_s, traj.flats[-1], v1)[1]
 
@@ -105,7 +105,7 @@ def grad_theta(
     seeds = np.zeros((len(points),) + traj.flats.shape)
     values = np.empty(len(points))
     for r, point in enumerate(points):
-        i = traj.index_of(point)
+        i = traj._flow_index(point)
         res = traj.residual_flats()[i]
         values[r] = float(v1 @ res)
         g_T = grad_proxy(traj, w, point)

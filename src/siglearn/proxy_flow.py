@@ -17,16 +17,16 @@ and their cotangents, which training and ``score_matching_loss`` read.
 The trajectory ``integrate_flow`` returns is the one record of a flow: its
 states, its tangents and the generator features of each step.  Training,
 the greeks and the forecast check read that record rather than integrate
-the flow again.  One flow is stepped on a padded (flat + 1,) state with
-the one-row kernels of ``tensor_algebra``, whose exponential series and
-product it calls directly, bit for bit the steps
-product_flat(phi, exp_flat(ds * ell)).  Gradients are exact, by one
-discrete adjoint (reverse mode) over the record: a loss or a value is a
-linear read of the states and tangents, and its cotangent walks back
-through the same log-ODE steps, one row per scalar, whatever the number of
-weights.  The adjoint reads the recorded features, so it is the adjoint of
-the computation that ran.  The integrator also runs many weight settings
-at once, one flow per row, for the finite-difference oracle.
+the flow again.  One step loop integrates one flow, or many weight settings
+at once, one flow per row, for the finite-difference oracle.  It holds the
+states rows-last and padded, the operand of the kernels of
+``tensor_algebra``, whose exponential series and product it calls
+directly, bit for bit the steps product_flat(phi, exp_flat(ds * ell)).
+Gradients are exact, by one discrete adjoint (reverse mode) over the
+record: a loss or a value is a linear read of the states and tangents, and
+its cotangent walks back through the same log-ODE steps, one row per
+scalar, whatever the number of weights.  The adjoint reads the recorded
+features, so it is the adjoint of the computation that ran.
 """
 
 from __future__ import annotations
@@ -116,22 +116,6 @@ class GeneratorParams:
         out[..., -1] = 1.0
         return out
 
-    def tangent_flat(self, feats: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Lie-like flat tangent(s) for feature rows (..., n_features).
-
-        ``weights`` of shape (..., out_dim, n_features) replaces the
-        generator's own weights row by row, one weight matrix per feature row.
-        """
-        if weights is None:
-            out = feats @ self.weights.T
-        else:
-            out = (feats[..., None, :] @ np.swapaxes(weights, -1, -2))[..., 0, :]
-        flat = np.zeros(out.shape[:-1] + (ta.flat_size(self.channels, self.degree),))
-        flat[..., 1 : 1 + self.out_dim] = out
-        if self.clock_rate is not None:
-            flat[..., 1] = self.clock_rate
-        return flat
-
 
 def new_generator(
     channels: int,
@@ -170,7 +154,8 @@ class ProxyTrajectory:
     at once; ``residual_flats`` follows that leading axis.  A flow of the
     generator also records ``tangents`` (n_steps, flat) and the generator
     ``features`` (n_steps, n_features) of each step, with the same leading
-    axis.
+    axis.  The value readers (``value_at`` and the greeks) read one flow
+    and reject a record with a leading axis.
     """
 
     channels: int
@@ -217,14 +202,23 @@ class ProxyTrajectory:
             raise DomainError("trajectory has no compression map attached")
         return compress_flat(self.nmap, self.residual_flats())
 
-    def _residual_row(self, i: int) -> np.ndarray:
-        """Row i of ``residual_features()`` of one flow, bit for bit.
+    def _flow_index(self, s: float) -> int:
+        """Index of gridpoint s in the record of one flow, which value readers need."""
+        if self.flats.ndim != 2:
+            raise ShapeMismatchError(
+                f"expected the record of one flow, flats (n_grid, flat), got {self.flats.shape}"
+            )
+        return self.index_of(s)
 
-        Only residual i is computed, unless the residuals are cached.  It is
-        compressed in a zero (n_grid, flat) array in place of the others, so
-        that BLAS runs the gemm of ``residual_features()``, whose rows do not
-        depend on each other; a one-row matvec sums in another order.
+    def _residual_row(self, s: float) -> np.ndarray:
+        """Row of ``residual_features()`` at gridpoint s of one flow, bit for bit.
+
+        Only that residual is computed, unless the residuals are cached.  It
+        is compressed in a zero (n_grid, flat) array in place of the others,
+        so that BLAS runs the gemm of ``residual_features()``, whose rows do
+        not depend on each other; a one-row matvec sums in another order.
         """
+        i = self._flow_index(s)
         if self.nmap is None:
             raise DomainError("trajectory has no compression map attached")
         c, k = self.channels, self.degree
@@ -248,12 +242,28 @@ def integrate_flow(
     """Iterated log-ODE steps phi (x) exp(ds * ell) from the identity along the grid.
 
     ``junction`` is the filtered history proxy, or None for an empty
-    history.  ``theta_rows`` of shape (R, n_params) integrates R flows at
-    once, one per row of weights in place of the generator's own; the
-    trajectory's flats, tangents and features then carry a leading axis of
-    length R, and each step goes through ``product_flat`` and ``exp_flat``.
-    A state that leaves the finite range raises ``DivergenceError`` naming
-    its gridpoint and time.
+    history.  ``theta_rows`` of shape (R, n_params), finite, integrates R
+    flows at once, one per row of weights in place of the generator's own;
+    the trajectory's flats, tangents and features then carry a leading
+    axis of length R.  A state that leaves the finite range raises
+    ``DivergenceError`` naming its gridpoint and time.
+
+    The states are held rows-last, as a (flat + 1,) array for one flow or a
+    (flat + 1, R) array for R rows, with a zero last row: the operand of
+    the kernels of ``tensor_algebra``, whose exponential series and product
+    each step calls directly, the steps of
+    product_flat(phi, exp_flat(ds * ell)) bit for bit.  The series skips
+    the slots that read a level of the tangent above the Lie degree, and
+    its scalar level: slot s reads level k - s.  ``exp_flat`` would also
+    skip a level that is zero at this step in every row; the terms it skips
+    add +-0 to accumulators that started at +0.0, so the sums do not
+    change.  Where the series is not finite, and ``exp_flat`` would run it
+    in full again, the state is not finite either, through its term
+    phi_0 e = e.  A state that is not finite stays so, through its term
+    phi e_0 with e_0 = 1, so the states are checked once, after the steps,
+    and the first gridpoint that is not finite in some row names the step
+    that diverged; the floating-point warnings of the steps are silenced,
+    since that error reports them.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -263,91 +273,61 @@ def integrate_flow(
             f"generator reads {gen.n_proxy_features} proxy features but the "
             f"map has only {nmap.n_landmarks} landmarks"
         )
+    weights = gen.weights
+    if theta_rows is not None:
+        rows = np.asarray(theta_rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != gen.n_params:
+            raise ShapeMismatchError(
+                f"theta_rows must be (R, {gen.n_params}) with R >= 1, got {rows.shape}"
+            )
+        if not np.all(np.isfinite(rows)):
+            raise DomainError("theta_rows must be finite")
+        weights = rows.reshape(-1, gen.out_dim, gen.n_features)
     c, k = gen.channels, gen.degree
     t, T = grid[0], grid[-1]
     p = gen.n_proxy_features
     jfeats = np.zeros(p) if junction is None else compress(nmap, junction)[:p]
-    proxy_rows = nmap.matrix[:p]
-    W = None
-    if theta_rows is not None:
-        W = np.asarray(theta_rows, dtype=float).reshape(-1, gen.out_dim, gen.n_features)
-    batch = () if W is None else W.shape[:1]
+    batch = weights.shape[:-2]
 
     n_steps = grid.size - 1
-    flats = np.empty(batch + (grid.size, ta.flat_size(c, k)))
-    tangents = np.zeros(batch + (n_steps, flats.shape[-1]))
+    flat = ta.flat_size(c, k)
+    flats = np.empty(batch + (grid.size, flat))
+    # a step writes only the levels 1..lie_degree of its tangent; the
+    # others stay zero, so the series may skip the slots that read them
+    tangents = np.zeros(batch + (n_steps, flat))
     features = np.empty(batch + (n_steps, gen.n_features))
     # the phase, junction and bias columns do not depend on the state
     phase = ((grid[:-1] - t) / (T - t))[:, None]
     features[...] = gen.features(np.zeros((n_steps, p)), phase, jfeats)
     flats[..., 0, :] = ta.identity_flat(c, k)
-    if W is None:
-        _one_row_steps(gen, proxy_rows, grid, flats, tangents, features)
-    else:
-        ds = np.diff(grid)
-        for j in range(n_steps):
-            feats = features[:, j]
-            feats[:, :p] = flats[:, j] @ proxy_rows.T
-            tangents[:, j] = gen.tangent_flat(feats, W)
-            flats[:, j + 1] = ta.product_flat(
-                c, k, flats[:, j], ta.exp_flat(c, k, ds[j] * tangents[:, j])
-            )
-            if not np.all(np.isfinite(flats[:, j + 1])):
-                raise _diverged(grid, j + 1)
-    return ProxyTrajectory(
-        channels=c, degree=k, grid=grid, flats=flats, nmap=nmap,
-        tangents=tangents, features=features,
-    )
 
-
-def _diverged(grid: np.ndarray, j: int) -> DivergenceError:
-    return DivergenceError(
-        "flow state left the finite range",
-        context={"gridpoint": j, "time": float(grid[j])},
-    )
-
-
-def _one_row_steps(gen, proxy_rows, grid, flats, tangents, features) -> None:
-    """The steps of one flow, written into its record's rows in place.
-
-    The state is held as one (flat + 1,) array with a zero last entry, the
-    operand of the one-row kernels, and each step runs the exponential's
-    series and the product on it directly, the computation of
-    ``product_flat(phi, exp_flat(ds * ell))`` bit for bit.  The series
-    skips the slots that read a level of the tangent above the Lie degree,
-    and its scalar level: slot s reads level k - s.  ``exp_flat`` would also
-    skip a level of the tangent that is zero at this step; the terms it
-    skips add +-0 to accumulators that started at +0.0, so the sums do not
-    change.  Where the series is not finite, and ``exp_flat`` would run it
-    in full again, the state is not finite either, through its term
-    phi_0 e = e.  A state that is not finite stays so, through its term
-    phi e_0 with e_0 = 1, so the states are checked once, after the steps,
-    and the first row that is not finite names the step that diverged; the
-    floating-point warnings of the steps are silenced, since that error
-    reports them.  ``tangents`` comes zeroed, and a step writes only its
-    levels 1..lie_degree.
-    """
-    c, k, p = gen.channels, gen.degree, gen.n_proxy_features
     slots = ta._product_slots(c, k)
     exp_slots = ta._product_slots(c, k, tuple(range(k - gen.lie_degree)) + (k,))
     lie = slice(1, 1 + gen.out_dim)
-    rows_t, weights_t = proxy_rows.T, gen.weights.T
-    phi = np.zeros(flats.shape[-1] + 1)
+    rows_t, weights_t = nmap.matrix[:p].T, np.swapaxes(weights, -1, -2)
+    phi = np.zeros((flat + 1,) + batch)
     phi[0] = 1.0
     xt = np.zeros_like(phi)
     with np.errstate(over="ignore", invalid="ignore"):
         for j, ds in enumerate(np.diff(grid)):
-            feats = features[j]
-            np.matmul(flats[j], rows_t, out=feats[:p])
-            np.matmul(feats, weights_t, out=tangents[j, lie])
+            feats = features[..., j, :]
+            np.matmul(flats[..., j, :], rows_t, out=feats[..., :p])
+            np.matmul(feats[..., None, :], weights_t, out=tangents[..., j, None, lie])
             if gen.clock_rate is not None:
-                tangents[j, 1] = gen.clock_rate
-            np.multiply(tangents[j], ds, out=xt[:-1])
+                tangents[..., j, 1] = gen.clock_rate
+            np.multiply(tangents[..., j, :].T, ds, out=xt[:-1])
             phi = ta._product_t(slots, phi, ta._exp_t(k, exp_slots, xt))
-            flats[j + 1] = phi[:-1]
-    finite = np.isfinite(flats).all(axis=1)
+            flats[..., j + 1, :] = phi[:-1].T
+    finite = np.isfinite(flats.reshape((-1,) + flats.shape[-2:])).all(axis=(0, 2))
     if not finite.all():
-        raise _diverged(grid, int(np.argmin(finite)))
+        j = int(np.argmin(finite))
+        raise DivergenceError(
+            "flow state left the finite range", context={"gridpoint": j, "time": float(grid[j])}
+        )
+    return ProxyTrajectory(
+        channels=c, degree=k, grid=grid, flats=flats, nmap=nmap,
+        tangents=tangents, features=features,
+    )
 
 
 def _flow_adjoint(

@@ -79,7 +79,7 @@ class SweepResult:
 
 def value_at(traj: ProxyTrajectory, w: np.ndarray, s: float) -> float:
     """Value as a linear read of the compressed re-centered residual at s."""
-    return float(np.asarray(w, dtype=float) @ traj._residual_row(traj.index_of(s)))
+    return float(np.asarray(w, dtype=float) @ traj._residual_row(s))
 
 
 def _rewards_vector(traj, rewards):

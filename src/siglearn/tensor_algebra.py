@@ -52,9 +52,9 @@ skip is exact: with finite factors a skipped term is +-0, and adding
 -0 only when both addends are.  A non-finite factor would have made a
 skipped term NaN; it also reaches the result, which is then not finite,
 and the block runs the full series again.  The series is written once, for
-``exp_flat`` and for the proxy flow's one-row steps, which skip the slots
-above the generator's Lie degree; a single row gathers x's slot terms once
-for all its products.
+``exp_flat`` and for the proxy flow's steps, which skip the slots above
+the generator's Lie degree; a single row gathers x's slot terms once for
+all its products.
 """
 
 from __future__ import annotations

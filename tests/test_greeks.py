@@ -5,7 +5,7 @@ import pytest
 
 from siglearn import experiments, greeks
 from siglearn import tensor_algebra as ta
-from siglearn.errors import DomainError
+from siglearn.errors import DomainError, ShapeMismatchError
 from siglearn.jumpdiff import (
     JumpDiffusionParams,
     empirical_mean_signature,
@@ -14,6 +14,7 @@ from siglearn.jumpdiff import (
 from siglearn.kernelspace import build_nystrom, compress_flat
 from siglearn.proxy_flow import integrate_flow, new_generator
 from siglearn.signature import SignatureConfig
+from siglearn.td_learning import value_at
 
 C, K = 3, 3
 
@@ -38,6 +39,25 @@ def make_setup(seed=0, pinned=True):
     return rng, nmap, gen, grid, traj, w
 
 
+class TestOneFlowReaders:
+    # the value readers of one flow, each at gridpoint 0.5 of a record
+    READERS = {
+        "value_at": lambda gen, traj, w: value_at(traj, w, 0.5),
+        "grad_w": lambda gen, traj, w: greeks.grad_w(traj, 0.5),
+        "grad_proxy": lambda gen, traj, w: greeks.grad_proxy(traj, w, 0.5),
+        "grad_theta": lambda gen, traj, w: greeks.grad_theta(gen, traj, w, [0.5]),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reject_a_record_of_several_flows(self, reader):
+        rng, nmap, gen, grid, traj, w = make_setup(seed=3)
+        thetas = gen.theta() + 0.1 * rng.normal(size=(3, gen.n_params))
+        rows = integrate_flow(gen, nmap, None, grid, theta_rows=thetas)
+        self.READERS[reader](gen, traj, w)
+        with pytest.raises(ShapeMismatchError, match="one flow"):
+            self.READERS[reader](gen, rows, w)
+
+
 class TestGradW:
     def test_boundary_values(self):
         _, nmap, gen, grid, traj, w = make_setup()
@@ -48,8 +68,6 @@ class TestGradW:
 
     def test_linear_fd_exact(self):
         rng, nmap, gen, grid, traj, w = make_setup(seed=1)
-        from siglearn.td_learning import value_at
-
         g = greeks.grad_w(traj, 0.5)
         direction = rng.normal(size=w.size)
         eps = 1e-6
@@ -104,8 +122,6 @@ class TestGradTheta:
         theta0 = gen.theta()
         h = 1e-6
         fd = np.empty_like(theta0)
-        from siglearn.td_learning import value_at
-
         for i in range(theta0.size):
             up = theta0.copy()
             up[i] += h
@@ -130,8 +146,6 @@ class TestGradTheta:
     def test_horizon_value_bitwise_constant_in_theta(self):
         # the finite-difference oracle at s = T must read exactly zero
         rng, nmap, gen, grid, traj, w = make_setup(seed=5)
-        from siglearn.td_learning import value_at
-
         theta0 = gen.theta()
         for i in range(theta0.size):
             up = theta0.copy()
@@ -162,8 +176,6 @@ class TestGradTheta:
 
     def test_value_consistent_with_trajectory(self):
         rng, nmap, gen, grid, traj, w = make_setup(seed=7)
-        from siglearn.td_learning import value_at
-
         _, (value,) = greeks.grad_theta(gen, traj, w, [0.5])
         assert value == pytest.approx(value_at(traj, w, 0.5), abs=1e-12)
 

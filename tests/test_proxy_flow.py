@@ -60,6 +60,23 @@ def linear_cfg():
     return SignatureConfig(degree=K, mode="linear", time_scale=1.0)
 
 
+def tangent_flat(gen, feats, weights=None):
+    """Lie-like flat tangent(s) of ``gen`` for feature rows (..., n_features).
+
+    ``weights`` of shape (..., out_dim, n_features) replaces the
+    generator's own weights row by row, one weight matrix per feature row.
+    """
+    if weights is None:
+        out = feats @ gen.weights.T
+    else:
+        out = (feats[..., None, :] @ np.swapaxes(weights, -1, -2))[..., 0, :]
+    flat = np.zeros(out.shape[:-1] + (ta.flat_size(gen.channels, gen.degree),))
+    flat[..., 1 : 1 + gen.out_dim] = out
+    if gen.clock_rate is not None:
+        flat[..., 1] = gen.clock_rate
+    return flat
+
+
 def matched_generator(mu):
     # bias column reproduces the constant drift tangent (clock, state, reward)
     gen = new_generator(C, K, lie_degree=2, n_proxy_features=4, phase_powers=2)
@@ -182,6 +199,28 @@ class TestIntegrateFlow:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert np.array_equal(batch.residual_flats()[r, -1], ta.identity_flat(C, K))
 
+    # (weight rows of a 132-parameter generator, the error they raise)
+    BAD_ROWS = [
+        ("two flows' weights folded", np.zeros((4, 66)), ShapeMismatchError),
+        ("one theta, no row axis", np.zeros(132), ShapeMismatchError),
+        ("a row too long", np.zeros((2, 133)), ShapeMismatchError),
+        ("an extra axis", np.zeros((2, 1, 132)), ShapeMismatchError),
+        ("no rows", np.zeros((0, 132)), ShapeMismatchError),
+        ("a NaN row", np.vstack([np.zeros(132), np.full(132, np.nan)]), DomainError),
+        ("an infinite weight", np.where(np.arange(132) == 5, np.inf, 0.0)[None], DomainError),
+    ]
+
+    @pytest.mark.parametrize("case,thetas,error", BAD_ROWS, ids=[c[0] for c in BAD_ROWS])
+    def test_weight_rows_are_checked(self, case, thetas, error):
+        rng = np.random.default_rng(8)
+        nmap = make_map(rng)
+        gen = new_generator(C, K, n_proxy_features=4, phase_powers=2)
+        assert gen.n_params == 132
+        with pytest.raises(error) as exc:
+            integrate_flow(gen, nmap, None, np.linspace(0.0, 1.0, 5), theta_rows=thetas)
+        if error is ShapeMismatchError:
+            assert "132" in str(exc.value) and str(thetas.shape) in str(exc.value)
+
     def test_tangents_are_the_recorded_feature_rows(self):
         # the adjoint reads traj.features in place of rebuilding them, so
         # each tangent must be the generator's map of its recorded row
@@ -197,11 +236,11 @@ class TestIntegrateFlow:
         assert one.features.shape == (8, gen.n_features)
         assert batch.features.shape == (5, 8, gen.n_features)
         for row, tangent in zip(one.features, one.tangents):
-            assert np.array_equal(tangent, gen.tangent_flat(row))
+            assert np.array_equal(tangent, tangent_flat(gen, row))
         weights = thetas.reshape(-1, gen.out_dim, gen.n_features)
         for feats, tangents, W in zip(batch.features, batch.tangents, weights):
             for row, tangent in zip(feats, tangents):
-                assert np.array_equal(tangent, gen.tangent_flat(row, W))
+                assert np.array_equal(tangent, tangent_flat(gen, row, W))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_error(self):
@@ -215,25 +254,34 @@ class TestIntegrateFlow:
             integrate_flow(gen, nmap, None, np.linspace(0, 1, 5))
 
 
-def per_step_flow(gen, nmap, junction, grid):
-    """The flow as a per-step loop of the generic kernels, for one row of weights.
+def per_step_flow(gen, nmap, junction, grid, theta_rows=None):
+    """The flow as a per-step loop of the generic kernels.
 
-    Each step is product_flat(phi, exp_flat(ds * tangent)), the loop that
-    integrate_flow's one-row steps must equal bit for bit.
+    Each step is product_flat(phi, exp_flat(ds * tangent)), over one row of
+    weights or, with ``theta_rows``, over R rows at once: the loop that
+    integrate_flow's steps must equal bit for bit.
     """
     c, k, p = gen.channels, gen.degree, gen.n_proxy_features
     t, T = grid[0], grid[-1]
     jfeats = np.zeros(p) if junction is None else compress(nmap, junction)[:p]
+    W = None
+    if theta_rows is not None:
+        W = theta_rows.reshape(-1, gen.out_dim, gen.n_features)
+    batch = () if W is None else W.shape[:1]
     n_steps = grid.size - 1
-    flats = np.empty((grid.size, ta.flat_size(c, k)))
-    tangents = np.empty((n_steps, flats.shape[1]))
-    features = gen.features(np.zeros((n_steps, p)), ((grid[:-1] - t) / (T - t))[:, None], jfeats)
-    flats[0] = ta.identity_flat(c, k)
+    flats = np.empty(batch + (grid.size, ta.flat_size(c, k)))
+    tangents = np.empty(batch + (n_steps, flats.shape[-1]))
+    features = np.empty(batch + (n_steps, gen.n_features))
+    features[...] = gen.features(np.zeros((n_steps, p)), ((grid[:-1] - t) / (T - t))[:, None],
+                                 jfeats)
+    flats[..., 0, :] = ta.identity_flat(c, k)
     for j, ds in enumerate(np.diff(grid)):
-        features[j, :p] = flats[j] @ nmap.matrix[:p].T
-        tangents[j] = gen.tangent_flat(features[j])
-        flats[j + 1] = ta.product_flat(c, k, flats[j], ta.exp_flat(c, k, ds * tangents[j]))
-        if not np.all(np.isfinite(flats[j + 1])):
+        features[..., j, :p] = flats[..., j, :] @ nmap.matrix[:p].T
+        tangents[..., j, :] = tangent_flat(gen, features[..., j, :], W)
+        flats[..., j + 1, :] = ta.product_flat(
+            c, k, flats[..., j, :], ta.exp_flat(c, k, ds * tangents[..., j, :])
+        )
+        if not np.all(np.isfinite(flats[..., j + 1, :])):
             raise DivergenceError(
                 "flow state left the finite range",
                 context={"gridpoint": j + 1, "time": float(grid[j + 1])},
@@ -263,14 +311,27 @@ def bits(x):
     return np.asarray(x).view(np.uint64)
 
 
+ONE_ROW_CASES = [(2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4)]
+
+
+def weight_rows(gen, n_rows):
+    """``n_rows`` rows of weights scattered about the generator's own."""
+    rng = np.random.default_rng(n_rows)
+    return gen.theta() + 0.2 * rng.normal(size=(n_rows, gen.n_params))
+
+
+def block_rows(c, k):
+    """One row more than a ``_by_blocks`` block of the flat width of (c, k)."""
+    return max(1, ta._BLOCK_BYTES // (8 * (ta.flat_size(c, k) + 1))) + 1
+
+
 class TestOneRowFlow:
-    """integrate_flow without weight rows equals the per-step loop bit for bit."""
+    """integrate_flow equals the per-step loop bit for bit, one flow or R rows."""
 
     @pytest.mark.parametrize("weights", ["random", "zero"])
     @pytest.mark.parametrize("junction", [False, True])
     @pytest.mark.parametrize("clock", [None, 1.0])
-    @pytest.mark.parametrize("c,k,lie", [(2, 3, 1), (2, 3, 2), (2, 3, 3),
-                                         (3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4)])
+    @pytest.mark.parametrize("c,k,lie", ONE_ROW_CASES)
     def test_matches_the_per_step_loop(self, c, k, lie, clock, junction, weights):
         gen, nmap, jn, grid = one_row_case(c, k, lie, clock, junction, weights)
         traj = integrate_flow(gen, nmap, jn, grid)
@@ -296,6 +357,38 @@ class TestOneRowFlow:
             per_step_flow(gen, nmap, jn, grid)
         with pytest.raises(DivergenceError) as new:
             integrate_flow(gen, nmap, jn, grid)
+        assert str(new.value) == str(old.value)
+        assert new.value.context == old.value.context == {"gridpoint": 3, "time": 1.0}
+
+    @pytest.mark.parametrize("n_rows", ["1", "7", "block + 1"])
+    @pytest.mark.parametrize("junction", [False, True])
+    @pytest.mark.parametrize("clock", [None, 1.0])
+    @pytest.mark.parametrize("c,k,lie", ONE_ROW_CASES)
+    def test_weight_rows_match_the_per_step_loop(self, c, k, lie, clock, junction, n_rows):
+        gen, nmap, jn, grid = one_row_case(c, k, lie, clock, junction)
+        n = block_rows(c, k) if n_rows == "block + 1" else int(n_rows)
+        thetas = weight_rows(gen, n)
+        traj = integrate_flow(gen, nmap, jn, grid, theta_rows=thetas)
+        flats, tangents, features = per_step_flow(gen, nmap, jn, grid, thetas)
+        assert traj.flats.shape == (n, 13, ta.flat_size(c, k))
+        assert np.array_equal(bits(traj.flats), bits(flats))
+        assert np.array_equal(bits(traj.tangents), bits(tangents))
+        assert np.array_equal(bits(traj.features), bits(features))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("clock", [None, 1.0])
+    @pytest.mark.parametrize("c,k,lie", [(2, 3, 1), (2, 3, 3), (3, 4, 2), (3, 4, 4)])
+    def test_one_diverging_row_names_the_same_step(self, c, k, lie, clock):
+        gen, nmap, jn, _ = one_row_case(c, k, lie, clock, True)
+        thetas = weight_rows(gen, 5).reshape(5, gen.out_dim, gen.n_features)
+        thetas[3, :, -1] = 1e200
+        thetas = thetas.reshape(5, gen.n_params)
+        grid = np.array([0.0, 1e-200, 2e-200, 1.0, 2.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as old:
+            per_step_flow(gen, nmap, jn, grid, thetas)
+        with pytest.raises(DivergenceError) as new:
+            integrate_flow(gen, nmap, jn, grid, theta_rows=thetas)
         assert str(new.value) == str(old.value)
         assert new.value.context == old.value.context == {"gridpoint": 3, "time": 1.0}
 
