@@ -176,8 +176,10 @@ def forecast_decay(
     |P d| of the features, averaged over seeds; beta is the log-linear slope
     fitted on the second half of the horizon (e(t) = 0 by construction, so
     the early ramp is excluded).  Also reports the proxy's ``q_norms`` |P x|
-    in the same metric.
+    in the same metric.  A record of several flows is rejected before any
+    ensemble runs.
     """
+    traj._check_one_flow()
     grid, nmap = traj.grid, traj.nmap
     proxy_feats = compress_flat(nmap, traj.flats)
     errors = np.zeros(grid.size)

@@ -202,12 +202,16 @@ class ProxyTrajectory:
             raise DomainError("trajectory has no compression map attached")
         return compress_flat(self.nmap, self.residual_flats())
 
-    def _flow_index(self, s: float) -> int:
-        """Index of gridpoint s in the record of one flow, which value readers need."""
+    def _check_one_flow(self) -> None:
+        """Raise ShapeMismatchError unless this is the record of one flow."""
         if self.flats.ndim != 2:
             raise ShapeMismatchError(
                 f"expected the record of one flow, flats (n_grid, flat), got {self.flats.shape}"
             )
+
+    def _flow_index(self, s: float) -> int:
+        """Index of gridpoint s in the record of one flow."""
+        self._check_one_flow()
         return self.index_of(s)
 
     def _residual_row(self, s: float) -> np.ndarray:

@@ -13,19 +13,20 @@ Two interpolation modes are supported for observed increments:
   points still contribute the pure-time advance followed by the zero-time
   jump factor.
 
-Every scan advances by Chen's identity, one grid step at a time: each
-segment is the fused update sig (x) exp(v) of the Horner kernel behind
-:func:`siglearn.tensor_algebra.mul_exp_flat`, so no segment exponential or
-step factor is materialised.  The batched scans carry the running
-signatures rows-last, as one (flat, n_paths) array that each step updates
-in place, column block by column block, with scratch allocated once per
-scan; row-major copies are made only where a caller reads them.  That scan,
-from the identity, is the one multi-row step: the memory-coupled simulation
-drives it one gridpoint at a time.  :func:`chen_step_flat` steps one row.
+There is one Chen step, :func:`_chen_columns`: it advances rows-last
+signatures, one (flat, n) array, by one grid step in place, each segment
+the fused update sig (x) exp(v) of the Horner kernel in
+:mod:`siglearn.tensor_algebra`, so no segment exponential or step factor is
+materialised.  The scans step every path at once, column block by column
+block, with scratch allocated once per scan; row-major copies are made only
+where a caller reads them.  The memory-coupled simulation drives the scan
+from the identity one gridpoint at a time, and the streaming filter
+:func:`incremental_update` steps its signature as one column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "new_filtered_proxy",
     "incremental_update",
     "step_factor_flat",
-    "chen_step_flat",
     "batch_prefix_signatures",
     "batch_terminal_signatures",
 ]
@@ -138,8 +138,8 @@ def step_factor_flat(
 ) -> np.ndarray:
     """Batched signature factor for one grid step; leading axis is the path.
 
-    The scans and :func:`chen_step_flat` multiply by this factor without
-    building it.  The bare factor is what the score-matching
+    The Chen step of the scans and the streaming filter multiplies by this
+    factor without building it.  The bare factor is what the score-matching
     targets average, and it is the reference the fused step is tested
     against.
     """
@@ -182,7 +182,13 @@ _SCRATCH_BYTES = 8 * 1024 * 1024
 
 
 def _column_scratch(c: int, k: int, n_cols: int):
-    """Block width for ``n_cols`` rows-last columns, and Horner scratch for it."""
+    """Block width for ``n_cols`` rows-last columns, and Horner scratch for it.
+
+    One column gets no scratch: the Horner kernel allocates as it goes,
+    which on one column costs less than writing through scratch views.
+    """
+    if n_cols == 1:
+        return 1, None
     block = max(1, min(n_cols, _SCRATCH_BYTES // (16 * c**k)))
     return block, ta._horner_scratch(c, k, block)
 
@@ -219,33 +225,6 @@ def _chen_columns(c, k, linear, st, time_v, space_v, jumped, scratch) -> None:
         st[:, cols] = before
 
 
-def chen_step_flat(
-    config: SignatureConfig,
-    dim: int,
-    sig: np.ndarray,
-    dt: float,
-    dx: np.ndarray,
-    jumped: bool,
-) -> np.ndarray:
-    """One (flat,) signature times the signature factor of one grid step, by Chen's identity.
-
-    Each segment is one fused update sig (x) exp(v) through
-    :func:`siglearn.tensor_algebra.mul_exp_flat`, so no factor is built: in
-    linear mode the joint (time, space) segment, or, where it jumped or the
-    mode is rectilinear, the time and then the space segment.  This is the
-    step of :func:`_chen_columns` on one row, bit for bit.
-    """
-    c = config.channels(dim)
-    k = config.degree
-    time_v = np.zeros(c)
-    time_v[0] = dt / config.time_scale
-    space_v = np.zeros(c)
-    space_v[1:] = dx
-    if config.mode == "linear" and not jumped:
-        return ta.mul_exp_flat(c, k, sig, time_v + space_v)
-    return ta.mul_exp_flat(c, k, ta.mul_exp_flat(c, k, sig, time_v), space_v)
-
-
 def path_signature(
     config: SignatureConfig, path: CadlagPath, t0: float, t1: float
 ) -> ta.TruncTensor:
@@ -278,13 +257,28 @@ class FilteredProxy:
             raise DomainError("filtered proxy signature must be group-like")
 
 
+def _observation(t, x, dim: int | None = None) -> tuple[float, np.ndarray]:
+    """Observation (t, x) as a float and a (dim,) float array, both finite.
+
+    x is copied, so a caller that reuses its buffer leaves the proxy as it was.
+    """
+    x = np.array(x, dtype=float)
+    if x.ndim != 1 or (dim is not None and x.shape != (dim,)):
+        want = "(d,)" if dim is None else f"({dim},)"
+        raise ShapeMismatchError(f"observation x has shape {x.shape}, expected {want}")
+    t = float(t)
+    if not (math.isfinite(t) and np.isfinite(x).all()):
+        raise DomainError(f"observation must be finite, got t={t}, x={x}")
+    return t, x
+
+
 def new_filtered_proxy(config: SignatureConfig, t0: float, x0) -> FilteredProxy:
-    x0 = np.asarray(x0, dtype=float)
+    t0, x0 = _observation(t0, x0)
     c = config.channels(x0.shape[0])
     return FilteredProxy(
         config=config,
         sig=ta.identity(c, config.degree),
-        anchor_time=float(t0),
+        anchor_time=t0,
         anchor_value=x0,
     )
 
@@ -294,11 +288,13 @@ def incremental_update(
 ) -> FilteredProxy:
     """Fold one new observation into the running signature.
 
-    Matches a batch recomputation from the origin to within 1e-10 on the flat
-    coefficients.  A repeated observation with zero increment is a no-op.
+    The signature is stepped as one column of :func:`_chen_columns`, the
+    step of the scans, so streaming a path gives its scan rows bit for bit.
+    A repeated observation with zero increment is a no-op.
     """
-    x = np.asarray(x, dtype=float)
-    dt = float(t) - proxy.anchor_time
+    dim = proxy.anchor_value.shape[0]
+    t, x = _observation(t, x, dim)
+    dt = t - proxy.anchor_time
     dx = x - proxy.anchor_value
     if dt == 0.0 and not np.any(dx):
         return proxy
@@ -306,15 +302,17 @@ def incremental_update(
         raise OrderingError(
             f"observation at t={t} does not advance anchor_time={proxy.anchor_time}"
         )
-    dim = proxy.anchor_value.shape[0]
-    c = proxy.config.channels(dim)
-    sig = chen_step_flat(proxy.config, dim, proxy.sig.data, dt, dx, bool(jump_flag))
-    return replace(
-        proxy,
-        sig=ta.TruncTensor(c, proxy.config.degree, sig),
-        anchor_time=float(t),
-        anchor_value=x,
-    )
+    cfg = proxy.config
+    c, k = cfg.channels(dim), cfg.degree
+    sig = proxy.sig.data[:, None].copy()  # the step writes in place
+    time_v = np.zeros((c, 1))
+    time_v[0] = dt / cfg.time_scale
+    space_v = np.zeros((c, 1))
+    space_v[1:, 0] = dx
+    jumped = np.array([bool(jump_flag)])
+    scratch = _column_scratch(c, k, 1)
+    _chen_columns(c, k, cfg.mode == "linear", sig, time_v, space_v, jumped, scratch)
+    return replace(proxy, sig=ta.TruncTensor(c, k, sig[:, 0]), anchor_time=t, anchor_value=x)
 
 
 # ---------------------------------------------------------------------------

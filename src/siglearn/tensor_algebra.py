@@ -15,14 +15,15 @@ axis is the flat coefficient vector, broadcasting over any leading axes.
 :class:`TruncTensor` is a checked container for one element; its ``data``
 goes through the same functions.
 
-The product, its exp, log and inverse series, and the Horner step
-a (x) exp(v) work rows-last.  The operands are cut into blocks of rows, and
-each block is transposed to a (width + 1, block) array whose extra last row
-is zero, small enough that a series step works in cache.  A whole series
-runs inside its block, so a call pays one transpose in and one out.  A
-single row skips the broadcast and the blocks: it is copied into a 1-D
-(width + 1,) array with a zero last entry, which the Horner step reads as
-one column.
+The product and its exp, log and inverse series work rows-last.  The
+operands are cut into blocks of rows, and each block is transposed to a
+(width + 1, block) array whose extra last row is zero, small enough that a
+series step works in cache.  A whole series runs inside its block, so a
+call pays one transpose in and one out.  A single row skips the broadcast
+and the blocks: it is copied into a 1-D (width + 1,) array with a zero last
+entry.  The Horner step a (x) exp(v), :func:`_mul_exp_t`, has no flat
+entry point: the Chen step of :mod:`siglearn.signature` calls it on its own
+rows-last (flat, n) signatures.
 
 One cached slot table drives every product: slot s of a level-n
 coefficient gathers the term a_i b_(n-i) with i = s - (k - n), and the
@@ -36,11 +37,11 @@ table (``take`` took about twice as long on one row), multiplies the two
 numpy reduces along the slow axis row after row, so these are the same
 sums in the same order.  The Horner step runs the
 elementwise operations of its level loop in their order too, in place and
-from the top level down; the signature scans call it on their own
-rows-last blocks, with quotients and products written into scratch they
-allocate once, which changes where values are stored but not how they are
-computed.  The results are therefore the level loops' bit for bit, signed
-zeros and non-finite values included.
+from the top level down; on several columns the Chen step writes its
+quotients and products into scratch allocated once per scan, which changes
+where values are stored but not how they are computed.  The results are
+therefore the level loops' bit for bit, signed zeros and non-finite values
+included.
 
 The exponential's series reads x's scalar part as zero, and its products
 skip each slot whose level of x (slot s reads level k - s of the right
@@ -76,7 +77,6 @@ __all__ = [
     "identity",
     "product_flat",
     "exp_flat",
-    "mul_exp_flat",
     "log_flat",
     "inverse_flat",
     "identity_flat",
@@ -316,26 +316,24 @@ def _horner_scratch(channels: int, degree: int, cols: int) -> tuple[np.ndarray, 
 def _mul_exp_t(channels, degree, at, vt, scratch=None) -> None:
     """at <- a (x) exp(v) in place, on rows-last operands, by Horner's rule.
 
-    ``at`` is (flat, cols) or taller and ``vt`` (channels, cols) or taller.
-    Level n becomes a_n + (...((a_0 v/n + a_1) v/(n-1) + a_2) ... + a_{n-1})
-    v/1; levels are written from the top down, so each reads the levels
-    below it before they change.  With ``scratch`` from
-    :func:`_horner_scratch` for at least cols columns, each quotient and
-    product is written into it rather than into a new array.  The
-    elementwise operations and their order are the same either way, so
-    the results are bit for bit equal.
+    ``at`` is (flat, cols) and ``vt`` (channels, cols).  Level n becomes
+    a_n + (...((a_0 v/n + a_1) v/(n-1) + a_2) ... + a_{n-1}) v/1; levels are
+    written from the top down, so each reads the levels below it before
+    they change.  With ``scratch`` from :func:`_horner_scratch` for at
+    least cols columns, each quotient and product is written into it
+    rather than into a new array.  The elementwise operations and their
+    order are the same either way, so the results are bit for bit equal.
     """
     offs = level_offsets(channels, degree)
     sizes = level_sizes(channels, degree)
     cols = at.shape[1]
-    v = vt[:channels]
     if scratch is None:
-        v_over = [v / i for i in range(1, degree + 1)]
+        v_over = [vt / i for i in range(1, degree + 1)]
     else:
         v_buf, bufs = scratch
         v_over = v_buf[: degree * channels * cols].reshape(degree, channels, cols)
         for i in range(1, degree + 1):
-            np.divide(v, i, v_over[i - 1])
+            np.divide(vt, i, v_over[i - 1])
     for n in range(degree, 0, -1):
         g = at[:1]
         for m in range(1, n + 1):
@@ -346,22 +344,6 @@ def _mul_exp_t(channels, degree, at, vt, scratch=None) -> None:
             if m < n:
                 g += at[offs[m] : offs[m + 1]]
         at[offs[n] : offs[n + 1]] += g
-
-
-def mul_exp_flat(channels: int, degree: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a (x) exp(v) for a level-1 increment v of shape (..., channels).
-
-    Horner's rule per level, without building exp(v): level n of the result
-    is a_n + (...((a_0 v/n + a_1) v/(n-1) + a_2) ... + a_{n-1}) v/1, so level
-    n costs n outer products with v.  Broadcasts over leading axes.
-    """
-
-    def kernel(at, vt):
-        # a single row steps as a (width + 1, 1) column
-        _mul_exp_t(channels, degree, at.reshape(len(at), -1), vt.reshape(len(vt), -1))
-        return at
-
-    return _by_blocks(kernel, np.asarray(a, dtype=float), np.asarray(v, dtype=float))
 
 
 def product_pullback_flat(

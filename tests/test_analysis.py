@@ -3,7 +3,7 @@ import pytest
 
 from siglearn import analysis as an
 from siglearn import tensor_algebra as ta
-from siglearn.errors import DomainError
+from siglearn.errors import DomainError, ShapeMismatchError
 from siglearn.jumpdiff import JumpDiffusionParams, generate_ensemble
 from siglearn.kernelspace import build_nystrom, fit_whitening
 from siglearn.proxy_flow import (
@@ -167,6 +167,22 @@ class TestForecastDecay:
         rep_damped = an.forecast_decay(damped, metric, env, junction, 512, seeds, cfg)
         assert rep_damped["beta"] < 0
         assert rep_damped["beta"] < rep_plain["beta"]
+
+    def test_record_of_several_flows_is_rejected_before_any_ensemble(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        nmap = make_map(rng)
+        metric = fit_whitening(rng.normal(size=(100, 6)), lam=1e-3)
+        gen = new_generator(C, K, n_proxy_features=3, seed=9, init_scale=0.3)
+        thetas = np.stack([gen.theta(), 0.5 * gen.theta()])
+        traj = integrate_flow(gen, nmap, None, np.linspace(0.0, 1.0, 9), theta_rows=thetas)
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble was generated")
+
+        monkeypatch.setattr(an, "generate_ensemble", no_ensemble)
+        with pytest.raises(ShapeMismatchError, match="one flow"):
+            an.forecast_decay(traj, metric, jump_env(), (0.0, np.zeros(1), None), 4, [0],
+                              SignatureConfig(degree=K, mode="linear"))
 
 
 class TestWhitenedNormStress:

@@ -3,20 +3,20 @@ import pytest
 
 from siglearn import signature
 from siglearn import tensor_algebra as ta
-from siglearn.errors import OrderingError, RangeError
+from siglearn.errors import DomainError, OrderingError, RangeError, ShapeMismatchError
 from siglearn.signature import (
     CadlagPath,
+    FilteredProxy,
     _grid_index,
     SignatureConfig,
     batch_prefix_signatures,
     batch_terminal_signatures,
-    chen_step_flat,
     incremental_update,
     new_filtered_proxy,
     path_signature,
     step_factor_flat,
 )
-from tensor_helpers import level, level_slice
+from tensor_helpers import level, level_slice, mul_exp_ref
 
 CFG = SignatureConfig(degree=3, time_scale=1.0)
 LINEAR = SignatureConfig(degree=3, time_scale=1.0, mode="linear")
@@ -32,14 +32,14 @@ def random_path(rng, n_points=8, dim=2, jump_prob=0.3):
 
 def segment(dt, dx):
     """Signature of one straight (time, space) segment; dt = 0 is a jump."""
-    return chen_step_flat(LINEAR, 2, ta.identity_flat(3, 3), dt, np.asarray(dx, float), False)
+    return mul_exp_ref(3, 3, ta.identity_flat(3, 3), np.concatenate([[dt], dx]))
 
 
 def space_signature(values, degree=3):
     """Signature of the piecewise-linear path through values, without time."""
     sig = ta.identity_flat(values.shape[1], degree)
     for dx in np.diff(values, axis=0):
-        sig = ta.mul_exp_flat(values.shape[1], degree, sig, dx)
+        sig = mul_exp_ref(values.shape[1], degree, sig, dx)
     return sig
 
 
@@ -217,6 +217,71 @@ class TestStreaming:
         with pytest.raises(OrderingError):
             incremental_update(proxy, 0.5, np.ones(2))
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["linear", "rectilinear"])
+    def test_streaming_gives_the_scan_rows(self, mode, dim, degree):
+        rng = np.random.default_rng(31 + 4 * dim + degree)
+        cfg = SignatureConfig(degree=degree, mode=mode, time_scale=1.5)
+        times = np.cumsum(rng.uniform(0.05, 0.3, size=9))
+        values = np.cumsum(rng.normal(scale=0.4, size=(5, 9, dim)), axis=1)
+        values[1, 4] = values[1, 3]  # a step with no space increment
+        flags = rng.random((5, 9)) < 0.4
+        flags[:, 0] = False
+        _, full = batch_prefix_signatures(cfg, times, values, flags, keep_paths=True)
+        got = per_path_scan(cfg, times, values, flags)
+        assert np.array_equal(got.view(np.uint8), full.view(np.uint8))
+
+    @pytest.mark.parametrize("jumped", [False, True])
+    @pytest.mark.parametrize("cfg", [CFG, LINEAR])
+    def test_update_leaves_the_old_proxy_unchanged(self, cfg, jumped):
+        rng = np.random.default_rng(32)
+        proxy = new_filtered_proxy(cfg, 0.0, np.zeros(2))
+        proxy = incremental_update(proxy, 0.2, rng.normal(size=2))
+        data, anchor = proxy.sig.data.copy(), proxy.anchor_value.copy()
+        x = rng.normal(size=2)
+        new = incremental_update(proxy, 0.5, x, jumped)
+        assert not np.array_equal(new.sig.data, data)
+        assert proxy.sig.data.tobytes() == data.tobytes()
+        assert proxy.anchor_value.tobytes() == anchor.tobytes()
+        assert proxy.anchor_time == 0.2
+        x[:] = 9.0  # the caller reuses its buffer
+        assert not np.any(new.anchor_value == 9.0)
+
+
+# (t, x) of a bad observation for a 2-channel filter anchored at t = 0, or
+# (t0, x0) of a bad start, and the error each raises
+BAD_OBSERVATIONS = [
+    ("update", 0.5, [np.nan, 0.0], DomainError),
+    ("update", 0.5, [0.0, np.inf], DomainError),
+    ("update", np.nan, [1.0, 0.0], DomainError),
+    ("update", np.inf, [1.0, 0.0], DomainError),
+    ("update", -np.inf, [1.0, 0.0], DomainError),
+    ("update", 0.5, 1.0, ShapeMismatchError),
+    ("update", 0.5, [[1.0, 0.0]], ShapeMismatchError),
+    ("update", 0.5, [1.0, 0.0, 2.0], ShapeMismatchError),
+    ("update", 0.5, [1.0], ShapeMismatchError),
+    ("start", np.nan, [0.0, 0.0], DomainError),
+    ("start", np.inf, [0.0, 0.0], DomainError),
+    ("start", 0.0, [np.nan, 0.0], DomainError),
+    ("start", 0.0, [[0.0, 0.0]], ShapeMismatchError),
+    ("start", 0.0, 0.0, ShapeMismatchError),
+]
+
+
+@pytest.mark.parametrize("where, t, x, error", BAD_OBSERVATIONS)
+def test_bad_observations_are_rejected(where, t, x, error):
+    proxy = new_filtered_proxy(CFG, 0.0, np.zeros(2))
+    with pytest.raises(error) as info:
+        if where == "start":
+            new_filtered_proxy(CFG, t, x)
+        else:
+            incremental_update(proxy, t, x)
+    if error is ShapeMismatchError:
+        shape = str(np.shape(x))
+        assert shape in str(info.value)
+        assert ("(2,)" if where == "update" else "(d,)") in str(info.value)
+
 
 class TestBatched:
     def test_batch_prefix_matches_per_path(self):
@@ -273,7 +338,7 @@ class TestBatched:
 
 
 # (shape, jumps): one path with a scalar dt, a (dim,) increment and a bool
-# flag through chen_step_flat, or a batch of paths with no, some or all of
+# flag through incremental_update, or a batch of paths with no, some or all of
 # them jump-flagged through one step of the multi-row scan
 STEP_CASES = [
     ("single", "none"),
@@ -330,9 +395,10 @@ class TestFusedStep:
         dt = 0.3
         sig = rng.uniform(-1.0, 1.0, size=n_flat)
         if shape == "single":
+            sig[0] = 1.0  # a filtered proxy's signature is group-like
             dx = rng.uniform(-1.0, 1.0, size=dim)
             jumped = jumps == "all"
-            got = chen_step_flat(cfg, dim, sig, dt, dx, jumped)
+            got = stream(cfg, sig, [0.0, dt], np.stack([np.zeros(dim), dx]), [False, jumped])[-1]
         else:
             dx = rng.uniform(-1.0, 1.0, size=(n_paths, dim))
             jumped = {
@@ -347,28 +413,33 @@ class TestFusedStep:
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def stream(cfg, start, times, values, flags):
+    """Signatures (n_grid, flat) of one path streamed through ``incremental_update``.
+
+    The filter starts at the first observation with the group-like flat
+    signature ``start``.
+    """
+    c = cfg.channels(values.shape[1])
+    proxy = FilteredProxy(cfg, ta.TruncTensor(c, cfg.degree, start), times[0], values[0])
+    out = [proxy.sig.data]
+    for t, x, jumped in zip(times[1:], values[1:], flags[1:]):
+        proxy = incremental_update(proxy, t, x, bool(jumped))
+        out.append(proxy.sig.data)
+    return np.array(out)
+
+
 def per_path_scan(cfg, times, values, flags, start=None):
-    """Prefix signatures (n_grid, n_paths, flat) by one-row chen_step_flat calls.
+    """Prefix signatures (n_grid, n_paths, flat), each path streamed on its own.
 
     Each path starts from the flat signature ``start``, the identity if None.
     """
-    n_paths, n_grid, dim = values.shape
-    c = cfg.channels(dim)
     if start is None:
-        start = ta.identity_flat(c, cfg.degree)
-    out = np.empty((n_grid, n_paths, start.size))
-    for i in range(n_paths):
-        sig = start
-        out[0, i] = sig
-        for j in range(1, n_grid):
-            sig = chen_step_flat(cfg, dim, sig, times[j] - times[j - 1],
-                                 values[i, j] - values[i, j - 1], bool(flags[i, j]))
-            out[j, i] = sig
-    return out
+        start = ta.identity_flat(cfg.channels(values.shape[2]), cfg.degree)
+    return np.stack([stream(cfg, start, times, v, f) for v, f in zip(values, flags)], axis=1)
 
 
 class TestColumnBlocks:
-    """Scans in column blocks against a per-path loop of one-row steps, bit for bit."""
+    """Scans in scratch column blocks against each path streamed as one column, bit for bit."""
 
     BLOCK = 4
 
@@ -401,7 +472,7 @@ class TestColumnBlocks:
         # the multi-row step from a group-like signature, in column blocks
         start = ta.identity_flat(3, 3)
         for v in rng.normal(scale=0.5, size=(2, 3)):
-            start = ta.mul_exp_flat(3, 3, start, v)
+            start = mul_exp_ref(3, 3, start, v)
         want = per_path_scan(cfg, times, values, flags, start=start)
         got = chen_columns(cfg, np.tile(start, (n_paths, 1)), times, values, flags)
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -225,13 +227,28 @@ class TestBatchedEngine:
         assert np.max(np.abs(prod - ta.identity_flat(2, 3))) < 1e-12
 
 
+def mul_exp_columns(c, k, a, v, scratch=False):
+    """a (x) exp(v) by the rows-last Horner kernel, broadcasting leading axes.
+
+    The rows are stepped as the columns of one (flat, rows) array, writing
+    into Horner scratch for them, or, without ``scratch``, into new arrays.
+    """
+    batch = np.broadcast_shapes(a.shape[:-1], v.shape[:-1])
+    at, vt = (np.broadcast_to(x, batch + x.shape[-1:]).reshape(-1, x.shape[-1]).T.copy()
+              for x in (a, v))
+    ta._mul_exp_t(c, k, at, vt, ta._horner_scratch(c, k, at.shape[1]) if scratch else None)
+    return at.T.reshape(batch + a.shape[-1:])
+
+
 # kernel, its level-loop reference, and the last-axis width of each operand
 KERNELS = {
     "product": (ta.product_flat, th.product_ref, ("flat", "flat")),
     "exp": (ta.exp_flat, th.exp_ref, ("flat",)),
     "log": (ta.log_flat, th.log_ref, ("flat",)),
     "inverse": (ta.inverse_flat, th.inverse_ref, ("flat",)),
-    "mul_exp": (ta.mul_exp_flat, th.mul_exp_ref, ("flat", "channels")),
+    "mul_exp": (mul_exp_columns, th.mul_exp_ref, ("flat", "channels")),
+    "mul_exp_scratch": (partial(mul_exp_columns, scratch=True), th.mul_exp_ref,
+                        ("flat", "channels")),
 }
 DIMS = [(1, 5), (2, 3), (3, 4), (4, 2), (5, 1)]
 
@@ -326,16 +343,18 @@ class TestMulExp:
         x = np.zeros(v_shape + (ta.flat_size(c, degree),))
         x[..., 1 : 1 + c] = v
         want = ta.product_flat(c, degree, a, ta.exp_flat(c, degree, x))
-        got = ta.mul_exp_flat(c, degree, a, v)
+        got = mul_exp_columns(c, degree, a, v)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_leaves_inputs_unchanged(self):
-        a = ta.identity_flat(2, 3)
-        v = np.array([0.5, -0.25])
-        ta.mul_exp_flat(2, 3, a, v)
-        assert np.array_equal(a, ta.identity_flat(2, 3))
-        assert v.tolist() == [0.5, -0.25]
+        # the kernel writes only a, whether its quotients go to scratch or not
+        v = np.array([[0.5], [-0.25]])
+        for scratch in (None, ta._horner_scratch(2, 3, 1)):
+            at = ta.identity_flat(2, 3)[:, None].copy()
+            ta._mul_exp_t(2, 3, at, v, scratch)
+            assert not np.array_equal(at[:, 0], ta.identity_flat(2, 3))
+            assert v.tolist() == [[0.5], [-0.25]]
 
 
 
